@@ -1127,18 +1127,26 @@ func BenchmarkStoreAcquire(b *testing.B) {
 
 // BenchmarkRecovery measures restart-to-serving time: store.Open +
 // snapshot/WAL replay + fresh-quote re-adoption of every recorded
-// member and warm standby, as the recorded control plane grows. The
-// seed WAL is written once per scale and never cleanly closed — each
-// iteration recovers from a crash-faithful copy of it.
+// member and warm standby, on two axes: the recorded control plane
+// grows (nodes), and the log behind it grows (history: acquire/release
+// cycles per enclave before the crash — the last case replays more than
+// 20 000 records, so its MB/s is the replay rate). The seed WAL is
+// written once per scale and never cleanly closed — each iteration
+// recovers from a crash-faithful copy of it.
 func BenchmarkRecovery(b *testing.B) {
-	for _, sc := range []struct{ enclaves, members, warm int }{
-		{1, 2, 2},
-		{2, 2, 2},
-		{4, 4, 0},
+	for _, sc := range []struct{ enclaves, members, warm, history int }{
+		{1, 2, 2, 0},
+		{2, 2, 2, 0},
+		{4, 4, 0, 0},
+		{2, 4, 0, 300},
 	} {
 		perEnclave := sc.members + sc.warm
 		nodes := sc.enclaves * perEnclave
-		b.Run(fmt.Sprintf("enclaves-%d/nodes-%d", sc.enclaves, nodes), func(b *testing.B) {
+		name := fmt.Sprintf("enclaves-%d/nodes-%d", sc.enclaves, nodes)
+		if sc.history > 0 {
+			name += fmt.Sprintf("/history-%d", sc.history)
+		}
+		b.Run(name, func(b *testing.B) {
 			ctx := context.Background()
 			seedDir := b.TempDir()
 			seedCfg := core.DefaultConfig()
@@ -1162,6 +1170,21 @@ func BenchmarkRecovery(b *testing.B) {
 				e, err := seedMgr.CreateEnclave(name, core.ProfileBob)
 				if err != nil {
 					b.Fatal(err)
+				}
+				for c := 0; c < sc.history; c++ {
+					op, err := seedMgr.StartAcquire(name, "os", sc.members)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := op.Wait(ctx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, n := range res.Nodes {
+						if err := e.ReleaseNode(n.Name, ""); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 				op, err := seedMgr.StartAcquire(name, "os", sc.members)
 				if err != nil {
@@ -1194,6 +1217,19 @@ func BenchmarkRecovery(b *testing.B) {
 				}
 			}
 			// No Close: recovery replays the raw WAL like a real crash.
+			if err := seedStore.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			_, seedRecs, err := seedStore.Load()
+			if err != nil {
+				b.Fatal(err)
+			}
+			records := len(seedRecs)
+			wal, err := os.Stat(filepath.Join(seedDir, "wal.log"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(wal.Size())
 
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -1243,6 +1279,7 @@ func BenchmarkRecovery(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(records), "records/op")
 		})
 	}
 }

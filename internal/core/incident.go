@@ -297,7 +297,7 @@ func (m *Manager) OpenIncident(enclave, node, reason string) *Incident {
 	m.mu.Lock()
 	m.incSeq++
 	inc := &Incident{
-		ID:       fmt.Sprintf("inc-%04d", m.incSeq),
+		ID:       fmt.Sprintf(incIDPrefix+"%04d", m.incSeq),
 		Enclave:  enclave,
 		Node:     node,
 		Reason:   reason,

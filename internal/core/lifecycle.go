@@ -77,6 +77,16 @@ var stateEvent = map[NodeState]EventKind{
 	StateFree:        EvReleased,
 }
 
+// eventState inverts stateEvent: the state a journalled event put its node
+// in. Recovery derives recorded node states from it.
+var eventState = func() map[EventKind]NodeState {
+	m := make(map[EventKind]NodeState, len(stateEvent))
+	for s, ev := range stateEvent {
+		m[ev] = s
+	}
+	return m
+}()
+
 // lifecycle tracks every node the enclave has touched and journals each
 // transition. Safe for concurrent use: the provisioner drives many
 // nodes through it at once.

@@ -330,7 +330,7 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 		return nil, false, err
 	}
 	m.opSeq++
-	op = newOperation(fmt.Sprintf("op-%04d", m.opSeq), enclave, image, n, cancel)
+	op = newOperation(fmt.Sprintf(opIDPrefix+"%04d", m.opSeq), enclave, image, n, cancel)
 	op.seq = m.opSeq
 	// Commit before acknowledge: the operation record (with its
 	// idempotency key) must be durable before the tenant learns the op
@@ -538,9 +538,13 @@ func (m *Manager) ConfigurePool(enclave string, p PoolPolicy) (PoolStats, bool, 
 		return PoolStats{}, false, err
 	}
 	prev, had := e.PoolStats()
-	if err := e.ConfigurePool(p); err != nil {
+	// A new pool starts held: its refiller must not allocate (and journal)
+	// for a policy the log does not hold yet, or a crash in between leaves
+	// a refill in the log with no pool to own it.
+	if err := e.configurePool(p, true); err != nil {
 		return PoolStats{}, false, err
 	}
+	defer e.resumePool()
 	if err := m.appendRecord(store.KindPoolConfigured, poolRecord{Enclave: enclave, Policy: p}); err != nil {
 		// Roll the live pool back to its committed policy (or detach a
 		// pool that never committed) so state and log agree.

@@ -34,11 +34,12 @@ type cloudMetrics struct {
 	quotaRejections *obs.CounterVec // tenant
 
 	// Incidents (incident.go).
-	incidentSteps    *obs.HistogramVec // step
-	incidentsClosed  *obs.CounterVec   // state
-	incidentSeconds  *obs.Histogram
-	recoverySeconds  *obs.Gauge
-	recoveredEnclave *obs.Gauge
+	incidentSteps          *obs.HistogramVec // step
+	incidentsClosed        *obs.CounterVec   // state
+	incidentSeconds        *obs.Histogram
+	recoveryReplaySeconds  *obs.Gauge
+	recoveryReadoptSeconds *obs.Gauge
+	recoveredEnclave       *obs.Gauge
 
 	// Resilience (resilience.go, breaker.go).
 	retries        *obs.CounterVec // backend: transient failures retried
@@ -75,7 +76,8 @@ func newCloudMetrics(reg *obs.Registry) *cloudMetrics {
 	cm.incidentSteps = reg.HistogramVec("bolted_incident_step_seconds", "Time between consecutive incident response steps.", nil, "step")
 	cm.incidentsClosed = reg.CounterVec("bolted_incidents_closed_total", "Incidents reaching a terminal state.", "state")
 	cm.incidentSeconds = reg.Histogram("bolted_incident_seconds", "Incident open-to-close duration.", nil)
-	cm.recoverySeconds = reg.Gauge("bolted_recovery_seconds", "Duration of the last crash recovery (re-quote included).")
+	cm.recoveryReplaySeconds = reg.Gauge("bolted_recovery_replay_seconds", "Log replay in the last crash recovery: snapshot and WAL load, decode, fold, registries rebuilt.")
+	cm.recoveryReadoptSeconds = reg.Gauge("bolted_recovery_readopt_seconds", "Re-adoption in the last crash recovery: enclaves rebuilt, every recorded node re-quoted.")
 	cm.recoveredEnclave = reg.Gauge("bolted_recovery_enclaves", "Enclaves rebuilt by the last crash recovery.")
 	cm.retries = reg.CounterVec("bolted_retries_total", "Transient backend failures absorbed by the resilience retry loop.", "backend")
 	cm.retryExhausted = reg.CounterVec("bolted_retry_exhausted_total", "Backend calls that failed every attempt in the retry budget.", "backend")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -121,6 +122,8 @@ type opSnapshot struct {
 	Phase    OpPhase   `json:"phase,omitempty"`
 	Error    string    `json:"error,omitempty"`
 	Finished time.Time `json:"finished,omitzero"`
+
+	seq int // parsed from ID at replay; not part of the schema
 }
 
 type revFeedSnapshot struct {
@@ -273,31 +276,23 @@ func (re *replayEnclave) applyEvent(ev Event) {
 		} else if img, ok := strings.CutPrefix(ev.Detail, "readopt image="); ok {
 			n.image = img
 		}
-	case EvAirlocked, EvBooting, EvAttesting, EvProvisioned:
-		re.node(ev.Node).state = map[EventKind]NodeState{
-			EvAirlocked:   StateAirlocked,
-			EvBooting:     StateBooting,
-			EvAttesting:   StateAttesting,
-			EvProvisioned: StateProvisioned,
-		}[ev.Kind]
-	case EvWarm:
-		re.node(ev.Node).state = StateWarm
-	case EvJoined:
-		n := re.node(ev.Node)
-		n.state = StateAllocated
-		if n.image == "" {
-			n.image = re.lastImage
-		}
-	case EvRejected:
-		n := re.node(ev.Node)
-		n.state = StateRejected
-		n.detail = ev.Detail
-	case EvQuarantined:
-		n := re.node(ev.Node)
-		n.state = StateQuarantined
-		n.detail = ev.Detail
 	case EvReleased:
 		delete(re.nodes, ev.Node)
+	default:
+		state, ok := eventState[ev.Kind]
+		if !ok {
+			return // not a lifecycle transition (attested, recovered, ...)
+		}
+		n := re.node(ev.Node)
+		n.state = state
+		switch state {
+		case StateAllocated:
+			if n.image == "" {
+				n.image = re.lastImage
+			}
+		case StateRejected, StateQuarantined:
+			n.detail = ev.Detail
+		}
 	}
 }
 
@@ -369,6 +364,11 @@ func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
 	}
 	for _, os := range snap.Ops {
 		cp := os
+		seq, err := idSeq(cp.ID, opIDPrefix)
+		if err != nil {
+			return err
+		}
+		cp.seq = seq
 		rs.ops = append(rs.ops, &cp)
 		rs.opByID[cp.ID] = &cp
 		if cp.IdemKey != "" {
@@ -396,129 +396,166 @@ func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
 	return nil
 }
 
-func (rs *replayState) apply(rec store.Record) error {
+// Generated ids are a prefix and a zero-padded sequence number.
+const (
+	opIDPrefix  = "op-"
+	incIDPrefix = "inc-"
+)
+
+// idSeq parses the sequence number out of a generated id ("op-0042" is 42).
+func idSeq(id, prefix string) (int, error) {
+	digits, ok := strings.CutPrefix(id, prefix)
+	if !ok {
+		return 0, fmt.Errorf("core: recorded id %q lacks the %q prefix", id, prefix)
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, fmt.Errorf("core: recorded id %q: %w", id, err)
+	}
+	return n, nil
+}
+
+// A foldFunc applies one decoded record to the replay state. Replay is two
+// stages: decodeRecord is pure — it touches nothing but its record, so every
+// record of the log decodes concurrently — and the foldFuncs it returns run
+// one after another in log order.
+type foldFunc func(*replayState)
+
+// decodeAs unmarshals a record payload as a T and binds it to its fold step.
+func decodeAs[T any](data json.RawMessage, fold func(*replayState, T)) (foldFunc, error) {
+	var r T
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return func(rs *replayState) { fold(rs, r) }, nil
+}
+
+// decodeRecord parses one WAL record into its fold step (nil for a kind this
+// version does not know).
+func decodeRecord(rec store.Record) (foldFunc, error) {
 	switch rec.Kind {
 	case store.KindEnclaveCreated:
-		var r enclaveRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		re := rs.enclave(r.Name)
-		re.profile = r.Profile
+		return decodeAs(rec.Data, func(rs *replayState, r enclaveRecord) {
+			rs.enclave(r.Name).profile = r.Profile
+		})
 	case store.KindEnclaveDeleted:
-		var r enclaveNameRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		rs.dropEnclave(r.Enclave)
-		delete(rs.revFeeds, r.Enclave)
+		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
+			rs.dropEnclave(r.Enclave)
+			delete(rs.revFeeds, r.Enclave)
+		})
 	case store.KindJournalEvent:
-		var r journalEventRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok {
-			re.applyEvent(r.event())
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r journalEventRecord) {
+			if re, ok := rs.enclaves[r.Enclave]; ok {
+				re.applyEvent(r.event())
+			}
+		})
 	case store.KindQuotaSet:
-		var r quotaRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		rs.quotas[r.Tenant] = r.Quota
+		return decodeAs(rec.Data, func(rs *replayState, r quotaRecord) {
+			rs.quotas[r.Tenant] = r.Quota
+		})
 	case store.KindQuotaDeleted:
-		var r tenantRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		delete(rs.quotas, r.Tenant)
+		return decodeAs(rec.Data, func(rs *replayState, r tenantRecord) {
+			delete(rs.quotas, r.Tenant)
+		})
 	case store.KindPoolConfigured:
-		var r poolRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok {
-			p := r.Policy
-			re.pool = &p
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r poolRecord) {
+			if re, ok := rs.enclaves[r.Enclave]; ok {
+				re.pool = &r.Policy
+			}
+		})
 	case store.KindPoolDetached:
-		var r enclaveNameRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok {
-			re.pool = nil
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
+			if re, ok := rs.enclaves[r.Enclave]; ok {
+				re.pool = nil
+			}
+		})
 	case store.KindGuardEnabled:
-		var r guardRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok {
-			re.guard = r.Policy
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r guardRecord) {
+			if re, ok := rs.enclaves[r.Enclave]; ok {
+				re.guard = r.Policy
+			}
+		})
 	case store.KindGuardDetached:
-		var r enclaveNameRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok {
-			re.guard = nil
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
+			if re, ok := rs.enclaves[r.Enclave]; ok {
+				re.guard = nil
+			}
+		})
 	case store.KindOpStarted:
-		var r opStartedRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
+		var os opSnapshot
+		if err := json.Unmarshal(rec.Data, &os.opStartedRecord); err != nil {
+			return nil, err
 		}
-		os := &opSnapshot{opStartedRecord: r}
-		rs.ops = append(rs.ops, os)
-		rs.opByID[r.ID] = os
-		if r.IdemKey != "" {
-			rs.idem[r.IdemKey] = r.ID
+		var err error
+		if os.seq, err = idSeq(os.ID, opIDPrefix); err != nil {
+			return nil, err
 		}
-		var n int
-		if _, err := fmt.Sscanf(r.ID, "op-%d", &n); err == nil && n > rs.opSeq {
-			rs.opSeq = n
-		}
-		if re, ok := rs.enclaves[r.Enclave]; ok && r.Image != "" {
-			re.lastImage = r.Image
-		}
+		return func(rs *replayState) {
+			rs.ops = append(rs.ops, &os)
+			rs.opByID[os.ID] = &os
+			if os.IdemKey != "" {
+				rs.idem[os.IdemKey] = os.ID
+			}
+			rs.opSeq = max(rs.opSeq, os.seq)
+			if re, ok := rs.enclaves[os.Enclave]; ok && os.Image != "" {
+				re.lastImage = os.Image
+			}
+		}, nil
 	case store.KindOpFinished:
-		var r opFinishedRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if os, ok := rs.opByID[r.ID]; ok {
-			os.Terminal = true
-			os.Phase = r.Phase
-			os.Error = r.Error
-			os.Finished = r.Finished
-		}
+		return decodeAs(rec.Data, func(rs *replayState, r opFinishedRecord) {
+			if os, ok := rs.opByID[r.ID]; ok {
+				os.Terminal = true
+				os.Phase = r.Phase
+				os.Error = r.Error
+				os.Finished = r.Finished
+			}
+		})
 	case store.KindIncidentUpdate:
 		var st IncidentStatus
 		if err := json.Unmarshal(rec.Data, &st); err != nil {
-			return err
+			return nil, err
 		}
-		if _, ok := rs.incident[st.ID]; !ok {
-			rs.incOrder = append(rs.incOrder, st.ID)
+		seq, err := idSeq(st.ID, incIDPrefix)
+		if err != nil {
+			return nil, err
 		}
-		rs.incident[st.ID] = st
-		rs.incFeed = append(rs.incFeed, st)
-		var n int
-		if _, err := fmt.Sscanf(st.ID, "inc-%d", &n); err == nil && n > rs.incSeq {
-			rs.incSeq = n
-		}
+		return func(rs *replayState) {
+			if _, ok := rs.incident[st.ID]; !ok {
+				rs.incOrder = append(rs.incOrder, st.ID)
+			}
+			rs.incident[st.ID] = st
+			rs.incFeed = append(rs.incFeed, st)
+			rs.incSeq = max(rs.incSeq, seq)
+		}, nil
 	case store.KindRevocation:
-		var r revocationRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
+		return decodeAs(rec.Data, func(rs *replayState, r revocationRecord) {
+			f, ok := rs.revFeeds[r.Enclave]
+			if !ok {
+				f = &revFeedSnapshot{}
+				rs.revFeeds[r.Enclave] = f
+			}
+			f.Events = append(f.Events, keylime.RevocationEvent{UUID: r.UUID, Reason: r.Reason, At: r.At})
+		})
+	}
+	return nil, nil
+}
+
+// replay folds the WAL records onto the state, in log order. A record that
+// does not decode fails the whole replay, named by the first such record.
+func (rs *replayState) replay(recs []store.Record) error {
+	folds := make([]foldFunc, len(recs))
+	if _, err := store.Parallel(len(recs), func(i int) (err error) {
+		if folds[i], err = decodeRecord(recs[i]); err != nil {
+			return fmt.Errorf("core: replay %s record: %w", recs[i].Kind, err)
 		}
-		f, ok := rs.revFeeds[r.Enclave]
-		if !ok {
-			f = &revFeedSnapshot{}
-			rs.revFeeds[r.Enclave] = f
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, fold := range folds {
+		if fold != nil {
+			fold(rs)
 		}
-		f.Events = append(f.Events, keylime.RevocationEvent{UUID: r.UUID, Reason: r.Reason, At: r.At})
 	}
 	return nil
 }
@@ -542,10 +579,8 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 			return nil, err
 		}
 	}
-	for _, rec := range recs {
-		if err := rs.apply(rec); err != nil {
-			return nil, fmt.Errorf("core: replay %s record: %w", rec.Kind, err)
-		}
+	if err := rs.replay(recs); err != nil {
+		return nil, err
 	}
 
 	rep := &RecoverReport{}
@@ -570,15 +605,16 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 			rep.Interrupted = append(rep.Interrupted, os.ID)
 		}
 		op := newRestoredOperation(os.ID, os.Enclave, os.Image, os.Count, os.Created, phase, errMsg, finished)
-		var n int
-		fmt.Sscanf(os.ID, "op-%d", &n)
-		op.seq = n
+		op.seq = os.seq
 		m.ops[op.ID] = op
 		m.byencl[os.Enclave] = append(m.byencl[os.Enclave], op)
 	}
 	for _, id := range rs.incOrder {
-		st := rs.incident[id]
-		inc := restoreIncident(st, m.noteIncidentUpdate)
+		inc, err := restoreIncident(rs.incident[id], m.noteIncidentUpdate)
+		if err != nil {
+			m.mu.Unlock()
+			return nil, err
+		}
 		m.incidents[id] = inc
 		m.incOrder = append(m.incOrder, inc)
 	}
@@ -614,17 +650,30 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 		}
 	}
 
-	// Rebuild enclaves in creation order, then re-adopt their nodes.
-	for _, name := range rs.order {
-		re := rs.enclaves[name]
-		e, err := m.restoreEnclave(name, re)
+	replayed := time.Now()
+	m.cloud.metrics.recoveryReplaySeconds.Set(replayed.Sub(t0).Seconds())
+
+	// Rebuild enclaves in creation order, then re-adopt their nodes, every
+	// enclave's at once.
+	restored := make([]*Enclave, len(rs.order))
+	for i, name := range rs.order {
+		e, err := m.restoreEnclave(name, rs.enclaves[name])
 		if err != nil {
 			return nil, fmt.Errorf("core: restore enclave %q: %w", name, err)
 		}
-		rep.Enclaves++
-		m.readoptNodes(ctx, e, re, rep)
-		// Re-adoption done (recorded standbys parked): let the refiller
-		// top up or shed toward the restored target.
+		restored[i] = e
+	}
+	rep.Enclaves = len(restored)
+	ro := &readoption{rep: rep, sem: make(chan struct{}, DefaultBatchParallelism)}
+	for i, e := range restored {
+		m.readoptNodes(ctx, e, rs.enclaves[rs.order[i]], ro)
+	}
+	ro.requotes.Wait()
+	// Re-adoption done (recorded standbys parked): let the refillers top up
+	// or shed toward the restored targets. Not before — a refiller takes any
+	// free node, and a node another enclave's log records is free until that
+	// enclave has re-adopted it.
+	for _, e := range restored {
 		e.resumePool()
 	}
 
@@ -632,9 +681,7 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 	sort.Strings(rep.Rejected)
 	sort.Strings(rep.Quarantined)
 	sort.Strings(rep.Released)
-	// Recovery time includes the re-quote of every recorded node — the
-	// dominant term, and the one the paper's §7.4 restart claim rests on.
-	m.cloud.metrics.recoverySeconds.Set(time.Since(t0).Seconds())
+	m.cloud.metrics.recoveryReadoptSeconds.Set(time.Since(replayed).Seconds())
 	m.cloud.metrics.recoveredEnclave.Set(float64(rep.Enclaves))
 	return rep, nil
 }
@@ -680,29 +727,35 @@ func (m *Manager) restoreEnclave(name string, re *replayEnclave) (*Enclave, erro
 	return e, nil
 }
 
+// readoption is what the enclaves of one recovery share while their recorded
+// nodes are re-adopted side by side.
+type readoption struct {
+	mu  sync.Mutex // guards rep's lists
+	rep *RecoverReport
+
+	requotes sync.WaitGroup // re-adoptions in flight
+	sem      chan struct{}  // bounds them, over all enclaves
+}
+
+func (ro *readoption) note(list *[]string, e *Enclave, node string) {
+	ro.mu.Lock()
+	*list = append(*list, e.Project+"/"+node)
+	ro.mu.Unlock()
+}
+
 // readoptNodes re-establishes every recorded node of one enclave:
 //
 //   - Allocated members and Warm standbys are re-adopted by re-running the
 //     acquisition pipeline — fresh-nonce re-quote against the whitelist; a
 //     node that fails lands in the rejected pool exactly like a cold-path
-//     phase failure.
+//     phase failure. These run in the background, bounded by ro.sem; the
+//     caller waits on ro.requotes.
 //   - Quarantined and Rejected nodes are restored as-is: distrust survives
 //     a restart without a new quote.
 //   - Nodes recorded mid-pipeline (reserved/airlocked/booting/attesting/
 //     provisioned) belonged to an operation that is now OpInterrupted;
 //     they are released (journalled), never silently kept.
-func (m *Manager) readoptNodes(ctx context.Context, e *Enclave, re *replayEnclave, rep *RecoverReport) {
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, DefaultBatchParallelism)
-	)
-	add := func(list *[]string, node string) {
-		mu.Lock()
-		*list = append(*list, e.Project+"/"+node)
-		mu.Unlock()
-	}
-
+func (m *Manager) readoptNodes(ctx context.Context, e *Enclave, re *replayEnclave, ro *readoption) {
 	names := make([]string, 0, len(re.nodes))
 	for n := range re.nodes {
 		names = append(names, n)
@@ -719,36 +772,33 @@ func (m *Manager) readoptNodes(ctx context.Context, e *Enclave, re *replayEnclav
 			e.lc.restore(name, rn.state)
 			m.cloud.MarkRejected(e.Project, name, "restored at recovery: "+rn.detail)
 			e.journal.record(EvRecovered, name, "restored "+string(rn.state))
-			add(&rep.Quarantined, name)
+			ro.note(&ro.rep.Quarantined, e, name)
 		case StateAllocated, StateWarm:
-			name, rn := name, rn
-			wg.Add(1)
-			sem <- struct{}{}
+			ro.requotes.Add(1)
+			ro.sem <- struct{}{}
 			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
+				defer ro.requotes.Done()
+				defer func() { <-ro.sem }()
+				var err error
 				if rn.state == StateAllocated {
-					if err := m.readoptMember(ctx, e, name, rn.image); err != nil {
-						add(&rep.Rejected, name)
-						return
-					}
+					err = m.readoptMember(ctx, e, name, rn.image)
 				} else {
-					if err := m.readoptWarm(ctx, e, name); err != nil {
-						add(&rep.Rejected, name)
-						return
-					}
+					err = m.readoptWarm(ctx, e, name)
 				}
-				add(&rep.Readopted, name)
+				if err != nil {
+					ro.note(&ro.rep.Rejected, e, name)
+					return
+				}
+				ro.note(&ro.rep.Readopted, e, name)
 			}()
 		default:
 			// Mid-pipeline at the crash: the operation driving it is now
 			// interrupted; in the fresh cloud the node is already free —
 			// journal the release so the audit trail says where it went.
 			e.journal.record(EvReleased, name, "released at recovery: interrupted mid-"+string(rn.state))
-			add(&rep.Released, name)
+			ro.note(&ro.rep.Released, e, name)
 		}
 	}
-	wg.Wait()
 }
 
 // readoptMember re-adopts one recorded Allocated member: reserve the same
@@ -806,9 +856,11 @@ func (m *Manager) readoptWarm(ctx context.Context, e *Enclave, name string) erro
 }
 
 // restoreIncident rebuilds an Incident from its last recorded status.
-func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) *Incident {
-	var n int
-	fmt.Sscanf(st.ID, "inc-%d", &n)
+func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) (*Incident, error) {
+	n, err := idSeq(st.ID, incIDPrefix)
+	if err != nil {
+		return nil, err
+	}
 	inc := &Incident{
 		ID:       st.ID,
 		Enclave:  st.Enclave,
@@ -825,7 +877,7 @@ func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) *Incident {
 	if st.State.Terminal() {
 		close(inc.done)
 	}
-	return inc
+	return inc, nil
 }
 
 // RecoveredGuardPolicies returns the raw guard policies recovered from the

@@ -56,6 +56,10 @@ type Node struct {
 	bmc      BMC
 	project  string // "" = free pool
 	networks map[string]netsim.VLANID
+	// freeing is set while FreeNode tears the node down: it still belongs
+	// to its project, so nobody can allocate it, but the project can no
+	// longer drive it.
+	freeing bool
 }
 
 // Project is a tenant allocation context.
@@ -294,7 +298,11 @@ func (s *Service) TransferNode(ctx context.Context, from, node, to string) error
 }
 
 // FreeNode returns a node to the free pool: it is detached from every
-// network and powered off, so no tenant state keeps running.
+// network and powered off, so no tenant state keeps running. The node
+// becomes allocatable only after that tear-down has returned — marked
+// free any earlier, AllocateAnyNode could hand it to a new owner whose
+// airlock attach and power-on the old owner's detach and power-off
+// would then undo. If the detach fails the node stays with its project.
 func (s *Service) FreeNode(ctx context.Context, project, node string) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -305,19 +313,23 @@ func (s *Service) FreeNode(ctx context.Context, project, node string) error {
 		s.mu.Unlock()
 		return err
 	}
+	n.freeing = true
+	s.mu.Unlock()
+
+	err = s.fabric.DetachAll(n.Port)
+	if err == nil && n.bmc != nil {
+		_ = n.bmc.PowerOff() // already-off is fine
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n.freeing = false
+	if err != nil {
+		return err
+	}
 	n.project = ""
 	n.networks = make(map[string]netsim.VLANID)
 	delete(p.nodes, node)
-	bmc := n.bmc
-	port := n.Port
-	s.mu.Unlock()
-
-	if err := s.fabric.DetachAll(port); err != nil {
-		return err
-	}
-	if bmc != nil {
-		_ = bmc.PowerOff() // already-off is fine
-	}
 	return nil
 }
 
@@ -332,6 +344,9 @@ func (s *Service) ownedLocked(project, node string) (*Node, *Project, error) {
 	}
 	if n.project != project {
 		return nil, nil, fmt.Errorf("%w: %q is not in %q", ErrUnauthorized, node, project)
+	}
+	if n.freeing {
+		return nil, nil, fmt.Errorf("%w: node %q is being freed", ErrInUse, node)
 	}
 	return n, p, nil
 }

@@ -486,3 +486,86 @@ func TestAllocateAnyNodeConcurrentNoDuplicates(t *testing.T) {
 		t.Fatalf("allocated %d of %d", len(seen), nodes)
 	}
 }
+
+// blockingBMC parks PowerOff until released, so a test can look at HIL
+// while a FreeNode is between its detach and the end of its tear-down.
+type blockingBMC struct {
+	fakeBMC
+	entered chan struct{} // closed when PowerOff has been called
+	release chan struct{} // PowerOff returns once this is closed
+}
+
+func (b *blockingBMC) PowerOff() error {
+	close(b.entered)
+	<-b.release
+	return b.fakeBMC.PowerOff()
+}
+
+// A freed node must not be allocatable until its detach and power-off have
+// returned: marked free earlier, the lowest-free-name allocator hands it
+// to a new owner and the old owner's tear-down lands on that owner.
+func TestFreeNodeNotAllocatableUntilTornDown(t *testing.T) {
+	ctx := context.Background()
+	fabric, err := netsim.NewFabric(100, 199)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fabric.AddPort("port-a"); err != nil {
+		t.Fatal(err)
+	}
+	s := New(fabric)
+	bmc := &blockingBMC{entered: make(chan struct{}), release: make(chan struct{})}
+	if err := s.RegisterNode("node-a", "port-a", bmc, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"old", "new"} {
+		if err := s.CreateProject(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AllocateNode(ctx, "old", "node-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateNetwork(ctx, "old", "n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ConnectNode(ctx, "old", "node-a", "n"); err != nil {
+		t.Fatal(err)
+	}
+	bmc.on = true
+
+	freed := make(chan error, 1)
+	go func() { freed <- s.FreeNode(ctx, "old", "node-a") }()
+	<-bmc.entered // detached, power-off in progress
+
+	if vs, _ := fabric.VLANsOf("port-a"); len(vs) != 0 {
+		t.Fatalf("power-off started before the detach finished: still on %v", vs)
+	}
+	if free, _ := s.FreeNodes(); len(free) != 0 {
+		t.Fatalf("node listed free mid-tear-down: %v", free)
+	}
+	if n, err := s.AllocateAnyNode(ctx, "new"); err == nil {
+		t.Fatalf("AllocateAnyNode handed out %s mid-tear-down", n)
+	}
+	if err := s.AllocateNode(ctx, "new", "node-a"); !errors.Is(err, ErrInUse) {
+		t.Fatalf("AllocateNode mid-tear-down = %v, want ErrInUse", err)
+	}
+	// The old owner can no longer drive it either, nor free it twice.
+	if err := s.ConnectNode(ctx, "old", "node-a", "n"); !errors.Is(err, ErrInUse) {
+		t.Fatalf("ConnectNode mid-tear-down = %v, want ErrInUse", err)
+	}
+	if err := s.FreeNode(ctx, "old", "node-a"); !errors.Is(err, ErrInUse) {
+		t.Fatalf("second FreeNode mid-tear-down = %v, want ErrInUse", err)
+	}
+
+	close(bmc.release)
+	if err := <-freed; err != nil {
+		t.Fatal(err)
+	}
+	if bmc.on {
+		t.Fatal("freed node still powered")
+	}
+	if n, err := s.AllocateAnyNode(ctx, "new"); err != nil || n != "node-a" {
+		t.Fatalf("AllocateAnyNode after tear-down = %q, %v", n, err)
+	}
+}

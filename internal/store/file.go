@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -46,10 +49,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type File struct {
 	dir string
 
-	mu      sync.Mutex // guards f, wrote, closed, and structural ops
-	f       *os.File
-	wrote   uint64 // frames fully written to the OS
-	closed  bool
+	mu     sync.Mutex // guards f, off, wrote, scanned, closed, and structural ops
+	f      *os.File
+	off    int64  // end of the framed log: where the next frame is written
+	wrote  uint64 // frames fully written to the OS
+	closed bool
+	// scanned holds the records Open validated and decoded, for the first
+	// Load to take instead of reading the log again; nil once taken or once
+	// any append or Compact has made it stale.
+	scanned []Record
 	syncMu  sync.Mutex // serializes fsyncs; never held with mu
 	durable uint64     // frames covered by the last completed fsync
 
@@ -84,7 +92,8 @@ func (s *File) SetMetrics(reg *obs.Registry) {
 }
 
 // Open creates dir if needed, recovers the WAL tail (truncating after the
-// last valid frame), and returns a store ready for Load and Append.
+// last valid frame), and returns a store ready for Load and Append. The log
+// is read, checked and decoded here, once; the first Load returns that result.
 func Open(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
@@ -93,13 +102,12 @@ func Open(dir string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	st := &File{dir: dir, f: f}
-	n, valid, err := scanWAL(f, nil)
+	recs, valid, size, err := readWAL(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if info, serr := f.Stat(); serr == nil && info.Size() > valid {
+	if size > valid {
 		// Torn or corrupt tail from a crash mid-append: everything after the
 		// last whole frame is garbage. Cut it so new frames start clean.
 		if err := f.Truncate(valid); err != nil {
@@ -111,53 +119,97 @@ func Open(dir string) (*File, error) {
 			return nil, fmt.Errorf("store: sync after truncate: %w", err)
 		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek wal end: %w", err)
-	}
-	st.wrote = n
-	st.durable = n
-	return st, nil
+	n := uint64(len(recs))
+	return &File{dir: dir, f: f, off: valid, wrote: n, durable: n, scanned: recs}, nil
 }
 
-// scanWAL walks frames from the start of f, calling fn (if non-nil) for each
-// decoded record. It returns the frame count and the byte offset just past
-// the last valid frame.
-func scanWAL(f *os.File, fn func(Record) error) (frames uint64, validEnd int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("store: seek wal start: %w", err)
+// readWAL reads the whole log in one sequential read and decodes its valid
+// prefix. It returns the records (never nil), the offset just past the last
+// valid frame and the number of bytes the file held. The file offset is not
+// moved: appends go to File.off by WriteAt.
+func readWAL(f *os.File) (recs []Record, validEnd, size int64, err error) {
+	var hint int64
+	if info, err := f.Stat(); err == nil {
+		hint = info.Size() // only sizes the buffer; the read decides the length
 	}
-	var hdr [frameHeader]byte
-	var off int64
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			// EOF (clean end) or a partial header (torn tail): stop here.
-			return frames, off, nil
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.NewSectionReader(f, 0, math.MaxInt64)); err != nil {
+		return nil, 0, 0, fmt.Errorf("store: read wal: %w", err)
+	}
+	recs, validEnd = decodeWAL(buf.Bytes())
+	return recs, validEnd, int64(buf.Len()), nil
+}
+
+// decodeWAL returns the records of log's valid prefix and where that prefix
+// ends: at the first frame that is torn, empty or oversize, fails its CRC,
+// or does not decode — that frame and every byte after it are untrusted.
+func decodeWAL(log []byte) ([]Record, int64) {
+	// Framing is sequential (each header locates the next); a length is
+	// checked against the bytes that remain before anything is sliced, so a
+	// corrupt header costs no allocation.
+	bounds := []int{0} // frame i spans log[bounds[i]:bounds[i+1]]
+	for off := 0; len(log)-off >= frameHeader; {
+		size := int64(binary.LittleEndian.Uint32(log[off:]))
+		sum := binary.LittleEndian.Uint32(log[off+4:])
+		body := off + frameHeader
+		if size == 0 || size > maxFrame || size > int64(len(log)-body) {
+			break
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if size == 0 || size > maxFrame {
-			return frames, off, nil
+		off = body + int(size)
+		if crc32.Checksum(log[body:off], crcTable) != sum {
+			break
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return frames, off, nil // torn payload
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return frames, off, nil // corrupt frame: distrust it and the rest
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return frames, off, nil
-		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return frames, off, err
+		bounds = append(bounds, off)
+	}
+	recs := make([]Record, len(bounds)-1)
+	good, _ := Parallel(len(recs), func(i int) error {
+		return json.Unmarshal(log[bounds[i]+frameHeader:bounds[i+1]], &recs[i])
+	})
+	return recs[:good:good], int64(bounds[good])
+}
+
+// minPerWorker is the fewest items worth a goroutine of their own in
+// Parallel: below it (a few hundred JSON decodes, tens of microseconds)
+// starting and joining the goroutine costs more than it saves.
+const minPerWorker = 256
+
+// Parallel calls fn(i) for every i in [0, n) and returns the lowest i for
+// which fn failed, with its error, or (n, nil). It is the fan-out the two
+// halves of replay share: File decodes frame envelopes with it, core decodes
+// record payloads. The range is cut into one contiguous chunk per CPU and
+// each chunk stops at its first failure, so every index below the returned
+// one has succeeded; indexes above it may or may not have run. Small ranges
+// run inline.
+func Parallel(n int, fn func(i int) error) (int, error) {
+	run := func(lo, hi int) (int, error) {
+		for i := lo; i < hi; i++ {
+			if err := fn(i); err != nil {
+				return i, err
 			}
 		}
-		frames++
-		off += int64(frameHeader) + int64(size)
+		return hi, nil
 	}
+	workers := min(runtime.GOMAXPROCS(0), n/minPerWorker)
+	if workers <= 1 {
+		return run(0, n)
+	}
+	stops := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stops[w], errs[w] = run(w*n/workers, (w+1)*n/workers)
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return stops[w], err
+		}
+	}
+	return n, nil
 }
 
 func (s *File) Load() (*Snapshot, []Record, error) {
@@ -181,15 +233,12 @@ func (s *File) Load() (*Snapshot, []Record, error) {
 	default:
 		return nil, nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
-	var recs []Record
-	if _, _, err := scanWAL(s.f, func(r Record) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
-		return nil, nil, fmt.Errorf("store: seek wal end: %w", err)
+	recs := s.scanned
+	s.scanned = nil
+	if recs == nil {
+		if recs, _, _, err = readWAL(s.f); err != nil {
+			return nil, nil, err
+		}
 	}
 	return snap, recs, nil
 }
@@ -244,18 +293,15 @@ func (s *File) write(rec Record) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	start, err := s.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, fmt.Errorf("store: wal offset: %w", err)
-	}
-	if _, err := s.f.Write(frame); err != nil {
-		// Undo a partial write so the in-memory offset and the on-disk tail
-		// stay framed; if the truncate also fails, open-time CRC recovery
-		// still cuts the torn frame.
-		s.f.Truncate(start)
-		s.f.Seek(start, io.SeekStart)
+	s.scanned = nil
+	if _, err := s.f.WriteAt(frame, s.off); err != nil {
+		// Undo a partial write so the on-disk tail stays framed; if the
+		// truncate also fails, the next frame overwrites the torn one, and
+		// open-time CRC recovery cuts whatever a crash leaves of it.
+		s.f.Truncate(s.off)
 		return 0, fmt.Errorf("store: append: %w", err)
 	}
+	s.off += int64(len(frame))
 	s.wrote++
 	return s.wrote, nil
 }
@@ -331,14 +377,10 @@ func (s *File) Compact(snap *Snapshot) error {
 	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: rewind wal: %w", err)
-	}
+	s.off, s.wrote, s.durable, s.scanned = 0, 0, 0, nil
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync wal: %w", err)
 	}
-	s.wrote = 0
-	s.durable = 0
 	return nil
 }
 
