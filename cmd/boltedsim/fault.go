@@ -85,8 +85,8 @@ type faultBench struct {
 }
 
 // faultSweepPoint runs the functional half of one sweep point: a fresh
-// in-process cloud, all four backends wrapped with error-rate injection
-// at the given rate, resilience on, one batch acquire.
+// in-process cloud, error-rate injection on all four backends at the
+// given rate, resilience on, one batch acquire.
 func faultSweepPoint(rate float64) faultRunReport {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = faultNodes
@@ -100,17 +100,15 @@ func faultSweepPoint(rate float64) faultRunReport {
 		panic(err)
 	}
 
-	// Injection goes innermost (between the real services and the
-	// resilience decorators), exactly where a flaky network would sit.
+	// Injection goes innermost (installed before the resilience layer,
+	// so between it and the real services), exactly where a flaky
+	// network would sit.
 	inj := fault.New(faultSeed)
 	defer inj.Close()
 	for _, b := range fault.Backends {
 		inj.Set(b, fault.Profile{ErrorRate: rate})
 	}
-	cloud.HIL = fault.WrapHIL(cloud.HIL, inj)
-	cloud.BMI = fault.WrapBMI(cloud.BMI, inj)
-	cloud.Driver = fault.WrapDriver(cloud.Driver, inj)
-	cloud.Registrar = fault.WrapRegistrar(cloud.Registrar, inj)
+	cloud.Intercept(inj.Intercept)
 	if err := cloud.EnableResilience(faultPolicy()); err != nil {
 		panic(err)
 	}

@@ -1,18 +1,11 @@
 package core
 
 import (
-	"context"
-	"crypto/ecdh"
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"bolted/internal/bmi"
-	"bolted/internal/ima"
-	"bolted/internal/keylime"
-	"bolted/internal/tpm"
 )
 
 // This file is the degraded-mode machinery: a per-backend circuit
@@ -50,7 +43,8 @@ const (
 	BackendRegistrar = "registrar"
 )
 
-// ResilientBackends lists the wrapped backends in display order.
+// ResilientBackends lists the backends behind the call seam, in
+// display order.
 var ResilientBackends = []string{BackendHIL, BackendBMI, BackendDriver, BackendRegistrar}
 
 // BreakerState is a circuit breaker's position.
@@ -89,16 +83,15 @@ func (h HealthStatus) BackendOpen(backend string) bool {
 	return h.Backends[backend].State == BreakerOpen
 }
 
-// breaker is one backend's circuit breaker: closed until threshold
-// consecutive transient failures, then open for cooldown, then
-// half-open admitting a single probe whose outcome closes or reopens
-// it. Metrics are read through the cloud so a later SetMetrics is
-// picked up live.
+// breaker is one backend's circuit breaker: closed until
+// BreakerThreshold consecutive transient failures, then open for
+// BreakerCooldown, then half-open admitting a single probe whose
+// outcome closes or reopens it. Policy and metrics are read through
+// the cloud so a later EnableResilience or SetMetrics is picked up
+// live.
 type breaker struct {
-	cloud     *Cloud
-	backend   string
-	threshold int
-	cooldown  time.Duration
+	cloud   *Cloud
+	backend string
 
 	mu        sync.Mutex
 	fails     int
@@ -152,14 +145,14 @@ func (b *breaker) failure() {
 		return
 	}
 	b.fails++
-	if b.fails >= b.threshold {
+	if b.fails >= b.cloud.resilience.policy.Load().BreakerThreshold {
 		b.tripLocked()
 	}
 }
 
 // tripLocked opens the breaker. Callers hold b.mu.
 func (b *breaker) tripLocked() {
-	b.openUntil = time.Now().Add(b.cooldown)
+	b.openUntil = time.Now().Add(b.cloud.resilience.policy.Load().BreakerCooldown)
 	b.probing = false
 	b.fails = 0
 	b.trips++
@@ -189,47 +182,41 @@ func (b *breaker) open() bool {
 	return !b.openUntil.IsZero() && time.Now().Before(b.openUntil)
 }
 
-// cloudResilience is the cloud's installed resilience layer.
+// cloudResilience is the cloud's installed resilience layer. The
+// policy sits behind one atomic pointer because a live update
+// (PUT /v1/resilience) replaces it while provisioner goroutines are
+// mid-retry; the retry loop and the breakers all read it from here.
 type cloudResilience struct {
-	policy   ResiliencePolicy
+	policy   atomic.Pointer[ResiliencePolicy]
 	breakers map[string]*breaker
 }
 
-// EnableResilience installs the resilience layer: the four backends
-// are wrapped with retrying, breaker-guarded decorators under the
-// given policy (zero fields take DefaultResiliencePolicy values).
-// Install it AFTER any fault-injection wrapper — breakers and retries
-// must observe the faults — and after SetMetrics if instruments should
-// be live from the first call (a later SetMetrics is still picked up).
-// Calling it again only updates the policy; the backends are not
-// re-wrapped.
+// EnableResilience installs the resilience layer: Cloud.resilientCall
+// (breaker admission, bounded transient retries) becomes an
+// interceptor on the backend call seam, under the given policy (zero
+// fields take DefaultResiliencePolicy values). Interceptors nest in
+// installation order, so install it AFTER any fault injector —
+// breakers and retries must sit outside the faults to observe them —
+// and after SetMetrics if instruments should be live from the first
+// call (a later SetMetrics is still picked up). Calling it again only
+// replaces the policy, which calls already in flight pick up at their
+// next attempt; the interceptor is not installed twice.
 func (c *Cloud) EnableResilience(pol ResiliencePolicy) error {
 	if err := pol.Validate(); err != nil {
 		return err
 	}
 	pol = pol.withDefaults()
 	if c.resilience != nil {
-		c.resilience.policy = pol
-		for _, b := range c.resilience.breakers {
-			b.threshold = pol.BreakerThreshold
-			b.cooldown = pol.BreakerCooldown
-		}
+		c.resilience.policy.Store(&pol)
 		return nil
 	}
-	r := &cloudResilience{policy: pol, breakers: make(map[string]*breaker, len(ResilientBackends))}
+	r := &cloudResilience{breakers: make(map[string]*breaker, len(ResilientBackends))}
+	r.policy.Store(&pol)
 	for _, backend := range ResilientBackends {
-		r.breakers[backend] = &breaker{
-			cloud:     c,
-			backend:   backend,
-			threshold: pol.BreakerThreshold,
-			cooldown:  pol.BreakerCooldown,
-		}
+		r.breakers[backend] = &breaker{cloud: c, backend: backend}
 	}
 	c.resilience = r
-	c.HIL = &resilientHIL{c: c, inner: c.HIL}
-	c.BMI = &resilientBMI{c: c, inner: c.BMI}
-	c.Driver = &resilientDriver{c: c, inner: c.Driver}
-	c.Registrar = &resilientRegistrar{c: c, inner: c.Registrar}
+	c.Intercept(c.resilientCall)
 	return nil
 }
 
@@ -239,7 +226,7 @@ func (c *Cloud) Resilience() ResiliencePolicy {
 	if c.resilience == nil {
 		return ResiliencePolicy{}.withDefaults()
 	}
-	return c.resilience.policy
+	return *c.resilience.policy.Load()
 }
 
 // Health snapshots the cloud's degraded-mode state. Without
@@ -273,234 +260,8 @@ func (c *Cloud) CheckDegraded() error {
 	}
 	for _, backend := range ResilientBackends {
 		if c.resilience.breakers[backend].open() {
-			return &DegradedError{Backend: backend, RetryAfter: c.resilience.policy.BreakerCooldown}
+			return &DegradedError{Backend: backend, RetryAfter: c.resilience.policy.Load().BreakerCooldown}
 		}
 	}
 	return nil
 }
-
-// Degraded reports whether any backend breaker is currently open.
-func (c *Cloud) Degraded() bool {
-	if c.resilience == nil {
-		return false
-	}
-	for _, b := range c.resilience.breakers {
-		if b.open() {
-			return true
-		}
-	}
-	return false
-}
-
-// --- resilient decorators -----------------------------------------
-//
-// One thin decorator per backend interface: every call runs through
-// Cloud.resilientCall (breaker admission, bounded transient retries).
-// Methods without a context use Background — their retries are bounded
-// by the attempt budget alone.
-
-type resilientHIL struct {
-	c     *Cloud
-	inner HILService
-}
-
-func (r *resilientHIL) CreateProject(name string) error {
-	return r.c.resilientCall(context.Background(), BackendHIL, func() error { return r.inner.CreateProject(name) })
-}
-
-func (r *resilientHIL) DeleteProject(name string) error {
-	return r.c.resilientCall(context.Background(), BackendHIL, func() error { return r.inner.DeleteProject(name) })
-}
-
-func (r *resilientHIL) FreeNodes() (out []string, err error) {
-	err = r.c.resilientCall(context.Background(), BackendHIL, func() error { out, err = r.inner.FreeNodes(); return err })
-	return out, err
-}
-
-func (r *resilientHIL) AllocateNode(ctx context.Context, project, node string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.AllocateNode(ctx, project, node) })
-}
-
-func (r *resilientHIL) AllocateAnyNode(ctx context.Context, project string) (out string, err error) {
-	err = r.c.resilientCall(ctx, BackendHIL, func() error { out, err = r.inner.AllocateAnyNode(ctx, project); return err })
-	return out, err
-}
-
-func (r *resilientHIL) TransferNode(ctx context.Context, from, node, to string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.TransferNode(ctx, from, node, to) })
-}
-
-func (r *resilientHIL) FreeNode(ctx context.Context, project, node string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.FreeNode(ctx, project, node) })
-}
-
-func (r *resilientHIL) CreateNetwork(ctx context.Context, project, name string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.CreateNetwork(ctx, project, name) })
-}
-
-func (r *resilientHIL) DeleteNetwork(ctx context.Context, project, name string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.DeleteNetwork(ctx, project, name) })
-}
-
-func (r *resilientHIL) ConnectNode(ctx context.Context, project, node, network string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.ConnectNode(ctx, project, node, network) })
-}
-
-func (r *resilientHIL) DetachNode(ctx context.Context, project, node, network string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.DetachNode(ctx, project, node, network) })
-}
-
-func (r *resilientHIL) ConnectServicePort(port, publicNet string) error {
-	return r.c.resilientCall(context.Background(), BackendHIL, func() error { return r.inner.ConnectServicePort(port, publicNet) })
-}
-
-func (r *resilientHIL) PowerOn(ctx context.Context, project, node string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.PowerOn(ctx, project, node) })
-}
-
-func (r *resilientHIL) PowerOff(ctx context.Context, project, node string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.PowerOff(ctx, project, node) })
-}
-
-func (r *resilientHIL) PowerCycle(ctx context.Context, project, node string) error {
-	return r.c.resilientCall(ctx, BackendHIL, func() error { return r.inner.PowerCycle(ctx, project, node) })
-}
-
-func (r *resilientHIL) NodeMetadata(node string) (out map[string]string, err error) {
-	err = r.c.resilientCall(context.Background(), BackendHIL, func() error { out, err = r.inner.NodeMetadata(node); return err })
-	return out, err
-}
-
-func (r *resilientHIL) NodeOwner(node string) (out string, err error) {
-	err = r.c.resilientCall(context.Background(), BackendHIL, func() error { out, err = r.inner.NodeOwner(node); return err })
-	return out, err
-}
-
-func (r *resilientHIL) NodePort(node string) (out string, err error) {
-	err = r.c.resilientCall(context.Background(), BackendHIL, func() error { out, err = r.inner.NodePort(node); return err })
-	return out, err
-}
-
-type resilientBMI struct {
-	c     *Cloud
-	inner BMIService
-}
-
-func (r *resilientBMI) CreateImage(ctx context.Context, name string, size int64) (out *bmi.Image, err error) {
-	err = r.c.resilientCall(ctx, BackendBMI, func() error { out, err = r.inner.CreateImage(ctx, name, size); return err })
-	return out, err
-}
-
-func (r *resilientBMI) CreateOSImage(name string, spec bmi.OSImageSpec) (out *bmi.Image, err error) {
-	err = r.c.resilientCall(context.Background(), BackendBMI, func() error { out, err = r.inner.CreateOSImage(name, spec); return err })
-	return out, err
-}
-
-func (r *resilientBMI) CloneImage(ctx context.Context, src, dst string) (out *bmi.Image, err error) {
-	err = r.c.resilientCall(ctx, BackendBMI, func() error { out, err = r.inner.CloneImage(ctx, src, dst); return err })
-	return out, err
-}
-
-func (r *resilientBMI) SnapshotImage(ctx context.Context, src, snap string) (out *bmi.Image, err error) {
-	err = r.c.resilientCall(ctx, BackendBMI, func() error { out, err = r.inner.SnapshotImage(ctx, src, snap); return err })
-	return out, err
-}
-
-func (r *resilientBMI) DeleteImage(ctx context.Context, name string) error {
-	return r.c.resilientCall(ctx, BackendBMI, func() error { return r.inner.DeleteImage(ctx, name) })
-}
-
-func (r *resilientBMI) GetImage(name string) (out *bmi.Image, err error) {
-	err = r.c.resilientCall(context.Background(), BackendBMI, func() error { out, err = r.inner.GetImage(name); return err })
-	return out, err
-}
-
-func (r *resilientBMI) ListImages() (out []string, err error) {
-	err = r.c.resilientCall(context.Background(), BackendBMI, func() error { out, err = r.inner.ListImages(); return err })
-	return out, err
-}
-
-func (r *resilientBMI) ExtractBootInfo(ctx context.Context, image string) (out *bmi.BootInfo, err error) {
-	err = r.c.resilientCall(ctx, BackendBMI, func() error { out, err = r.inner.ExtractBootInfo(ctx, image); return err })
-	return out, err
-}
-
-func (r *resilientBMI) ExportForBoot(ctx context.Context, node, image string, cow bool) (out *bmi.Export, err error) {
-	err = r.c.resilientCall(ctx, BackendBMI, func() error { out, err = r.inner.ExportForBoot(ctx, node, image, cow); return err })
-	return out, err
-}
-
-func (r *resilientBMI) Unexport(ctx context.Context, node, saveAs string) error {
-	return r.c.resilientCall(ctx, BackendBMI, func() error { return r.inner.Unexport(ctx, node, saveAs) })
-}
-
-type resilientDriver struct {
-	c     *Cloud
-	inner NodeDriver
-}
-
-func (r *resilientDriver) Boot(ctx context.Context, node string) (out keylime.AgentConn, err error) {
-	err = r.c.resilientCall(ctx, BackendDriver, func() error { out, err = r.inner.Boot(ctx, node); return err })
-	return out, err
-}
-
-func (r *resilientDriver) ExpectedBootPCRs(ctx context.Context, node string) (out map[int][]tpm.Digest, err error) {
-	err = r.c.resilientCall(ctx, BackendDriver, func() error { out, err = r.inner.ExpectedBootPCRs(ctx, node); return err })
-	return out, err
-}
-
-func (r *resilientDriver) KexecAttested(ctx context.Context, node, kernelID string) error {
-	return r.c.resilientCall(ctx, BackendDriver, func() error { return r.inner.KexecAttested(ctx, node, kernelID) })
-}
-
-func (r *resilientDriver) Kexec(ctx context.Context, node, kernelID string, kernel, initrd []byte) error {
-	return r.c.resilientCall(ctx, BackendDriver, func() error { return r.inner.Kexec(ctx, node, kernelID, kernel, initrd) })
-}
-
-func (r *resilientDriver) StartIMA(ctx context.Context, node string) (out *ima.Collector, err error) {
-	err = r.c.resilientCall(ctx, BackendDriver, func() error { out, err = r.inner.StartIMA(ctx, node); return err })
-	return out, err
-}
-
-func (r *resilientDriver) StopAgent(ctx context.Context, node string) error {
-	return r.c.resilientCall(ctx, BackendDriver, func() error { return r.inner.StopAgent(ctx, node) })
-}
-
-func (r *resilientDriver) AddServicePort(ctx context.Context, name string) error {
-	return r.c.resilientCall(ctx, BackendDriver, func() error { return r.inner.AddServicePort(ctx, name) })
-}
-
-func (r *resilientDriver) Reachable(ctx context.Context, portA, portB string) error {
-	return r.c.resilientCall(ctx, BackendDriver, func() error { return r.inner.Reachable(ctx, portA, portB) })
-}
-
-type resilientRegistrar struct {
-	c     *Cloud
-	inner keylime.RegistrarConn
-}
-
-func (r *resilientRegistrar) Register(uuid string, ekPub *ecdh.PublicKey, aikPub *ecdsa.PublicKey) (out *tpm.CredentialBlob, err error) {
-	err = r.c.resilientCall(context.Background(), BackendRegistrar, func() error { out, err = r.inner.Register(uuid, ekPub, aikPub); return err })
-	return out, err
-}
-
-func (r *resilientRegistrar) Activate(uuid string, proof []byte) error {
-	return r.c.resilientCall(context.Background(), BackendRegistrar, func() error { return r.inner.Activate(uuid, proof) })
-}
-
-func (r *resilientRegistrar) AIK(uuid string) (out *ecdsa.PublicKey, err error) {
-	err = r.c.resilientCall(context.Background(), BackendRegistrar, func() error { out, err = r.inner.AIK(uuid); return err })
-	return out, err
-}
-
-func (r *resilientRegistrar) EK(uuid string) (out *ecdh.PublicKey, err error) {
-	err = r.c.resilientCall(context.Background(), BackendRegistrar, func() error { out, err = r.inner.EK(uuid); return err })
-	return out, err
-}
-
-var (
-	_ HILService            = (*resilientHIL)(nil)
-	_ BMIService            = (*resilientBMI)(nil)
-	_ NodeDriver            = (*resilientDriver)(nil)
-	_ keylime.RegistrarConn = (*resilientRegistrar)(nil)
-)

@@ -152,7 +152,7 @@ type Cloud struct {
 	metrics *cloudMetrics
 
 	// resilience is the installed retry/breaker layer (breaker.go);
-	// nil until EnableResilience wraps the backends.
+	// nil until EnableResilience installs it on the call seam.
 	resilience *cloudResilience
 
 	rejMu    sync.Mutex

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -433,14 +432,14 @@ func (p *WarmPool) run() {
 			}
 			continue
 		}
-		if p.e.cloud.Degraded() {
+		backoff := p.retryDelayLocked()
+		if p.e.cloud.CheckDegraded() != nil {
 			// Degraded hold: with a backend breaker open, warm boots
 			// would be fed straight into a dead service and healthy
 			// standbys stranded in the rejected pool — and shedding
 			// surplus would fail its teardown calls the same way. Hold
 			// everything and re-check once the breaker cooldown can
 			// admit probes again.
-			backoff := refillBackoff(p.policy.RetryBackoff, p.failStreak)
 			p.mu.Unlock()
 			if !timer.Stop() {
 				select {
@@ -477,7 +476,6 @@ func (p *WarmPool) run() {
 			n = 0
 		}
 		p.refilling += n
-		backoff := refillBackoff(p.policy.RetryBackoff, p.failStreak)
 		belowTarget := len(p.ready) < p.policy.Target
 		p.mu.Unlock()
 
@@ -600,27 +598,15 @@ func (p *WarmPool) noteRefill(ok bool) {
 // maxRefillBackoff caps the exponential refill backoff.
 const maxRefillBackoff = 5 * time.Second
 
-// refillBackoff computes the refiller's retry delay: the configured
-// base doubled per consecutive failure (capped), with full jitter in
-// [d/2, d] so a fleet of pools retrying against a dead HIL never
-// synchronizes into a storm.
-func refillBackoff(base time.Duration, streak int) time.Duration {
-	if base <= 0 {
-		base = DefaultRefillBackoff
+// retryDelayLocked is the refiller's retry delay: the configured base
+// while refills succeed, then the shared capped full-jitter Backoff
+// over the failure streak, so a fleet of pools retrying against a dead
+// HIL never synchronizes into a storm. Callers hold p.mu.
+func (p *WarmPool) retryDelayLocked() time.Duration {
+	if p.failStreak == 0 {
+		return p.policy.RetryBackoff
 	}
-	if streak <= 0 {
-		return base
-	}
-	shift := streak - 1
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << shift
-	if d > maxRefillBackoff {
-		d = maxRefillBackoff
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
+	return Backoff(p.policy.RetryBackoff, maxRefillBackoff, p.failStreak)
 }
 
 // warmOne drives one reserved node to the parked warm state.

@@ -139,20 +139,29 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryBackoffFor returns the capped full-jitter delay before retry
-// attempt n (n >= 1): uniform in [d/2, d] where d doubles per attempt
-// up to the cap. The jitter de-synchronizes concurrent retriers; it
-// does not affect functional determinism (which calls fault is decided
-// by the injector's keyed hash, not by timing).
-func retryBackoffFor(p ResiliencePolicy, attempt int) time.Duration {
+// backoffCeiling is the un-jittered delay before retry attempt n
+// (n >= 1): base doubled per attempt, at most 6 times, up to limit.
+func backoffCeiling(base, limit time.Duration, attempt int) time.Duration {
 	shift := attempt - 1
 	if shift > 6 {
 		shift = 6
 	}
-	d := p.RetryBackoff << shift
-	if d > p.BackoffCap {
-		d = p.BackoffCap
+	d := base << shift
+	if d > limit {
+		d = limit
 	}
+	return d
+}
+
+// Backoff returns the capped full-jitter delay before retry attempt n
+// (n >= 1): uniform in [d/2, d] where d is backoffCeiling. It is the
+// one backoff every retrier shares — the backend retry loop, the
+// warm-pool refiller, V1Client's quota re-sends — each with its own
+// base and limit. The jitter de-synchronizes concurrent retriers; it
+// does not affect functional determinism (which calls fault is decided
+// by the injector's keyed hash, not by timing).
+func Backoff(base, limit time.Duration, attempt int) time.Duration {
+	d := backoffCeiling(base, limit, attempt)
 	if d <= 0 {
 		return 0
 	}
@@ -160,23 +169,23 @@ func retryBackoffFor(p ResiliencePolicy, attempt int) time.Duration {
 	return time.Duration(half + rand.Int63n(half+1))
 }
 
-// resilientCall runs one backend call under the cloud's resilience
-// policy: the breaker admits or fails fast with ErrDegraded, transient
-// failures are retried with capped full-jitter backoff up to the
-// attempt budget, and fatal errors (or the caller's own cancellation)
-// return immediately. Every attempt reports its outcome to the breaker
-// — retries are exactly the sustained-failure signal that should trip
-// it.
-func (c *Cloud) resilientCall(ctx context.Context, backend string, fn func() error) error {
-	r := c.resilience
+// resilientCall is the resilience layer's Interceptor: it runs one
+// backend call under the cloud's resilience policy. The breaker admits
+// or fails fast with ErrDegraded, transient failures are retried with
+// capped full-jitter backoff up to the attempt budget, and fatal
+// errors (or the caller's own cancellation) return immediately. Every
+// attempt reports its outcome to the breaker — retries are exactly the
+// sustained-failure signal that should trip it.
+func (c *Cloud) resilientCall(ctx context.Context, call Call, next func(context.Context) error) error {
+	b := c.resilience.breakers[call.Backend]
 	var err error
 	for attempt := 0; ; attempt++ {
-		b := r.breakers[backend]
+		pol := c.resilience.policy.Load()
 		if !b.allow() {
 			c.metrics.incDegradedFail()
-			return &DegradedError{Backend: backend, RetryAfter: r.policy.BreakerCooldown}
+			return &DegradedError{Backend: call.Backend, RetryAfter: pol.BreakerCooldown}
 		}
-		err = fn()
+		err = next(ctx)
 		if err == nil {
 			b.success()
 			return nil
@@ -195,9 +204,9 @@ func (c *Cloud) resilientCall(ctx context.Context, backend string, fn func() err
 			// half-open forever.
 			b.success()
 		}
-		if ctx.Err() != nil || !transient || attempt+1 >= r.policy.MaxAttempts {
-			if transient && attempt+1 >= r.policy.MaxAttempts {
-				c.metrics.incRetryExhausted(backend)
+		if ctx.Err() != nil || !transient || attempt+1 >= pol.MaxAttempts {
+			if transient && attempt+1 >= pol.MaxAttempts {
+				c.metrics.incRetryExhausted(call.Backend)
 			}
 			// A transient fault cut short by the caller's own context is
 			// reported as that cancellation: the backend merely flaked
@@ -209,8 +218,8 @@ func (c *Cloud) resilientCall(ctx context.Context, backend string, fn func() err
 			}
 			return err
 		}
-		c.metrics.incRetry(backend)
-		if serr := sleepCtx(ctx, retryBackoffFor(r.policy, attempt+1)); serr != nil {
+		c.metrics.incRetry(call.Backend)
+		if serr := sleepCtx(ctx, Backoff(pol.RetryBackoff, pol.BackoffCap, attempt+1)); serr != nil {
 			return fmt.Errorf("%w (retry abandoned: %v)", serr, err)
 		}
 	}

@@ -158,7 +158,7 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 	if got := hil.callCount(); got != 3 {
 		t.Fatalf("backend saw %d calls, want 3 (two faulted + one landed)", got)
 	}
-	if c.Degraded() {
+	if c.CheckDegraded() != nil {
 		t.Fatal("cloud degraded after a recovered streak")
 	}
 
@@ -199,7 +199,7 @@ func TestBreakerTripsDegradesAndRecovers(t *testing.T) {
 			t.Fatalf("call %d unexpectedly succeeded", i)
 		}
 	}
-	if !c.Degraded() {
+	if c.CheckDegraded() == nil {
 		t.Fatal("breaker did not trip after threshold failures")
 	}
 	h := c.Health()
@@ -231,7 +231,7 @@ func TestBreakerTripsDegradesAndRecovers(t *testing.T) {
 	if _, err := c.HIL.FreeNodes(); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
-	if c.Degraded() {
+	if c.CheckDegraded() != nil {
 		t.Fatal("breaker still open after successful probe")
 	}
 	if st := c.Health().Backends[BackendHIL].State; st != BreakerClosed {
@@ -277,7 +277,7 @@ func TestQuoteMismatchRejectsImmediately(t *testing.T) {
 	if res.Failed[0].Node != "node01" || res.Failed[0].Phase != PhaseAttest {
 		t.Fatalf("failed = %v, want node01 at %s", res.Failed, PhaseAttest)
 	}
-	if c.Degraded() {
+	if c.CheckDegraded() != nil {
 		t.Fatal("a quote mismatch tripped a breaker into degraded mode")
 	}
 	for backend, bh := range c.Health().Backends {
@@ -450,5 +450,66 @@ func TestReclaimRejected(t *testing.T) {
 	// Reclaiming twice is a conflict: the node is free now.
 	if err := e.ReclaimRejected(ctx, "node01"); !errors.Is(err, ErrConflict) {
 		t.Fatalf("second reclaim = %v, want ErrConflict", err)
+	}
+}
+
+// TestBackoffTable pins the one shared backoff: the ceiling doubles per
+// attempt for at most 6 doublings and never exceeds the limit, the
+// jittered delay is uniform in [ceiling/2, ceiling], and each of the
+// three call sites' (base, limit) pairs yields the range it always did.
+func TestBackoffTable(t *testing.T) {
+	ms := time.Millisecond
+	def := DefaultResiliencePolicy()
+	cases := []struct {
+		site        string
+		base, limit time.Duration
+		attempt     int
+		ceiling     time.Duration
+	}{
+		// Cloud.resilientCall: policy RetryBackoff and BackoffCap.
+		{"retry default, first", def.RetryBackoff, def.BackoffCap, 1, 10 * ms},
+		{"retry default, third", def.RetryBackoff, def.BackoffCap, 3, 40 * ms},
+		{"retry default, shift stops at 6", def.RetryBackoff, def.BackoffCap, 7, 640 * ms},
+		{"retry default, far past the shift cap", def.RetryBackoff, def.BackoffCap, 1000, 640 * ms},
+		{"retry, limit binds", 100 * time.Microsecond, ms, 5, ms},
+		{"retry, limit below base", 10 * ms, 4 * ms, 1, 4 * ms},
+		// WarmPool.retryDelayLocked: pool RetryBackoff, maxRefillBackoff.
+		{"refill default, streak 1", DefaultRefillBackoff, maxRefillBackoff, 1, 50 * ms},
+		{"refill default, streak 20", DefaultRefillBackoff, maxRefillBackoff, 20, 3200 * ms},
+		{"refill, limit binds", 100 * ms, maxRefillBackoff, 7, 5 * time.Second},
+		// V1Client.doHdr: the server's Retry-After hint under a 5 s
+		// limit, always attempt 1 — the hint does not grow.
+		{"quota re-send, default hint", DefaultRetryAfter, 5 * time.Second, 1, DefaultRetryAfter},
+		{"quota re-send, long hint", 30 * time.Second, 5 * time.Second, 1, 5 * time.Second},
+	}
+	for _, c := range cases {
+		if got := backoffCeiling(c.base, c.limit, c.attempt); got != c.ceiling {
+			t.Errorf("%s: ceiling = %v, want %v", c.site, got, c.ceiling)
+		}
+		lo, hi := c.ceiling, time.Duration(0)
+		for i := 0; i < 200; i++ {
+			d := Backoff(c.base, c.limit, c.attempt)
+			if d < c.ceiling/2 || d > c.ceiling {
+				t.Fatalf("%s: Backoff = %v outside [%v, %v]", c.site, d, c.ceiling/2, c.ceiling)
+			}
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		if lo == hi {
+			t.Errorf("%s: 200 draws all returned %v: no jitter", c.site, lo)
+		}
+	}
+	if d := Backoff(0, time.Second, 3); d != 0 {
+		t.Errorf("zero base: Backoff = %v, want 0", d)
+	}
+
+	// The refiller waits exactly its base until a refill fails, and an
+	// unset base is the default by the time a pool holds it.
+	p := &WarmPool{policy: PoolPolicy{}.withDefaults()}
+	if d := p.retryDelayLocked(); d != DefaultRefillBackoff {
+		t.Errorf("streak 0 refill delay = %v, want %v", d, DefaultRefillBackoff)
+	}
+	p.failStreak = 3
+	if d := p.retryDelayLocked(); d < 100*ms || d > 200*ms {
+		t.Errorf("streak 3 refill delay = %v outside [100ms, 200ms]", d)
 	}
 }

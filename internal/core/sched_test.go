@@ -337,32 +337,6 @@ func TestTenantQuotaValidate(t *testing.T) {
 	}
 }
 
-func TestRefillBackoffBounds(t *testing.T) {
-	base := 10 * time.Millisecond
-	if d := refillBackoff(base, 0); d != base {
-		t.Fatalf("streak 0 backoff = %v, want %v", d, base)
-	}
-	for streak := 1; streak <= 20; streak++ {
-		shift := streak - 1
-		if shift > 6 {
-			shift = 6
-		}
-		lo := base << shift
-		if lo > maxRefillBackoff {
-			lo = maxRefillBackoff
-		}
-		for i := 0; i < 50; i++ {
-			d := refillBackoff(base, streak)
-			if d < lo/2 || d > lo {
-				t.Fatalf("streak %d backoff %v outside [%v, %v]", streak, d, lo/2, lo)
-			}
-		}
-	}
-	if d := refillBackoff(0, 1); d < DefaultRefillBackoff/2 || d > DefaultRefillBackoff {
-		t.Fatalf("zero base backoff %v outside default bounds", d)
-	}
-}
-
 // --- pipeline integration: preemption of an in-flight refill ---
 
 // bgGateDriver blocks background-class (warm-refill) attestation

@@ -187,15 +187,7 @@ func (cfg ProvisionConfig) faultPenalty(node int, phase string) time.Duration {
 		if float64(h.Sum64()>>11)/float64(1<<53) >= cfg.FaultRate {
 			break
 		}
-		shift := attempt - 1
-		if shift > 6 {
-			shift = 6
-		}
-		b := pol.RetryBackoff << shift
-		if b > pol.BackoffCap {
-			b = pol.BackoffCap
-		}
-		d += faultRetryCost + b*3/4
+		d += faultRetryCost + backoffCeiling(pol.RetryBackoff, pol.BackoffCap, attempt)*3/4
 	}
 	return d
 }

@@ -1,7 +1,11 @@
 // Package fault is a deterministic, seeded fault injector for the
-// orchestrator's service plane. It wraps the narrow backend interfaces
+// orchestrator's service plane. Injector.Intercept is a
+// core.Interceptor: installed on the backend call seam with
+// cloud.Intercept(inj.Intercept), before cloud.EnableResilience so
+// retries and breakers sit outside it and observe the faults, it
+// subjects every call to the narrow backend interfaces
 // (core.HILService, core.BMIService, core.NodeDriver,
-// keylime.RegistrarConn) with composable per-backend profiles — error
+// keylime.RegistrarConn) to composable per-backend profiles — error
 // rate, latency spikes, indefinite hangs, torn responses, crash-at-step
 // — so resilience behavior is provable under repeatable faults: the
 // same seed makes the same calls fail in the same way regardless of
@@ -24,7 +28,21 @@ import (
 	"hash/fnv"
 	"sync"
 	"time"
+
+	"bolted/internal/core"
 )
+
+// Backend names the injector keys profiles and stats by: the seam's.
+// The store is faulted separately via store.Faulty.
+const (
+	BackendHIL       = core.BackendHIL
+	BackendBMI       = core.BackendBMI
+	BackendDriver    = core.BackendDriver
+	BackendRegistrar = core.BackendRegistrar
+)
+
+// Backends lists every backend the injector can fault, in sweep order.
+var Backends = core.ResilientBackends
 
 // Fault kinds, in decision precedence order.
 const (
@@ -57,6 +75,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("fault: injected %s on %s.%s(%s)", e.Kind, e.Backend, e.Op, e.Key)
 }
 
+// injected builds the fault of the given kind for one seam call.
+func injected(call core.Call, kind string) error {
+	return &Error{Backend: call.Backend, Op: call.Method, Key: call.Key, Kind: kind}
+}
+
 // Transient marks injected faults retryable for the structural
 // transient-vs-fatal classifier in core.
 func (e *Error) Transient() bool { return true }
@@ -87,8 +110,8 @@ type Stats struct {
 }
 
 // Injector makes seeded, deterministic fault decisions. One injector
-// serves all four backends; wrap each with WrapHIL/WrapBMI/WrapDriver/
-// WrapRegistrar.
+// serves all four backends; a backend with no Profile set passes
+// through untouched.
 type Injector struct {
 	seed uint64
 
@@ -237,18 +260,21 @@ func (i *Injector) hang(ctx context.Context) {
 	}
 }
 
-// do runs one wrapped call: decide, maybe delay/hang, maybe fail
-// before or after the inner call. key scopes the attempt counter to
-// one logical operation (typically the node or image name).
-func (i *Injector) do(ctx context.Context, backend, op, key string, fn func() error) error {
-	d := i.decide(backend, op, key)
+// Intercept is the injector as a core.Interceptor: decide, maybe
+// delay/hang, maybe fail before or after the inner call. call.Key
+// scopes the attempt counter to one logical operation (typically the
+// node or image name). Calls that cross the seam without a context
+// (the registrar's, say) release from an injected hang only when the
+// injector closes.
+func (i *Injector) Intercept(ctx context.Context, call core.Call, next func(context.Context) error) error {
+	d := i.decide(call.Backend, call.Method, call.Key)
 	if d.latency > 0 {
 		t := time.NewTimer(d.latency)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return &Error{Backend: backend, Op: op, Key: key, Kind: KindHang}
+			return injected(call, KindHang)
 		case <-i.done:
 			t.Stop()
 		}
@@ -256,29 +282,12 @@ func (i *Injector) do(ctx context.Context, backend, op, key string, fn func() er
 	switch d.kind {
 	case KindHang:
 		i.hang(ctx)
-		return &Error{Backend: backend, Op: op, Key: key, Kind: KindHang}
+		return injected(call, KindHang)
 	case KindError, KindCrash:
-		return &Error{Backend: backend, Op: op, Key: key, Kind: d.kind}
+		return injected(call, d.kind)
 	case KindTorn:
-		_ = fn() // side effect applied; response lost
-		return &Error{Backend: backend, Op: op, Key: key, Kind: KindTorn}
+		_ = next(ctx) // side effect applied; response lost
+		return injected(call, KindTorn)
 	}
-	return fn()
-}
-
-// do1 is do for single-value-returning calls.
-func do1[T any](i *Injector, ctx context.Context, backend, op, key string, fn func() (T, error)) (T, error) {
-	var out T
-	err := i.do(ctx, backend, op, key, func() error {
-		var err error
-		out, err = fn()
-		return err
-	})
-	if err != nil {
-		// An injected error loses the response even when the inner call
-		// ran (torn semantics): return the zero value, never out.
-		var zero T
-		return zero, err
-	}
-	return out, nil
+	return next(ctx)
 }

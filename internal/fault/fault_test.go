@@ -2,12 +2,28 @@ package fault
 
 import (
 	"context"
+	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"bolted/internal/core"
+	"bolted/internal/keylime"
 )
+
+// aikRegistrar is a registrar whose AIK always succeeds, counting calls.
+type aikRegistrar struct {
+	keylime.RegistrarConn
+	aik   *ecdsa.PublicKey
+	calls int
+}
+
+func (r *aikRegistrar) AIK(string) (*ecdsa.PublicKey, error) {
+	r.calls++
+	return r.aik, nil
+}
 
 // callOutcomes drives the same fixed call pattern through an injector
 // and records, per (op, key, attempt), whether the call faulted. The
@@ -21,7 +37,7 @@ func callOutcomes(inj *Injector, parallel bool) map[string]bool {
 		run := func() {
 			defer wg.Done()
 			for a := 0; a < 4; a++ {
-				err := inj.do(context.Background(), "hil", "AllocateNode", key, func() error { return nil })
+				err := inj.Intercept(context.Background(), core.Call{Backend: "hil", Method: "AllocateNode", Key: key}, func(context.Context) error { return nil })
 				mu.Lock()
 				out[fmt.Sprintf("%s/%d", key, a)] = err != nil
 				mu.Unlock()
@@ -89,7 +105,7 @@ func TestRetryWalksOutOfStreak(t *testing.T) {
 		key := fmt.Sprintf("img-%d", k)
 		ok := false
 		for a := 0; a < 100; a++ {
-			if err := inj.do(context.Background(), "bmi", "CloneImage", key, func() error { return nil }); err == nil {
+			if err := inj.Intercept(context.Background(), core.Call{Backend: "bmi", Method: "CloneImage", Key: key}, func(context.Context) error { return nil }); err == nil {
 				ok = true
 				break
 			}
@@ -107,7 +123,7 @@ func TestTornPerformsThenFails(t *testing.T) {
 	inj := New(1)
 	inj.Set("registrar", Profile{TornRate: 1})
 	performed := 0
-	err := inj.do(context.Background(), "registrar", "Register", "uuid-1", func() error {
+	err := inj.Intercept(context.Background(), core.Call{Backend: "registrar", Method: "Register", Key: "uuid-1"}, func(context.Context) error {
 		performed++
 		return nil
 	})
@@ -118,10 +134,14 @@ func TestTornPerformsThenFails(t *testing.T) {
 	if performed != 1 {
 		t.Fatalf("inner call performed %d times, want 1", performed)
 	}
-	// do1 must not leak the inner value alongside the error.
-	v, err := do1(inj, context.Background(), "registrar", "AIK", "uuid-1", func() (int, error) { return 99, nil })
-	if err == nil || v != 0 {
-		t.Fatalf("do1 torn = (%v, %v), want zero value and error", v, err)
+	// Through the seam, a torn value-returning call must not leak the
+	// inner value alongside the error.
+	reg := &aikRegistrar{aik: new(ecdsa.PublicKey)}
+	cloud := &core.Cloud{Registrar: reg}
+	cloud.Intercept(inj.Intercept)
+	v, err := cloud.Registrar.AIK("uuid-1")
+	if err == nil || v != nil || reg.calls != 1 {
+		t.Fatalf("torn AIK = (%v, %v) after %d inner calls, want the call performed once, nil value and error", v, err, reg.calls)
 	}
 	if !fe.Transient() {
 		t.Fatal("injected fault must classify transient")
@@ -134,7 +154,7 @@ func TestCrashAfterAndRevive(t *testing.T) {
 	inj := New(5)
 	inj.Set("driver", Profile{CrashAfter: 2})
 	ok := func() error {
-		return inj.do(context.Background(), "driver", "Boot", "node-1", func() error { return nil })
+		return inj.Intercept(context.Background(), core.Call{Backend: "driver", Method: "Boot", Key: "node-1"}, func(context.Context) error { return nil })
 	}
 	if err := ok(); err != nil {
 		t.Fatalf("call 1: %v", err)
@@ -167,7 +187,7 @@ func TestHangReleases(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := inj.do(ctx, "hil", "PowerOn", "node-1", func() error { return nil })
+	err := inj.Intercept(ctx, core.Call{Backend: "hil", Method: "PowerOn", Key: "node-1"}, func(context.Context) error { return nil })
 	var fe *Error
 	if !errors.As(err, &fe) || fe.Kind != KindHang {
 		t.Fatalf("err = %v, want KindHang", err)
@@ -179,7 +199,7 @@ func TestHangReleases(t *testing.T) {
 	// A context-free call (registrar-style) releases on Close.
 	done := make(chan error, 1)
 	go func() {
-		done <- inj.do(context.Background(), "hil", "PowerOff", "node-1", func() error { return nil })
+		done <- inj.Intercept(context.Background(), core.Call{Backend: "hil", Method: "PowerOff", Key: "node-1"}, func(context.Context) error { return nil })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	inj.Close()

@@ -16,9 +16,9 @@ import (
 // acceptance gate is that at a 5% per-call transient-fault rate an
 // 8-node batch still acquires 8/8 with zero spurious rejects.
 
-// faultedCloud builds an n-node cloud with every backend wrapped by a
-// fresh injector (seeded, all backends on the given profile) and
-// resilience enabled under pol.
+// faultedCloud builds an n-node cloud with a fresh injector on the
+// backend call seam (seeded, all backends on the given profile) and
+// resilience enabled outside it under pol.
 func faultedCloud(t *testing.T, n int, seed int64, p Profile, pol core.ResiliencePolicy) (*core.Cloud, *Injector) {
 	t.Helper()
 	cfg := core.DefaultConfig()
@@ -37,10 +37,7 @@ func faultedCloud(t *testing.T, n int, seed int64, p Profile, pol core.Resilienc
 	for _, b := range Backends {
 		inj.Set(b, p)
 	}
-	cloud.HIL = WrapHIL(cloud.HIL, inj)
-	cloud.BMI = WrapBMI(cloud.BMI, inj)
-	cloud.Driver = WrapDriver(cloud.Driver, inj)
-	cloud.Registrar = WrapRegistrar(cloud.Registrar, inj)
+	cloud.Intercept(inj.Intercept)
 	if err := cloud.EnableResilience(pol); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +75,7 @@ func TestBatchAcquireUnderTransientFaults(t *testing.T) {
 			t.Fatalf("rate %.2f: acquired=%d failed=%v aborted=%v",
 				rate, len(res.Nodes), res.Failed, res.Aborted)
 		}
-		if cloud.Degraded() {
+		if cloud.CheckDegraded() != nil {
 			t.Fatalf("rate %.2f: batch tripped the cloud into degraded mode", rate)
 		}
 		var injected uint64
@@ -113,10 +110,10 @@ func TestTornResponsesDoNotSpuriouslyReject(t *testing.T) {
 }
 
 // TestInjectedOutageTripsBreakerThenRecovers runs the degraded-mode arc
-// through the full wrapper stack (resilient{faulty{real}}): a total HIL
-// outage trips the breaker, the manager fails new acquires fast with
-// the typed error, and healing the injector lets the half-open probe
-// close the breaker.
+// through the full interceptor stack (resilient{faulty{real}}): a total
+// HIL outage trips the breaker, the manager fails new acquires fast
+// with the typed error, and healing the injector lets the half-open
+// probe close the breaker.
 func TestInjectedOutageTripsBreakerThenRecovers(t *testing.T) {
 	pol := core.ResiliencePolicy{
 		MaxAttempts:      1,
@@ -151,5 +148,54 @@ func TestInjectedOutageTripsBreakerThenRecovers(t *testing.T) {
 	}
 	if mgr.Health().Degraded {
 		t.Fatal("still degraded after successful probe")
+	}
+}
+
+// TestLivePolicyUpdateDuringBatch (a -race test): PUT /v1/resilience
+// replaces the cloud-wide policy while provisioner goroutines are
+// mid-retry and breakers are counting failures. The update must be
+// safe beside them and the batch must still land whole.
+func TestLivePolicyUpdateDuringBatch(t *testing.T) {
+	cloud, _ := faultedCloud(t, 8, 1337, Profile{ErrorRate: 0.10}, retryHeavy())
+	mgr := core.NewManager(cloud)
+	e, err := mgr.CreateEnclave("tenant", core.ProfileBob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	updated := make(chan int)
+	go func() {
+		n := 0
+		defer func() { updated <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Alternate two policies so every field really changes.
+			pol := retryHeavy()
+			if n%2 == 1 {
+				pol.MaxAttempts, pol.BreakerThreshold, pol.BreakerCooldown = 9, 65, 11*time.Millisecond
+			}
+			if _, err := mgr.ConfigureResilience("", pol); err != nil {
+				t.Errorf("ConfigureResilience: %v", err)
+				return
+			}
+			n++
+		}
+	}()
+
+	res, err := e.AcquireNodes(context.Background(), "os", 8)
+	close(stop)
+	if n := <-updated; n == 0 {
+		t.Fatal("no policy update ran beside the batch — the test proved nothing")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nodes) != 8 || len(res.Failed) != 0 || len(res.Aborted) != 0 {
+		t.Fatalf("acquired=%d failed=%v aborted=%v", len(res.Nodes), res.Failed, res.Aborted)
 	}
 }

@@ -530,7 +530,7 @@ func TestRegistrarOutagePausesGuard(t *testing.T) {
 	cloud, mgr := newRig(t, 3)
 	inj := fault.New(11)
 	defer inj.Close()
-	cloud.Registrar = fault.WrapRegistrar(cloud.Registrar, inj)
+	cloud.Intercept(inj.Intercept)
 	if err := cloud.EnableResilience(core.ResiliencePolicy{
 		MaxAttempts:      1, // one breaker count per call
 		RetryBackoff:     time.Millisecond,

@@ -24,7 +24,7 @@ func TestV1HealthAndDegradedMode(t *testing.T) {
 
 	inj := fault.New(3)
 	defer inj.Close()
-	cloud.HIL = fault.WrapHIL(cloud.HIL, inj)
+	cloud.Intercept(inj.Intercept)
 	if err := cloud.EnableResilience(core.ResiliencePolicy{
 		MaxAttempts:      1,
 		RetryBackoff:     time.Millisecond,

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -220,12 +219,10 @@ func (c *V1Client) doHdr(ctx context.Context, method, path string, hdr http.Head
 		if delay <= 0 {
 			delay = core.DefaultRetryAfter
 		}
-		if delay > maxQuotaRetryBackoff {
-			delay = maxQuotaRetryBackoff
-		}
-		// Full jitter in [delay/2, delay]: a thundering herd of
-		// rejected tenants must not re-synchronize on the hint.
-		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
+		// Full jitter in [delay/2, delay] over the server's hint, which
+		// does not grow per attempt: a thundering herd of rejected
+		// tenants must not re-synchronize on it.
+		delay = core.Backoff(delay, maxQuotaRetryBackoff, 1)
 		c.quotaRetries.Inc()
 		// time.After would leak its timer for the full delay after a
 		// cancellation; a stopped timer frees it as soon as ctx ends,
