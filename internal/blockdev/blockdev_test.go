@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"bolted/internal/ipsec"
 )
@@ -327,96 +326,6 @@ func TestQuickNBDEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// modelClock pairs a fake clock with a transport whose round trips
-// "take" a fixed latency plus size-proportional transfer time. Adaptive
-// read-ahead decisions become fully deterministic: no sleeps, no timer
-// resolution, no scheduler noise.
-type modelClock struct {
-	inner   Transport
-	t       time.Time
-	latency time.Duration
-	perKiB  time.Duration
-}
-
-func (m *modelClock) now() time.Time { return m.t }
-
-func (m *modelClock) RoundTrip(req []byte) ([]byte, error) {
-	resp, err := m.inner.RoundTrip(req)
-	bytes := len(req) + len(resp)
-	m.t = m.t.Add(m.latency + time.Duration(bytes/1024)*m.perKiB)
-	return resp, err
-}
-
-func newAdaptiveNBD(t *testing.T, size int64, latency, perKiB time.Duration) *Client {
-	t.Helper()
-	disk, err := NewRAMDisk(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := &modelClock{inner: loopback(NewTarget(disk)), latency: latency, perKiB: perKiB}
-	c, err := NewClient(mc, AdaptiveReadAhead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.now = mc.now
-	return c
-}
-
-func sequentialRead(t *testing.T, c *Client, totalBytes int64) {
-	t.Helper()
-	const chunk = DefaultReadAhead
-	buf := make([]byte, chunk)
-	for off := int64(0); off+chunk <= totalBytes; off += chunk {
-		if err := c.ReadSectors(buf, off/SectorSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestAdaptiveReadAheadConvergesUp models a high-latency storage link
-// (2 ms per round trip, ~1 GiB/s transfer): the fixed cost dominates
-// small windows, so every doubling improves throughput and the client
-// must converge to TunedReadAhead — the §7.2 tuning, discovered
-// automatically.
-func TestAdaptiveReadAheadConvergesUp(t *testing.T) {
-	c := newAdaptiveNBD(t, 64<<20, 2*time.Millisecond, time.Microsecond)
-	if got := c.ReadAheadBytes(); got != DefaultReadAhead {
-		t.Fatalf("initial window %d, want %d", got, DefaultReadAhead)
-	}
-	sequentialRead(t, c, 48<<20)
-	if got := c.ReadAheadBytes(); got != TunedReadAhead {
-		t.Fatalf("window converged to %d, want %d", got, TunedReadAhead)
-	}
-}
-
-// TestAdaptiveReadAheadStaysSmallOnFastLink models a near-zero-latency
-// link (1 µs per round trip): throughput is transfer-bound, doubling
-// buys <10%, so the window must settle back at DefaultReadAhead instead
-// of wasting 8 MiB per fill.
-func TestAdaptiveReadAheadStaysSmallOnFastLink(t *testing.T) {
-	c := newAdaptiveNBD(t, 64<<20, time.Microsecond, time.Microsecond)
-	sequentialRead(t, c, 48<<20)
-	if got := c.ReadAheadBytes(); got != DefaultReadAhead {
-		t.Fatalf("window grew to %d on a fast link, want %d", got, DefaultReadAhead)
-	}
-}
-
-// TestAdaptiveFixedWindowUnaffected pins that non-adaptive clients never
-// retune, whatever the link looks like.
-func TestAdaptiveFixedWindowUnaffected(t *testing.T) {
-	disk, _ := NewRAMDisk(8 << 20)
-	mc := &modelClock{inner: loopback(NewTarget(disk)), latency: 5 * time.Millisecond, perKiB: time.Microsecond}
-	c, err := NewClient(mc, DefaultReadAhead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.now = mc.now
-	sequentialRead(t, c, 8<<20)
-	if got := c.ReadAheadBytes(); got != DefaultReadAhead {
-		t.Fatalf("fixed window changed to %d", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"bolted/internal/ipsec"
 )
@@ -61,6 +60,11 @@ func (t *Target) Handle(req []byte) ([]byte, error) {
 		binary.BigEndian.PutUint64(resp[1:], uint64(t.dev.NumSectors()))
 		return resp, nil
 	case opRead:
+		// The frame comes from the tenant's side of the trust boundary:
+		// hold it to the device before sizing a buffer by it.
+		if start < 0 || count > t.dev.NumSectors()-start {
+			return errResp(ErrOutOfRange), nil
+		}
 		buf := make([]byte, 1+count*SectorSize)
 		if err := t.dev.ReadSectors(buf[1:], start); err != nil {
 			return errResp(err), nil
@@ -177,27 +181,24 @@ func (t *FaultTransport) RoundTrip(req []byte) ([]byte, error) {
 }
 
 // Client is the initiator-side block device. It implements Device.
+//
+// Reads go through an on-demand read-ahead window in the shape of Linux's
+// ondemand_readahead: a miss that continues the previous read, runs off
+// the end of the live window or starts at sector 0 is sequential and
+// opens a window; any other miss is random and moves exactly the sectors
+// asked for, leaving the window alone.
 type Client struct {
 	transport Transport
 	sectors   int64
 
 	mu        sync.Mutex
-	readAhead int64 // sectors per read-ahead window (0 = no read-ahead)
-	raStart   int64 // first sector of cached window
+	readAhead int64 // largest window in sectors (0 = no read-ahead)
+	raStart   int64 // first sector of the live window
 	raData    []byte
+	prevEnd   int64 // sector after the last one the previous read returned
 	// Stats
 	netReads  int64 // wire read requests issued
 	netWrites int64
-
-	// Adaptive read-ahead state (§7.2 tuning, automated): the window
-	// hill-climbs from DefaultReadAhead toward TunedReadAhead while
-	// each doubling still improves observed fill throughput.
-	adaptive   bool
-	tuned      bool    // converged; window no longer changes
-	curTP      float64 // EWMA throughput at the current window size
-	prevTP     float64 // settled throughput at the previous window size
-	winSamples int     // full-window fills measured at the current size
-	now        func() time.Time
 }
 
 // DefaultReadAhead is the Linux default read-ahead (128 KiB).
@@ -206,20 +207,6 @@ const DefaultReadAhead = 128 << 10
 // TunedReadAhead is the paper's tuned value (8 MiB), chosen because the
 // Ceph backend serves 4 MiB objects.
 const TunedReadAhead = 8 << 20
-
-// AdaptiveReadAhead, passed as NewClient's readAheadBytes, enables
-// self-tuning: the client starts at DefaultReadAhead and doubles the
-// window while throughput keeps improving, converging to TunedReadAhead
-// on high-latency links and staying small when round trips are cheap.
-const AdaptiveReadAhead int64 = -1
-
-// Adaptive tuning parameters: a window size must beat the previous one
-// by adaptGrowFactor over adaptSamples full-window fills to keep
-// growing; otherwise the client steps back down and settles.
-const (
-	adaptSamples    = 2
-	adaptGrowFactor = 1.10
-)
 
 // NewClientContext is NewClient with the size-negotiation round trip
 // (the "dial") bounded by ctx. The context does NOT outlive the call:
@@ -235,19 +222,13 @@ func NewClientContext(ctx context.Context, transport Transport, readAheadBytes i
 }
 
 // NewClient connects to a target through transport and negotiates the
-// device size. readAheadBytes must be a multiple of SectorSize (0
-// disables read-ahead) or AdaptiveReadAhead for self-tuning.
+// device size. readAheadBytes caps the read-ahead window and must be a
+// multiple of SectorSize (0 disables read-ahead).
 func NewClient(transport Transport, readAheadBytes int64) (*Client, error) {
-	adaptive := readAheadBytes == AdaptiveReadAhead
-	if adaptive {
-		readAheadBytes = DefaultReadAhead
-	}
 	if readAheadBytes < 0 || readAheadBytes%SectorSize != 0 {
 		return nil, fmt.Errorf("blockdev: read-ahead %d not a multiple of %d", readAheadBytes, SectorSize)
 	}
-	req := make([]byte, 13)
-	req[0] = opSize
-	resp, err := transport.RoundTrip(req)
+	resp, err := transport.RoundTrip(request(opSize, 0, 0, 0))
 	if err != nil {
 		return nil, fmt.Errorf("blockdev: size negotiation: %w", err)
 	}
@@ -258,17 +239,16 @@ func NewClient(transport Transport, readAheadBytes int64) (*Client, error) {
 		transport: transport,
 		sectors:   int64(binary.BigEndian.Uint64(resp[1:])),
 		readAhead: readAheadBytes / SectorSize,
-		adaptive:  adaptive,
-		now:       time.Now,
 	}, nil
 }
 
-// ReadAheadBytes reports the current read-ahead window size in bytes
-// (it changes over time in adaptive mode).
-func (c *Client) ReadAheadBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readAhead * SectorSize
+// request builds a wire frame header with room for payload bytes.
+func request(op byte, start, count, payload int64) []byte {
+	req := make([]byte, 13+payload)
+	req[0] = op
+	binary.BigEndian.PutUint64(req[1:9], uint64(start))
+	binary.BigEndian.PutUint32(req[9:13], uint32(count))
+	return req
 }
 
 // NumSectors implements Device.
@@ -288,102 +268,100 @@ func (c *Client) NetWrites() int64 {
 	return c.netWrites
 }
 
-// ReadSectors implements Device, serving from the read-ahead window when
-// possible.
+// ReadSectors implements Device.
 func (c *Client) ReadSectors(dst []byte, start int64) error {
-	sectors, err := checkRange(c, dst, start)
+	if len(dst) == 0 || len(dst)%SectorSize != 0 {
+		return fmt.Errorf("blockdev: buffer length %d not a positive multiple of %d", len(dst), SectorSize)
+	}
+	return c.ReadVector([][]byte{dst}, start)
+}
+
+// ReadVector implements VectorDevice: the sector run is served from the
+// live window where it covers it and scattered straight into the
+// caller's buffers. A request misses at most once — a sequential fill
+// covers the rest of it, a random fetch is the rest of it.
+func (c *Client) ReadVector(bufs [][]byte, start int64) error {
+	total, err := checkVectorRange(c, bufs, start)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for filled := int64(0); filled < sectors; {
-		cur := start + filled
-		if c.raData != nil && cur >= c.raStart && cur < c.raStart+int64(len(c.raData))/SectorSize {
-			off := (cur - c.raStart) * SectorSize
-			n := copy(dst[filled*SectorSize:sectors*SectorSize], c.raData[off:])
-			filled += int64(n / SectorSize)
+	out := scatter{bufs: bufs}
+	for cur, end := start, start+total/SectorSize; cur < end; {
+		if off := (cur - c.raStart) * SectorSize; off >= 0 && off < int64(len(c.raData)) {
+			n := min(int64(len(c.raData))-off, (end-cur)*SectorSize)
+			out.put(c.raData[off : off+n])
+			cur += n / SectorSize
 			continue
 		}
-		if err := c.fillLocked(cur, sectors-filled); err != nil {
+		n, sequential := c.planLocked(cur, end-cur, end-start)
+		data, err := c.fetchLocked(cur, n)
+		if err != nil {
 			return err
 		}
+		if !sequential {
+			out.put(data)
+			break
+		}
+		c.raStart, c.raData = cur, data
 	}
+	c.prevEnd = start + total/SectorSize
 	return nil
 }
 
-// fillLocked fetches at least want sectors at sector cur, extending the
-// request to the read-ahead window size.
-func (c *Client) fillLocked(cur, want int64) error {
-	n := want
-	if c.readAhead > n {
-		n = c.readAhead
+// scatter is a write cursor over a scatter list.
+type scatter struct {
+	bufs [][]byte
+	off  int // bytes of bufs[0] already filled
+}
+
+// put copies src to the cursor and advances it.
+func (s *scatter) put(src []byte) {
+	for len(src) > 0 {
+		n := copy(s.bufs[0][s.off:], src)
+		src = src[n:]
+		if s.off += n; s.off == len(s.bufs[0]) {
+			s.bufs, s.off = s.bufs[1:], 0
+		}
 	}
-	if cur+n > c.sectors {
-		n = c.sectors - cur
+}
+
+// planLocked sizes the fetch for a miss at sector cur with want sectors
+// of a req-sector request still to serve. Running off the end of the
+// live window doubles it; a new sequential stream starts at 4x the
+// request (at least DefaultReadAhead); both stop at the cap the caller
+// gave NewClient. Any other miss fetches exactly want sectors and is not
+// kept, so a stray read inside a scan costs the scan nothing.
+func (c *Client) planLocked(cur, want, req int64) (n int64, sequential bool) {
+	window := int64(len(c.raData)) / SectorSize
+	switch {
+	case c.readAhead == 0:
+		return want, false
+	case window > 0 && cur == c.raStart+window:
+		n = 2 * window
+	case cur == 0 || cur == c.prevEnd:
+		n = max(4*req, DefaultReadAhead/SectorSize)
+	default:
+		return want, false
 	}
-	req := make([]byte, 13)
-	req[0] = opRead
-	binary.BigEndian.PutUint64(req[1:9], uint64(cur))
-	binary.BigEndian.PutUint32(req[9:13], uint32(n))
-	t0 := c.now()
-	resp, err := c.transport.RoundTrip(req)
-	elapsed := c.now().Sub(t0)
+	return min(max(min(n, c.readAhead), want), c.sectors-cur), true
+}
+
+// fetchLocked reads n sectors at cur over the wire.
+func (c *Client) fetchLocked(cur, n int64) ([]byte, error) {
+	resp, err := c.transport.RoundTrip(request(opRead, cur, n, 0))
 	c.netReads++
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(resp) < 1 || resp[0] != respOK {
-		return fmt.Errorf("blockdev: remote read failed: %s", string(resp[1:]))
+		return nil, fmt.Errorf("blockdev: remote read failed: %s", resp[min(1, len(resp)):])
 	}
-	c.raStart = cur
-	c.raData = resp[1:]
-	// Only full-window fills are representative samples: partial fills
-	// at the device end or oversized explicit reads would skew the
-	// throughput estimate.
-	if c.adaptive && !c.tuned && n == c.readAhead {
-		c.adaptLocked(n*SectorSize, elapsed)
+	if int64(len(resp)) != 1+n*SectorSize {
+		return nil, fmt.Errorf("blockdev: read reply carries %d bytes, want %d", len(resp)-1, n*SectorSize)
 	}
-	return nil
-}
-
-// adaptLocked records one observed full-window fill and retunes the
-// window: keep doubling while throughput improves by adaptGrowFactor,
-// otherwise step back down and settle. On a high-latency link the fixed
-// round-trip cost dominates small windows, so doubling keeps winning
-// until TunedReadAhead; on a cheap link throughput is copy-bound and
-// flat, so the window settles immediately.
-func (c *Client) adaptLocked(bytes int64, elapsed time.Duration) {
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	tp := float64(bytes) / elapsed.Seconds()
-	if c.curTP == 0 {
-		c.curTP = tp
-	} else {
-		c.curTP = (c.curTP + tp) / 2
-	}
-	c.winSamples++
-	if c.winSamples < adaptSamples {
-		return
-	}
-	if c.prevTP == 0 || c.curTP > c.prevTP*adaptGrowFactor {
-		if c.readAhead*SectorSize >= TunedReadAhead {
-			c.readAhead = TunedReadAhead / SectorSize
-			c.tuned = true
-			return
-		}
-		c.prevTP = c.curTP
-		c.readAhead *= 2
-		c.curTP, c.winSamples = 0, 0
-		return
-	}
-	// The last doubling bought < 10%: it isn't worth the extra memory
-	// and latency, go back one step and stop tuning.
-	if c.readAhead > DefaultReadAhead/SectorSize {
-		c.readAhead /= 2
-	}
-	c.tuned = true
+	return resp[1:], nil
 }
 
 // WriteSectors implements Device. Writes invalidate any overlapping
@@ -407,16 +385,10 @@ func (c *Client) WriteVector(bufs [][]byte, start int64) error {
 	sectors := total / SectorSize
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.raData != nil {
-		raEnd := c.raStart + int64(len(c.raData))/SectorSize
-		if start < raEnd && start+sectors > c.raStart {
-			c.raData = nil
-		}
+	if start < c.raStart+int64(len(c.raData))/SectorSize && start+sectors > c.raStart {
+		c.raData = nil
 	}
-	req := make([]byte, 13+total)
-	req[0] = opWrite
-	binary.BigEndian.PutUint64(req[1:9], uint64(start))
-	binary.BigEndian.PutUint32(req[9:13], uint32(sectors))
+	req := request(opWrite, start, sectors, total)
 	off := 13
 	for _, b := range bufs {
 		off += copy(req[off:], b)
@@ -427,38 +399,7 @@ func (c *Client) WriteVector(bufs [][]byte, start int64) error {
 		return err
 	}
 	if len(resp) < 1 || resp[0] != respOK {
-		return fmt.Errorf("blockdev: remote write failed: %s", string(resp[1:]))
-	}
-	return nil
-}
-
-// ReadVector implements VectorDevice: the sector run is served through
-// the read-ahead window and scattered straight into the caller's
-// buffers, with no contiguous staging allocation.
-func (c *Client) ReadVector(bufs [][]byte, start int64) error {
-	if _, err := checkVectorRange(c, bufs, start); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	byteOff := start * SectorSize
-	for _, b := range bufs {
-		for len(b) > 0 {
-			if c.raData != nil && byteOff >= c.raStart*SectorSize &&
-				byteOff < c.raStart*SectorSize+int64(len(c.raData)) {
-				n := copy(b, c.raData[byteOff-c.raStart*SectorSize:])
-				b = b[n:]
-				byteOff += int64(n)
-				continue
-			}
-			// Fetch the window containing byteOff, sized to cover the
-			// rest of this buffer.
-			cur := byteOff / SectorSize
-			want := (byteOff%SectorSize + int64(len(b)) + SectorSize - 1) / SectorSize
-			if err := c.fillLocked(cur, want); err != nil {
-				return err
-			}
-		}
+		return fmt.Errorf("blockdev: remote write failed: %s", resp[min(1, len(resp)):])
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,49 +112,99 @@ func (c *Cluster) SetOSDDown(id int, down bool) error {
 	return nil
 }
 
-// Put stores an object on all its live replicas, defensively copying
-// data so the caller may keep reusing its buffer. Hot paths that build
-// a fresh slice per object should use PutOwned and skip the copy.
+// Put replaces an object on all its live replicas; the caller keeps
+// its buffer. It fails only when every replica placement is down.
 func (c *Cluster) Put(name string, data []byte) error {
-	return c.PutOwned(name, append([]byte(nil), data...))
+	return c.store(name, 0, [][]byte{data}, true)
 }
 
-// PutOwned stores data on all live replicas without copying: ownership
-// of the slice transfers to the cluster and the caller must not modify
-// it afterwards. It fails only when every replica placement is down.
-func (c *Cluster) PutOwned(name string, data []byte) error {
-	if len(data) > ObjectSize {
-		return fmt.Errorf("ceph: object %q size %d exceeds %d", name, len(data), ObjectSize)
+// WriteAt gathers bufs into the object at byte offset off, in place, on
+// all its live replicas: the bytes around the write are neither read nor
+// moved, and an object grows only as far as the last byte written.
+func (c *Cluster) WriteAt(name string, off int64, bufs [][]byte) error {
+	return c.store(name, off, bufs, false)
+}
+
+// store is the one object write path. It holds every replica's lock, in
+// OSD-ID order, for the whole update, so a reader under any one replica's
+// read lock never sees half a write. The live replicas share one slice,
+// mutated in place: nothing outside these locks may hold it.
+//
+// Replica rule: a live replica that lacks the object (it was down for an
+// earlier write) receives it with this write; a down replica loses its
+// copy, so that when it comes back it is missing the object — which
+// reads fall through — instead of serving it stale.
+func (c *Cluster) store(name string, off int64, bufs [][]byte, replace bool) error {
+	end := off
+	for _, b := range bufs {
+		end += int64(len(b))
 	}
-	stored := 0
-	for _, o := range c.placement(name) {
-		o.mu.Lock()
-		if !o.down {
-			o.objects[name] = data
-			stored++
+	if off < 0 || end > ObjectSize {
+		return fmt.Errorf("ceph: object %q write [%d,%d) exceeds %d", name, off, end, ObjectSize)
+	}
+	replicas := c.placement(name)
+	defer lockAll(replicas)()
+	var obj []byte // the object as a reader sees it (nil if nowhere)
+	live := 0
+	for _, o := range replicas {
+		if o.down {
+			continue
 		}
-		o.mu.Unlock()
+		live++
+		if obj == nil && !replace {
+			obj = o.objects[name]
+		}
 	}
-	if stored == 0 {
+	if live == 0 {
 		return fmt.Errorf("ceph: all replicas of %q are down", name)
+	}
+	if int64(len(obj)) < end || replace {
+		grown := make([]byte, end)
+		copy(grown, obj)
+		obj = grown
+	}
+	at := off
+	for _, b := range bufs {
+		at += int64(copy(obj[at:], b))
+	}
+	for _, o := range replicas {
+		if o.down {
+			delete(o.objects, name)
+		} else {
+			o.objects[name] = obj
+		}
 	}
 	return nil
 }
 
-// Get fetches an object from its primary, failing over to surviving
-// replicas when the primary is down.
+// lockAll write-locks osds in ID order — one order for every caller, so
+// writers of objects that share replicas cannot deadlock — and returns
+// the unlock.
+func lockAll(osds []*OSD) (unlock func()) {
+	byID := slices.Clone(osds)
+	slices.SortFunc(byID, func(a, b *OSD) int { return a.ID - b.ID })
+	for _, o := range byID {
+		o.mu.Lock()
+	}
+	return func() {
+		for _, o := range byID {
+			o.mu.Unlock()
+		}
+	}
+}
+
+// Get returns a copy of an object, read from its primary or, when the
+// primary is down or lacks it, from a surviving replica.
 func (c *Cluster) Get(name string) ([]byte, bool) {
 	for _, o := range c.placement(name) {
 		o.mu.RLock()
-		if o.down {
-			o.mu.RUnlock()
-			continue
-		}
 		d, ok := o.objects[name]
-		o.mu.RUnlock()
-		if ok {
+		if ok && !o.down {
+			d = append([]byte{}, d...)
+			o.mu.RUnlock()
 			return d, true
 		}
+		o.mu.RUnlock()
 		// A live replica may lack the object if it was down during the
 		// write (degraded object, pending backfill): keep looking.
 	}
@@ -163,9 +214,7 @@ func (c *Cluster) Get(name string) ([]byte, bool) {
 // ReadAt copies object bytes [off, off+len(dst)) into dst under the
 // replica's read lock, failing over like Get, and returns how many
 // bytes were copied (short when the object ends early). ok reports
-// whether the object exists on any live replica. Unlike Get it never
-// exposes the cluster's internal slice, so callers need no defensive
-// copy of their own — one copy total instead of two.
+// whether the object exists on any live replica.
 func (c *Cluster) ReadAt(name string, dst []byte, off int64) (int, bool) {
 	for _, o := range c.placement(name) {
 		o.mu.RLock()
@@ -207,10 +256,10 @@ func (c *Cluster) ObjectLen(name string) (int, bool) {
 
 // Delete removes an object from all replicas.
 func (c *Cluster) Delete(name string) {
-	for _, o := range c.placement(name) {
-		o.mu.Lock()
+	replicas := c.placement(name)
+	defer lockAll(replicas)()
+	for _, o := range replicas {
 		delete(o.objects, name)
-		o.mu.Unlock()
 	}
 }
 
@@ -269,7 +318,9 @@ func (c *Cluster) DeletePrefix(prefix string) {
 }
 
 // CopyPrefix duplicates every object under srcPrefix to dstPrefix
-// (image clone/snapshot flatten).
+// (image clone/snapshot flatten). Each object is copied under its source
+// replica's read lock, so cloning an image that is being written is safe
+// and the clone never changes afterwards.
 func (c *Cluster) CopyPrefix(srcPrefix, dstPrefix string) error {
 	for _, name := range c.ListPrefix(srcPrefix) {
 		d, ok := c.Get(name)
@@ -359,11 +410,8 @@ func (d *ImageDevice) WriteSectors(src []byte, start int64) error {
 	return d.WriteVector([][]byte{src}, start)
 }
 
-// WriteVector implements blockdev.VectorDevice. Each touched object is
-// rebuilt exactly once — preserved prefix/suffix copied in via ReadAt,
-// new bytes gathered from the caller's buffers — and handed to the
-// cluster with PutOwned. The previous path copied every object twice
-// (grow/clone, then Put's defensive copy).
+// WriteVector implements blockdev.VectorDevice: each touched object
+// takes its share of the gather list in place through Cluster.WriteAt.
 func (d *ImageDevice) WriteVector(bufs [][]byte, start int64) error {
 	total, err := blockdev.VectorLen(bufs)
 	if err != nil {
@@ -373,33 +421,21 @@ func (d *ImageDevice) WriteVector(bufs [][]byte, start int64) error {
 		return blockdev.ErrOutOfRange
 	}
 	byteOff := start * blockdev.SectorSize
-	bi, bo := 0, 0 // gather cursor into bufs
+	var part [][]byte // the current object's share of bufs
+	bi, bo := 0, 0    // gather cursor into bufs
 	for remaining := total; remaining > 0; {
-		objIdx := byteOff / ObjectSize
 		inObj := byteOff % ObjectSize
-		n := remaining
-		if n > ObjectSize-inObj {
-			n = ObjectSize - inObj
-		}
-		name := d.objName(objIdx)
-		oldLen, _ := d.c.ObjectLen(name)
-		newLen := inObj + n
-		if int64(oldLen) > newLen {
-			newLen = int64(oldLen)
-		}
-		obj := make([]byte, newLen)
-		if oldLen > 0 && (inObj > 0 || n < int64(oldLen)) {
-			d.c.ReadAt(name, obj[:oldLen], 0)
-		}
-		for g := obj[inObj : inObj+n]; len(g) > 0; {
-			for bo == len(bufs[bi]) {
+		n := min(remaining, ObjectSize-inObj)
+		part = part[:0]
+		for need := int(n); need > 0; {
+			take := min(need, len(bufs[bi])-bo)
+			part = append(part, bufs[bi][bo:bo+take])
+			need -= take
+			if bo += take; bo == len(bufs[bi]) {
 				bi, bo = bi+1, 0
 			}
-			cnt := copy(g, bufs[bi][bo:])
-			g = g[cnt:]
-			bo += cnt
 		}
-		if err := d.c.PutOwned(name, obj); err != nil {
+		if err := d.c.WriteAt(d.objName(byteOff/ObjectSize), inObj, part); err != nil {
 			return err
 		}
 		byteOff += n

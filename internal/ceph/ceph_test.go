@@ -289,10 +289,10 @@ func TestSimBackendContention(t *testing.T) {
 	}
 }
 
-// TestPutCopiesButPutOwnedDoesNot pins the buffer-ownership contract:
-// Put must isolate the store from caller mutation, PutOwned must not
-// pay that copy (ownership transfers).
-func TestPutCopiesButPutOwnedDoesNot(t *testing.T) {
+// TestStoredSlicesNeverEscape pins the ownership contract in-place
+// writes depend on: Put copies the caller's buffer in, Get copies the
+// object out, so nothing outside the OSD locks aliases stored bytes.
+func TestStoredSlicesNeverEscape(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	buf := []byte("mutable caller buffer")
 	if err := c.Put("safe", buf); err != nil {
@@ -303,14 +303,9 @@ func TestPutCopiesButPutOwnedDoesNot(t *testing.T) {
 	if got[0] == 'X' {
 		t.Fatal("Put did not defensively copy")
 	}
-
-	owned := []byte("transferred buffer")
-	if err := c.PutOwned("owned", owned); err != nil {
-		t.Fatal(err)
-	}
-	stored, _ := c.Get("owned")
-	if &stored[0] != &owned[0] {
-		t.Fatal("PutOwned copied despite ownership transfer")
+	got[0] = 'Y'
+	if again, _ := c.Get("safe"); again[0] == 'Y' {
+		t.Fatal("Get handed out the stored slice")
 	}
 }
 
@@ -318,7 +313,7 @@ func TestPutCopiesButPutOwnedDoesNot(t *testing.T) {
 func TestReadAt(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	obj := []byte("0123456789")
-	c.PutOwned("o", obj)
+	c.Put("o", obj)
 	dst := make([]byte, 4)
 	if n, ok := c.ReadAt("o", dst, 3); !ok || n != 4 || string(dst) != "3456" {
 		t.Fatalf("ReadAt mid = %q n=%d ok=%v", dst, n, ok)
@@ -341,7 +336,7 @@ func TestReadAt(t *testing.T) {
 // TestReadAtFailsOver mirrors the Get failover semantics.
 func TestReadAtFailsOver(t *testing.T) {
 	c := newCluster(t, 3, 2)
-	c.PutOwned("o", []byte("replicated"))
+	c.Put("o", []byte("replicated"))
 	primary := c.PrimaryOSD("o")
 	if err := c.SetOSDDown(primary, true); err != nil {
 		t.Fatal(err)
