@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -66,7 +65,6 @@ type Incident struct {
 	Reason  string
 	Opened  time.Time
 
-	seq      int // manager-assigned creation order
 	onUpdate func(*Incident)
 	done     chan struct{}
 
@@ -302,7 +300,6 @@ func (m *Manager) OpenIncident(enclave, node, reason string) *Incident {
 		Node:     node,
 		Reason:   reason,
 		Opened:   time.Now(),
-		seq:      m.incSeq,
 		onUpdate: m.noteIncidentUpdate,
 		done:     make(chan struct{}),
 		state:    IncidentDetected,
@@ -342,28 +339,31 @@ func (m *Manager) Incident(id string) (*Incident, error) {
 	return inc, nil
 }
 
-// ListIncidents returns every tracked incident, oldest first. With a
+// ListIncidents returns every tracked incident, oldest first (incOrder
+// is kept in creation order, so nothing is sorted under m.mu). With a
 // non-empty enclave it returns only that enclave's incidents.
 func (m *Manager) ListIncidents(enclave string) []*Incident {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Incident, 0, len(m.incidents))
-	for _, inc := range m.incidents {
+	out := make([]*Incident, 0, len(m.incOrder))
+	for _, inc := range m.incOrder {
 		if enclave == "" || inc.Enclave == enclave {
 			out = append(out, inc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 
 // OpenIncidentIDs returns the IDs of an enclave's non-terminal
 // incidents, oldest first — what the /v1 enclave resource surfaces so
-// tooling can branch on "incident open".
+// tooling can branch on "incident open". Every GET of an enclave runs
+// it, so it walks the order in place and builds nothing when all is well.
 func (m *Manager) OpenIncidentIDs(enclave string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []string
-	for _, inc := range m.ListIncidents(enclave) {
-		if !inc.State().Terminal() {
+	for _, inc := range m.incOrder {
+		if (enclave == "" || inc.Enclave == enclave) && !inc.State().Terminal() {
 			out = append(out, inc.ID)
 		}
 	}

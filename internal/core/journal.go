@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -35,13 +36,15 @@ const (
 
 // Event is one journal record. Seq is 1-based, strictly increasing, and
 // stable across control-plane restarts (restored from the durable store), so
-// it doubles as the resume cursor for NDJSON event feeds.
+// it doubles as the resume cursor for NDJSON event feeds. The tags are the
+// event's /v1 wire form: an event never changes once recorded, so the
+// journal keeps the line it marshals to (Journal.LinesSince).
 type Event struct {
-	Seq    uint64
-	At     time.Time
-	Kind   EventKind
-	Node   string
-	Detail string
+	Seq    uint64    `json:"seq"`
+	At     time.Time `json:"at"`
+	Kind   EventKind `json:"kind"`
+	Node   string    `json:"node"`
+	Detail string    `json:"detail,omitempty"`
 }
 
 func (e Event) String() string {
@@ -57,14 +60,21 @@ func (e Event) String() string {
 // client can never hold a cursor for an event that would not survive a
 // crash. A persist failure is sticky: the journal stops accepting events and
 // lifecycle transitions fail closed.
+//
+// Readers on the wire are served lines, not events: lines[i], once some
+// reader has asked for it, is events[i] marshalled with its newline, and
+// every feed and tail read after that sends those same bytes. A line leaves
+// only after a sync that began after its event was staged has returned.
 type Journal struct {
 	mu       sync.Mutex
 	events   []Event
-	seq      uint64 // last assigned sequence number
+	lines    [][]byte // len <= len(events); nil where no reader has asked yet
+	seq      uint64   // last assigned sequence number
 	watchers map[int]func(Event)
 	watchSeq int
 	persist  func(Event) error
-	fail     error // sticky persist failure
+	sync     func() error // makes everything persist staged durable
+	fail     error        // sticky persist failure
 }
 
 func (j *Journal) record(kind EventKind, node, detail string) {
@@ -89,12 +99,13 @@ func (j *Journal) record(kind EventKind, node, detail string) {
 	}
 }
 
-// setPersist attaches the durable commit hook. The hook runs under the
-// journal lock, so commits are made in event order.
-func (j *Journal) setPersist(fn func(Event) error) {
+// setPersist attaches the durable commit hook and the sync that makes what
+// it staged durable. The hook runs under the journal lock, so commits are
+// made in event order; sync runs outside it.
+func (j *Journal) setPersist(fn func(Event) error, sync func() error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.persist = fn
+	j.persist, j.sync = fn, sync
 }
 
 // Err reports the sticky persist failure, if any. Once set, no further
@@ -113,6 +124,7 @@ func (j *Journal) restore(events []Event, watchSeq int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.events = append([]Event(nil), events...)
+	j.lines = nil
 	j.seq = 0
 	if n := len(events); n > 0 {
 		j.seq = events[n-1].Seq
@@ -164,16 +176,67 @@ func (j *Journal) Events() []Event {
 	return append([]Event(nil), j.events...)
 }
 
-// EventsSince returns a copy of the events past cursor — what a
-// long-lived streamer should call per wake-up instead of re-copying
-// the whole journal.
-func (j *Journal) EventsSince(cursor int) []Event {
+// LinesSince returns the NDJSON lines of the events past cursor, ready to
+// send: a sync that began after the newest of them was staged has completed
+// by the time it returns. The lines are shared with every other reader and
+// must not be modified.
+func (j *Journal) LinesSince(cursor int) ([][]byte, error) {
+	return j.durableLines(cursor, -1)
+}
+
+// durableLines is LinesSince over events[from:to]; to < 0 means the end.
+func (j *Journal) durableLines(from, to int) ([][]byte, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if cursor >= len(j.events) {
-		return nil
+	if to < 0 || to > len(j.events) {
+		to = len(j.events)
 	}
-	return append([]Event(nil), j.events[cursor:]...)
+	if from < 0 || from >= to {
+		j.mu.Unlock()
+		return nil, nil
+	}
+	var missing []int // positions no reader has asked for yet
+	for i := from; i < to; i++ {
+		if i >= len(j.lines) || j.lines[i] == nil {
+			missing = append(missing, i)
+		}
+	}
+	if len(missing) > 0 {
+		// Marshal outside the lock record takes: a first read of a long
+		// journal must not stall the enclave's lifecycle. A recorded event
+		// never changes, so the snapshot is safe to read unlocked.
+		evs := j.events[:to:to]
+		j.mu.Unlock()
+		fresh := make([][]byte, len(missing))
+		for k, i := range missing {
+			line, err := json.Marshal(evs[i])
+			if err != nil {
+				return nil, fmt.Errorf("core: encode journal event %d: %w", evs[i].Seq, err)
+			}
+			fresh[k] = append(line, '\n')
+		}
+		j.mu.Lock()
+		if n := to - len(j.lines); n > 0 {
+			j.lines = append(j.lines, make([][]byte, n)...)
+		}
+		for k, i := range missing {
+			if j.lines[i] == nil { // else a reader beside this one got there first
+				j.lines[i] = fresh[k]
+			}
+		}
+	}
+	// A slot is written once, so the sub-slice is safe to read outside the
+	// lock while later lines are appended behind it.
+	out := j.lines[from:to:to]
+	sync := j.sync
+	j.mu.Unlock()
+	if sync != nil {
+		// The newest line was staged before the first lock hold saw it, so
+		// this sync began after every line in out was staged.
+		if err := sync(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SinceSeq returns a copy of the events with Seq > after. Because seqs are

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,6 +64,7 @@ type Manager struct {
 	enclaves map[string]*Enclave
 	deleting map[string]bool // enclaves mid-Destroy; refuse new work
 	ops      map[string]*Operation
+	opOrder  []*Operation            // creation order (ascending seq): what a list route copies
 	byencl   map[string][]*Operation // enclave -> its operations
 	opSeq    int
 	// idem maps a client Idempotency-Key to the operation it started, so
@@ -208,9 +211,7 @@ func (m *Manager) DeleteEnclave(name string) error {
 		delete(m.enclaves, name)
 		// The enclave's operations (all terminal — checked above) go
 		// with it; retaining them forever would leak on busy servers.
-		for _, op := range m.byencl[name] {
-			delete(m.ops, op.ID)
-		}
+		m.forgetOpsLocked(m.byencl[name])
 		delete(m.byencl, name)
 		if unsub := m.revUnsubs[name]; unsub != nil {
 			delete(m.revUnsubs, name)
@@ -238,21 +239,34 @@ func (m *Manager) DeleteEnclave(name string) error {
 func (m *Manager) pruneOpsLocked(enclave string) {
 	ops := m.byencl[enclave]
 	i := 0
-	dropped := make(map[string]bool)
 	for len(ops)-i > MaxRetainedOps && ops[i].Phase().Terminal() {
-		delete(m.ops, ops[i].ID)
-		dropped[ops[i].ID] = true
 		i++
 	}
 	if i > 0 {
+		dropped := ops[:i]
+		m.forgetOpsLocked(dropped)
 		m.byencl[enclave] = append([]*Operation(nil), ops[i:]...)
 		// Idempotency keys die with their operations; a retry under a
 		// pruned key reports the operation unretained rather than
 		// silently starting a second batch under a "retried" key.
 		for k, id := range m.idem {
-			if dropped[id] {
+			if slices.ContainsFunc(dropped, func(op *Operation) bool { return op.ID == id }) {
 				delete(m.idem, k)
 			}
+		}
+	}
+}
+
+// forgetOpsLocked drops operations from the ID index and from the creation
+// order, which keeps its order. opOrder ascends by seq, so each is found by
+// bisection: StartAcquireIdem prunes under m.mu and must not walk every
+// operation the manager holds. Callers hold m.mu.
+func (m *Manager) forgetOpsLocked(ops []*Operation) {
+	for _, op := range ops {
+		delete(m.ops, op.ID)
+		i, found := slices.BinarySearchFunc(m.opOrder, op.seq, func(o *Operation, seq int) int { return cmp.Compare(o.seq, seq) })
+		if found {
+			m.opOrder = slices.Delete(m.opOrder, i, i+1)
 		}
 	}
 }
@@ -332,6 +346,7 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 	m.opSeq++
 	op = newOperation(fmt.Sprintf(opIDPrefix+"%04d", m.opSeq), enclave, image, n, cancel)
 	op.seq = m.opSeq
+	op.journal = e.Journal()
 	// Commit before acknowledge: the operation record (with its
 	// idempotency key) must be durable before the tenant learns the op
 	// ID, or a crash could orphan a batch no retry can find.
@@ -343,6 +358,7 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 		return nil, false, fmt.Errorf("core: persist operation: %w", err)
 	}
 	m.ops[op.ID] = op
+	m.opOrder = append(m.opOrder, op)
 	m.byencl[enclave] = append(m.byencl[enclave], op)
 	if idemKey != "" {
 		m.idem[idemKey] = op.ID
@@ -713,15 +729,11 @@ func (m *Manager) Operation(id string) (*Operation, error) {
 	return op, nil
 }
 
-// ListOperations returns every tracked operation, oldest first (by
-// creation sequence — lexical ID order breaks past op-9999).
+// ListOperations returns every tracked operation, oldest first: a copy of
+// the creation order, which is kept as operations come and go, so a list
+// costs no sort under the mutex acquisitions commit under.
 func (m *Manager) ListOperations() []*Operation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Operation, 0, len(m.ops))
-	for _, op := range m.ops {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	return append([]*Operation(nil), m.opOrder...)
 }

@@ -51,9 +51,10 @@ type Operation struct {
 	Count   int
 	Created time.Time
 
-	seq    int // manager-assigned creation order
-	cancel context.CancelFunc
-	done   chan struct{}
+	seq     int // manager-assigned creation order
+	cancel  context.CancelFunc
+	done    chan struct{}
+	journal *Journal // the enclave journal observe is fed from; nil when restored
 
 	mu       sync.Mutex
 	phase    OpPhase
@@ -250,17 +251,26 @@ func (o *Operation) Events() []Event {
 	return append([]Event(nil), o.events...)
 }
 
-// EventsSince returns the events past cursor, a channel that closes
-// when anything new happens, and whether the operation is terminal.
-// A streamer loops: emit the slice, advance the cursor, and — unless
-// terminal with nothing pending — select on the notify channel. No
-// event is ever lost between the snapshot and the wait.
-func (o *Operation) EventsSince(cursor int) ([]Event, <-chan struct{}, bool) {
+// LinesSince returns the NDJSON lines of the events past cursor (the
+// journal's own, shared and durable as Journal.LinesSince hands them out), a
+// channel that closes when anything new happens, and whether the operation
+// is terminal. A streamer loops: send the lines, advance the cursor, and —
+// unless terminal — select on the notify channel. No event is ever lost
+// between the snapshot and the wait, and a terminal snapshot is complete:
+// observe takes nothing after the terminal phase.
+func (o *Operation) LinesSince(cursor int) ([][]byte, <-chan struct{}, bool, error) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	var evs []Event
-	if cursor < len(o.events) {
-		evs = append([]Event(nil), o.events[cursor:]...)
+	notify, terminal := o.notify, o.phase.Terminal()
+	var from, to int
+	if n := len(o.events); cursor >= 0 && cursor < n {
+		// What the operation observed is one contiguous run of the journal,
+		// and journal seqs are 1-based positions.
+		from, to = int(o.events[cursor].Seq)-1, int(o.events[n-1].Seq)
 	}
-	return evs, o.notify, o.phase.Terminal()
+	o.mu.Unlock() // the journal calls observe under its lock: never take it under o.mu
+	if from == to {
+		return nil, notify, terminal, nil
+	}
+	lines, err := o.journal.durableLines(from, to)
+	return lines, notify, terminal, err
 }

@@ -184,11 +184,11 @@ func (m *Manager) appendRecord(kind store.Kind, payload any) error {
 // every lifecycle event is staged (in journal order, under the journal
 // lock) before it is fanned out to watchers and streams. Events use the
 // buffered append — one fsync at the next acknowledgment boundary (an
-// operation's op-finished record, or SyncStore before a /v1 feed read)
-// covers the whole run of events, instead of one fsync per lifecycle
-// transition. A client can still never hold a feed cursor for an event
-// that would not survive a crash: the /v1 feed handlers flush before
-// serving.
+// operation's op-finished record, or the store sync Journal.LinesSince
+// runs before a /v1 feed read) covers the whole run of events, instead of
+// one fsync per lifecycle transition. A client can still never hold a feed
+// cursor for an event that would not survive a crash: every event a tenant
+// reads (and every cursor it hands back) names durable history.
 func (m *Manager) attachJournalPersist(name string, e *Enclave) {
 	e.journal.setPersist(func(ev Event) error {
 		data, err := json.Marshal(journalEventRecord{Enclave: name, eventRecord: toEventRecord(ev)})
@@ -196,13 +196,8 @@ func (m *Manager) attachJournalPersist(name string, e *Enclave) {
 			return fmt.Errorf("core: encode %s record: %w", store.KindJournalEvent, err)
 		}
 		return m.store.AppendBuffered(store.Record{Kind: store.KindJournalEvent, At: time.Now(), Data: data})
-	})
+	}, m.store.Sync)
 }
-
-// SyncStore flushes buffered journal-event records to disk. The /v1 feed
-// handlers call it before serving a batch so every event a tenant reads
-// (and every cursor it hands back) names durable history.
-func (m *Manager) SyncStore() error { return m.store.Sync() }
 
 // RecoverReport summarizes what Recover did, node by node.
 type RecoverReport struct {
@@ -607,6 +602,7 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 		op := newRestoredOperation(os.ID, os.Enclave, os.Image, os.Count, os.Created, phase, errMsg, finished)
 		op.seq = os.seq
 		m.ops[op.ID] = op
+		m.opOrder = append(m.opOrder, op)
 		m.byencl[os.Enclave] = append(m.byencl[os.Enclave], op)
 	}
 	for _, id := range rs.incOrder {
@@ -857,8 +853,9 @@ func (m *Manager) readoptWarm(ctx context.Context, e *Enclave, name string) erro
 
 // restoreIncident rebuilds an Incident from its last recorded status.
 func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) (*Incident, error) {
-	n, err := idSeq(st.ID, incIDPrefix)
-	if err != nil {
+	// An ID that does not parse fails recovery: the next incident's ID is
+	// derived from the ones restored.
+	if _, err := idSeq(st.ID, incIDPrefix); err != nil {
 		return nil, err
 	}
 	inc := &Incident{
@@ -867,7 +864,6 @@ func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) (*Incident, er
 		Node:     st.Node,
 		Reason:   st.Reason,
 		Opened:   st.Opened,
-		seq:      n,
 		onUpdate: onUpdate,
 		done:     make(chan struct{}),
 		state:    st.State,
@@ -936,11 +932,7 @@ func (m *Manager) Checkpoint() error {
 	for k, id := range m.idem {
 		snap.Idem[k] = id
 	}
-	ops := make([]*Operation, 0, len(m.ops))
-	for _, op := range m.ops {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].seq < ops[j].seq })
+	ops := append([]*Operation(nil), m.opOrder...)
 	snap.IncSeq = m.incSeq
 	snap.IncFeed = append([]IncidentStatus(nil), m.incFeed...)
 	snap.IncFeedBase = m.incFeedBase

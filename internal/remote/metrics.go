@@ -57,13 +57,15 @@ func instrumentMux(reg *obs.Registry, mux *http.ServeMux) http.Handler {
 		"Control-plane HTTP request duration by mux route and status code.",
 		obs.DefLatencyBuckets, "route", "code")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, route := mux.Handler(r)
-		if route == "" {
-			route = "unmatched"
-		}
 		rec := &statusRecorder{ResponseWriter: w}
 		t0 := time.Now()
 		mux.ServeHTTP(rec, r)
+		// Serving routed the request once and left the matched pattern on
+		// it; asking mux.Handler first would route every request twice.
+		route := r.Pattern
+		if route == "" {
+			route = "unmatched"
+		}
 		code := rec.status
 		if code == 0 {
 			code = http.StatusOK

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bolted/internal/bmi"
@@ -273,8 +274,9 @@ func batchResultInfo(res *core.BatchResult) *BatchResultInfo {
 	return out
 }
 
-func operationInfo(op *core.Operation) *OperationInfo {
-	st := op.Status() // one atomic snapshot: "done" always carries its result
+// operationInfo renders one atomic Status snapshot: "done" always
+// carries its result.
+func operationInfo(op *core.Operation, st core.OpStatus) *OperationInfo {
 	info := &OperationInfo{
 		ID:       op.ID,
 		Enclave:  op.Enclave,
@@ -303,8 +305,64 @@ func enclaveInfo(e *core.Enclave) *EnclaveInfo {
 	return info
 }
 
-func eventInfo(ev core.Event) EventInfo {
-	return EventInfo{Seq: ev.Seq, At: ev.At, Kind: string(ev.Kind), Node: ev.Node, Detail: ev.Detail}
+// marshalOperation renders the resource exactly as json.Encoder would send
+// it, newline included.
+func marshalOperation(op *core.Operation, st core.OpStatus) ([]byte, error) {
+	b, err := json.Marshal(operationInfo(op, st))
+	return append(b, '\n'), err
+}
+
+// opWires keeps what marshalOperation made of terminal operations: a finished
+// operation never changes, so its bytes are handed out by reference from
+// then on (never modify them), while a running one is rendered from a fresh
+// Status every time. Every GET /operations builds the memo anew, so it
+// holds nothing the Manager has since pruned; a GET of one operation reads
+// it and adds nothing. A map is never written once it is stored here.
+type opWires struct {
+	mu   sync.Mutex
+	kept map[*core.Operation][]byte
+}
+
+func (ws *opWires) last() map[*core.Operation][]byte {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.kept
+}
+
+// one renders op and reports whether the bytes may be kept.
+func (ws *opWires) one(op *core.Operation) ([]byte, bool, error) {
+	return renderOperation(ws.last(), op)
+}
+
+func renderOperation(kept map[*core.Operation][]byte, op *core.Operation) (b []byte, keep bool, err error) {
+	if b = kept[op]; b != nil {
+		return b, true, nil
+	}
+	st := op.Status()
+	b, err = marshalOperation(op, st)
+	return b, err == nil && st.Phase.Terminal(), err
+}
+
+// list renders ops as the elements of an array (an element carries no
+// newline of its own) and keeps the terminal ones.
+func (ws *opWires) list(ops []*core.Operation) ([][]byte, error) {
+	prev := ws.last()
+	parts := make([][]byte, len(ops))
+	kept := make(map[*core.Operation][]byte, len(ops))
+	for i, op := range ops {
+		b, keep, err := renderOperation(prev, op)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			kept[op] = b
+		}
+		parts[i] = b[:len(b)-1]
+	}
+	ws.mu.Lock()
+	ws.kept = kept
+	ws.mu.Unlock()
+	return parts, nil
 }
 
 // writeV1Error maps an error onto the typed envelope: sentinel errors
@@ -368,10 +426,101 @@ func clearWriteDeadline(w http.ResponseWriter) {
 	_ = rc.SetWriteDeadline(time.Time{})
 }
 
+// awaitIfAsked is the ?wait=1 long poll: it blocks until done closes. When
+// the request ends first it answers with the typed error and reports false.
+func awaitIfAsked(w http.ResponseWriter, r *http.Request, done <-chan struct{}) bool {
+	if r.URL.Query().Get("wait") == "" {
+		return true
+	}
+	// A long poll outlives any server WriteTimeout: an attested batch
+	// boot is minutes long on real hardware.
+	clearWriteDeadline(w)
+	select {
+	case <-done:
+		return true
+	case <-r.Context().Done():
+		writeV1Error(w, fmt.Errorf("%w: wait interrupted: %v", errInvalid, r.Context().Err()))
+		return false
+	}
+}
+
 func writeV1JSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// bodyBufs recycles the buffers immutable history is assembled in.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJoined sends open + parts joined by sep + end in one Write of one
+// pooled buffer. The parts are shared, immutable bytes (journal lines,
+// terminal operations): they are copied here and nowhere else. A complete
+// body goes out with its Content-Length instead of chunked.
+func writeJoined(w http.ResponseWriter, complete bool, open string, parts [][]byte, sep, end string) error {
+	bp := bodyBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], open...)
+	for i, p := range parts {
+		if i > 0 {
+			buf = append(buf, sep...)
+		}
+		buf = append(buf, p...)
+	}
+	buf = append(buf, end...)
+	if complete {
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	}
+	_, err := w.Write(buf)
+	*bp = buf
+	bodyBufs.Put(bp)
+	return err
+}
+
+// marshalLine is one NDJSON line of a feed whose items are not kept
+// marshalled (revocations, incident updates).
+func marshalLine(lines [][]byte, v any) [][]byte {
+	b, _ := json.Marshal(v) // plain structs of strings, numbers and times
+	return append(lines, append(b, '\n'))
+}
+
+// serveFeed is the one NDJSON feed writer. next yields what lies past the
+// source's cursor: the lines to send (a journal's arrive already durable),
+// a channel that wakes the feed when there may be more, and whether this
+// batch is the last (a terminal operation, a read that does not follow).
+// Every batch is one Write; a feed that follows flushes after each and is
+// counted as a stream watcher; one that is complete after its first batch
+// carries Content-Length. An error gets the typed envelope only while
+// nothing — not even the header a flush commits — has gone out; after that
+// the feed just ends.
+func (vm v1Metrics) serveFeed(w http.ResponseWriter, r *http.Request, follow bool,
+	next func() (lines [][]byte, notify <-chan struct{}, last bool, err error)) {
+	w.Header().Set("Content-Type", "application/x-ndjson") // an envelope replaces it
+	flush := func() {}
+	if follow {
+		// The stream follows live — possibly for minutes.
+		clearWriteDeadline(w)
+		var done func()
+		flush, done = vm.stream(r.Pattern, w)
+		defer done()
+	}
+	for first := true; ; first = false {
+		lines, notify, last, err := next()
+		if err != nil {
+			if first {
+				writeV1Error(w, err)
+			}
+			return
+		}
+		if writeJoined(w, first && last, "", lines, "", "") != nil || last {
+			return
+		}
+		flush()
+		select {
+		case <-notify:
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 // NewV1Handler serves the tenant control plane for one Manager. Mount
@@ -466,7 +615,7 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 		if replayed {
 			status = http.StatusOK
 		}
-		writeV1JSON(w, status, operationInfo(op))
+		writeV1JSON(w, status, operationInfo(op, op.Status()))
 	})
 
 	mux.HandleFunc("DELETE /enclaves/{name}/nodes/{node}", func(w http.ResponseWriter, r *http.Request) {
@@ -482,12 +631,17 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
+	// Operation reads serve bytes: a terminal operation is marshalled once
+	// (opWires), a running one afresh on every request.
+	var wires opWires
 	mux.HandleFunc("GET /operations", func(w http.ResponseWriter, r *http.Request) {
-		out := []*OperationInfo{} // empty list is [], never null, on the wire
-		for _, op := range mgr.ListOperations() {
-			out = append(out, operationInfo(op))
+		parts, err := wires.list(mgr.ListOperations())
+		if err != nil {
+			writeV1Error(w, err)
+			return
 		}
-		writeV1JSON(w, http.StatusOK, out)
+		w.Header().Set("Content-Type", "application/json")
+		_ = writeJoined(w, true, "[", parts, ",", "]\n") // no operations is [], never null
 	})
 
 	// GET /operations/{id} polls; ?wait=1 long-polls until the
@@ -498,18 +652,17 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			writeV1Error(w, err)
 			return
 		}
-		if r.URL.Query().Get("wait") != "" {
-			// A long poll outlives any server WriteTimeout: an attested
-			// batch boot is minutes long on real hardware.
-			clearWriteDeadline(w)
-			select {
-			case <-op.Done():
-			case <-r.Context().Done():
-				writeV1Error(w, fmt.Errorf("%w: wait interrupted: %v", errInvalid, r.Context().Err()))
-				return
-			}
+		if !awaitIfAsked(w, r, op.Done()) {
+			return
 		}
-		writeV1JSON(w, http.StatusOK, operationInfo(op))
+		b, _, err := wires.one(op)
+		if err != nil {
+			writeV1Error(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+		_, _ = w.Write(b)
 	})
 
 	// Custom verb: POST /operations/{id}:cancel. The ServeMux wildcard
@@ -526,7 +679,7 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			return
 		}
 		op.Cancel()
-		writeV1JSON(w, http.StatusOK, operationInfo(op))
+		writeV1JSON(w, http.StatusOK, operationInfo(op, op.Status()))
 	})
 
 	// GET /operations/{id}/events streams the operation's lifecycle
@@ -544,48 +697,11 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			writeV1Error(w, err)
 			return
 		}
-		// The stream follows the operation live — possibly for minutes.
-		clearWriteDeadline(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flush, done := vm.stream("GET /operations/{id}/events", w)
-		defer done()
-		enc := json.NewEncoder(w)
-		wrote := false
-		for {
-			evs, notify, terminal := op.EventsSince(cursor)
-			// Events are staged to the WAL before they are visible here;
-			// one flush makes the whole batch durable before any of it is
-			// served, so a cursor the client takes away survives a crash.
-			if len(evs) > 0 {
-				if err := mgr.SyncStore(); err != nil {
-					if !wrote {
-						writeV1Error(w, err)
-					}
-					return
-				}
-			}
-			for _, ev := range evs {
-				if err := enc.Encode(eventInfo(ev)); err != nil {
-					return
-				}
-				wrote = true
-			}
-			cursor += len(evs)
-			flush()
-			if terminal {
-				// Drain what the terminal snapshot delivered, then stop:
-				// no further wake is coming.
-				if len(evs) == 0 {
-					return
-				}
-				continue
-			}
-			select {
-			case <-notify:
-			case <-r.Context().Done():
-				return
-			}
-		}
+		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
+			lines, notify, terminal, err := op.LinesSince(cursor)
+			cursor += len(lines)
+			return lines, notify, terminal, err
+		})
 	})
 
 	// GET /operations/{id}/trace returns the operation's span tree as
@@ -896,35 +1012,17 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			writeV1JSON(w, http.StatusOK, out)
 			return
 		}
-		// Validate the enclave before committing to a stream, so a bad
-		// name still gets a typed error envelope.
-		if _, err := mgr.Enclave(name); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		clearWriteDeadline(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flush, done := vm.stream("GET /enclaves/{name}/revocations", w)
-		defer done()
-		enc := json.NewEncoder(w)
-		for {
+		// A bad name fails the first batch, which still gets the typed
+		// envelope; a later failure is the enclave deleted mid-stream.
+		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
 			evs, notify, next, err := mgr.RevocationsSince(name, cursor)
-			if err != nil {
-				return // enclave deleted mid-stream
-			}
+			var lines [][]byte
 			for i, ev := range evs {
-				if err := enc.Encode(revocationInfo(uint64(next-len(evs)+i+1), ev)); err != nil {
-					return
-				}
+				lines = marshalLine(lines, revocationInfo(uint64(next-len(evs)+i+1), ev))
 			}
 			cursor = next
-			flush()
-			select {
-			case <-notify:
-			case <-r.Context().Done():
-				return
-			}
-		}
+			return lines, notify, false, err
+		})
 	})
 
 	// GET /enclaves/{name}/events exposes the enclave lifecycle
@@ -946,56 +1044,23 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 		}
 		follow := r.URL.Query().Get("follow") != ""
 		j := e.Journal()
-		if follow {
-			clearWriteDeadline(w)
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flush, done := vm.stream("GET /enclaves/{name}/events", w)
-		defer done()
-		enc := json.NewEncoder(w)
 		var notify chan struct{}
-		var unwatch func()
 		if follow {
+			// Watch before the first read, so no event falls between a
+			// batch and the wait for the next.
 			notify = make(chan struct{}, 1)
-			unwatch = j.Watch(func(core.Event) {
+			defer j.Watch(func(core.Event) {
 				select {
 				case notify <- struct{}{}:
 				default:
 				}
-			})
-			defer unwatch()
+			})()
 		}
-		wrote := false
-		for {
-			evs := j.EventsSince(cursor)
-			// Events are staged to the WAL before they are visible here;
-			// one flush makes the whole batch durable before any of it is
-			// served, so a cursor the client takes away survives a crash.
-			if len(evs) > 0 {
-				if err := mgr.SyncStore(); err != nil {
-					if !wrote {
-						writeV1Error(w, err)
-					}
-					return
-				}
-			}
-			for _, ev := range evs {
-				if err := enc.Encode(eventInfo(ev)); err != nil {
-					return
-				}
-				wrote = true
-			}
-			cursor += len(evs)
-			flush()
-			if !follow {
-				return
-			}
-			select {
-			case <-notify:
-			case <-r.Context().Done():
-				return
-			}
-		}
+		vm.serveFeed(w, r, follow, func() ([][]byte, <-chan struct{}, bool, error) {
+			lines, err := j.LinesSince(cursor)
+			cursor += len(lines)
+			return lines, notify, !follow, err
+		})
 	})
 
 	// GET /incidents lists incident resources (?enclave= filters); with
@@ -1017,31 +1082,20 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			writeV1JSON(w, http.StatusOK, out)
 			return
 		}
-		clearWriteDeadline(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flush, done := vm.stream("GET /incidents", w)
-		defer done()
-		enc := json.NewEncoder(w)
-		for {
+		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
 			updates, notify, next := mgr.IncidentUpdatesSince(cursor)
+			var lines [][]byte
 			for i, st := range updates {
 				if enclave != "" && st.Enclave != enclave {
 					continue // filtered out; cursor still advances
 				}
 				info := incidentInfo(st)
 				info.Seq = uint64(next - len(updates) + i + 1)
-				if err := enc.Encode(info); err != nil {
-					return
-				}
+				lines = marshalLine(lines, info)
 			}
 			cursor = next
-			flush()
-			select {
-			case <-notify:
-			case <-r.Context().Done():
-				return
-			}
-		}
+			return lines, notify, false, nil
+		})
 	})
 
 	// GET /incidents/{id} polls; ?wait=1 long-polls until the incident
@@ -1052,14 +1106,8 @@ func NewV1Handler(mgr *core.Manager) http.Handler {
 			writeV1Error(w, err)
 			return
 		}
-		if r.URL.Query().Get("wait") != "" {
-			clearWriteDeadline(w)
-			select {
-			case <-inc.Done():
-			case <-r.Context().Done():
-				writeV1Error(w, fmt.Errorf("%w: wait interrupted: %v", errInvalid, r.Context().Err()))
-				return
-			}
+		if !awaitIfAsked(w, r, inc.Done()) {
+			return
 		}
 		writeV1JSON(w, http.StatusOK, incidentInfo(inc.Status()))
 	})

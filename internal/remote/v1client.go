@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bolted/internal/core"
@@ -66,6 +67,18 @@ type V1Client struct {
 	// every method on a nil instrument is a no-op.
 	quotaRetries *obs.Counter
 	redials      *obs.Counter
+
+	// listed memoises ListOperations: the last reply's elements by their
+	// exact bytes.
+	listMu sync.Mutex
+	listed map[string]*listedOp
+}
+
+// listedOp is one parsed element of a GET /operations reply; raw is the
+// element's bytes, the key it is found under.
+type listedOp struct {
+	raw  string
+	info *OperationInfo
 }
 
 // SetMetrics attaches client-side instruments: transparent 429 retries
@@ -271,6 +284,24 @@ func (c *V1Client) doOnce(ctx context.Context, method, path string, hdr http.Hea
 	return resp.StatusCode, nil
 }
 
+// get is one GET whose 2xx response the caller reads itself (and closes);
+// anything else comes back as the typed error.
+func (c *V1Client) get(ctx context.Context, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, "GET", c.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 400 {
+		defer resp.Body.Close()
+		return nil, decodeV1Error(resp)
+	}
+	return resp, nil
+}
+
 // CreateEnclave creates a named enclave under a profile ("alice",
 // "bob" or "charlie").
 func (c *V1Client) CreateEnclave(ctx context.Context, name, profile string) (*EnclaveInfo, error) {
@@ -344,13 +375,105 @@ func (c *V1Client) ReleaseNode(ctx context.Context, enclave, node, saveAs string
 	return c.do(ctx, "DELETE", path, nil, nil)
 }
 
-// ListOperations returns every operation resource, oldest first.
+// ListOperations returns every operation resource, oldest first. The
+// results are read-only: a finished operation never changes, so an element
+// whose exact bytes the previous reply also carried is not parsed again —
+// the caller gets the *OperationInfo it got last time. The memo is rebuilt
+// from each reply, so it never holds more than the list does.
 func (c *V1Client) ListOperations(ctx context.Context) ([]*OperationInfo, error) {
-	var out []*OperationInfo
-	if err := c.do(ctx, "GET", "/operations", nil, &out); err != nil {
+	resp, err := c.get(ctx, "/operations")
+	if err != nil {
 		return nil, err
 	}
+	defer resp.Body.Close()
+	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	elems, err := splitArray(body.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	c.listMu.Lock()
+	defer c.listMu.Unlock()
+	next := make(map[string]*listedOp, len(elems))
+	out := make([]*OperationInfo, len(elems))
+	for i, el := range elems {
+		op := c.listed[string(el)]
+		if op == nil {
+			op = &listedOp{raw: string(el), info: new(OperationInfo)}
+			if err := json.Unmarshal(el, op.info); err != nil {
+				return nil, fmt.Errorf("remote: bad operation in list: %w", err)
+			}
+		}
+		next[op.raw], out[i] = op, op.info
+	}
+	c.listed = next // whatever this reply no longer lists (pruned, changed) is dropped
 	return out, nil
+}
+
+// splitArray cuts a JSON array into its top-level elements in one pass,
+// aware of strings and nesting but blind to what an element says: each
+// element is either handed to json.Unmarshal or byte-equal to one that was,
+// so malformed content is still rejected, one element at a time.
+func splitArray(b []byte) ([][]byte, error) {
+	bad := func(at int) ([][]byte, error) {
+		return nil, fmt.Errorf("remote: malformed JSON array at byte %d of %d", at, len(b))
+	}
+	const space = " \t\r\n" // JSON's whitespace, not Unicode's
+	b = bytes.Trim(b, space)
+	if len(b) < 2 || b[0] != '[' {
+		return bad(0)
+	}
+	var elems [][]byte
+	depth, start := 0, 1
+	for i := 1; i < len(b); i++ {
+		switch ch := b[i]; ch {
+		case '"':
+			// Skip the string: to the first quote an even run of
+			// backslashes (none, usually) precedes.
+			for escaped := true; escaped; {
+				n := bytes.IndexByte(b[i+1:], '"')
+				if n < 0 {
+					return bad(len(b))
+				}
+				i += n + 1
+				k := i
+				for b[k-1] == '\\' {
+					k--
+				}
+				escaped = (i-k)%2 == 1
+			}
+		case '{', '[':
+			depth++
+		case '}', ']', ',':
+			if depth > 0 {
+				if ch != ',' {
+					depth--
+				}
+				continue
+			}
+			if ch == '}' {
+				return bad(i)
+			}
+			el := bytes.Trim(b[start:i], space)
+			// Only [] may have an empty element, and only as its sole one.
+			if len(el) == 0 && (ch == ',' || len(elems) > 0) {
+				return bad(i)
+			}
+			if len(el) > 0 {
+				elems = append(elems, el)
+			}
+			if ch == ']' {
+				if i != len(b)-1 {
+					return bad(i + 1) // bytes after the array
+				}
+				return elems, nil
+			}
+			start = i + 1
+		}
+	}
+	return bad(len(b))
 }
 
 // GetOperation polls an operation.
@@ -407,24 +530,23 @@ func (c *V1Client) StreamEvents(ctx context.Context, id string, from int, fn fun
 	return streamNDJSON(ctx, c, path, fn)
 }
 
+// scanBufs recycles streamNDJSON's line buffers, so a short tail read does
+// not allocate (and clear) 64 KiB to scan a few kilobytes.
+var scanBufs = sync.Pool{New: func() any { b := make([]byte, 0, 64*1024); return &b }}
+
 // streamNDJSON runs one NDJSON GET, decoding each line into T and
 // calling fn until the stream ends (nil), fn errors (returned as-is),
 // or ctx ends.
 func streamNDJSON[T any](ctx context.Context, c *V1Client, path string, fn func(T) error) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.get(ctx, path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeV1Error(resp)
-	}
+	buf := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(buf) // fn has returned: nothing refers to the buffer now
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(*buf, 1024*1024)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
