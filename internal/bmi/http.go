@@ -1,16 +1,14 @@
 package bmi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 
 	"bolted/internal/blockdev"
+	"bolted/internal/httpjson"
 )
 
 // This file provides BMI's REST surface so tenant tooling and the
@@ -21,42 +19,19 @@ import (
 // request/response frames of the blockdev wire protocol, the
 // iSCSI-like path a diskless node uses to page in its image.
 
-// errHeader carries the sentinel-error class out of band so clients can
-// reconstruct errors.Is semantics across the wire.
-const errHeader = "X-Bolted-Error"
-
-// Sentinel wire tags.
-const (
-	errTagNotFound = "not-found"
-	errTagExists   = "exists"
-	errTagInUse    = "in-use"
-)
+// sentinels are the error classes whose identity crosses the wire. A
+// bare 409 from a server that predates the header means ErrExists.
+var sentinels = httpjson.Sentinels{
+	{Err: ErrNotFound, Tag: "not-found", Status: http.StatusNotFound},
+	{Err: ErrExists, Tag: "exists", Status: http.StatusConflict},
+	{Err: ErrInUse, Tag: "in-use", Status: http.StatusConflict},
+}
 
 // NewHandler exposes a Service over HTTP.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
-	writeErr := func(w http.ResponseWriter, err error) {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrNotFound):
-			w.Header().Set(errHeader, errTagNotFound)
-			code = http.StatusNotFound
-		case errors.Is(err, ErrExists):
-			w.Header().Set(errHeader, errTagExists)
-			code = http.StatusConflict
-		case errors.Is(err, ErrInUse):
-			w.Header().Set(errHeader, errTagInUse)
-			code = http.StatusConflict
-		}
-		http.Error(w, err.Error(), code)
-	}
-	writeJSON := func(w http.ResponseWriter, v interface{}) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
+	writeErr := sentinels.Write
 
 	mux.HandleFunc("GET /images", func(w http.ResponseWriter, r *http.Request) {
 		imgs, err := s.ListImages()
@@ -64,7 +39,7 @@ func NewHandler(s *Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, imgs)
+		httpjson.Reply(w, http.StatusOK, imgs)
 	})
 	mux.HandleFunc("GET /images/{name}", func(w http.ResponseWriter, r *http.Request) {
 		img, err := s.GetImage(r.PathValue("name"))
@@ -72,7 +47,7 @@ func NewHandler(s *Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]interface{}{
+		httpjson.Reply(w, http.StatusOK, map[string]interface{}{
 			"name": img.Name, "size": img.Size, "snapshot": img.Snapshot,
 		})
 	})
@@ -81,6 +56,8 @@ func NewHandler(s *Service) http.Handler {
 			Size int64
 			OS   *OSImageSpec
 		}
+		// An OS spec carries a kernel, an initrd and a root file system:
+		// this body is not held to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -107,7 +84,7 @@ func NewHandler(s *Service) http.Handler {
 			Target   string
 			Snapshot bool
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -129,14 +106,14 @@ func NewHandler(s *Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, bi)
+		httpjson.Reply(w, http.StatusOK, bi)
 	})
 	mux.HandleFunc("PUT /exports/{node}", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Image string
 			Cow   bool
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -190,60 +167,10 @@ func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: http.DefaultClient}
 }
 
-// sentinelFor maps a response back to the service's sentinel errors,
-// preferring the explicit error header, falling back to the status
-// code for servers that predate it (where ErrExists and ErrInUse are
-// indistinguishable and map to ErrExists).
-func sentinelFor(resp *http.Response) error {
-	switch resp.Header.Get(errHeader) {
-	case errTagNotFound:
-		return ErrNotFound
-	case errTagExists:
-		return ErrExists
-	case errTagInUse:
-		return ErrInUse
-	}
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return ErrNotFound
-	case http.StatusConflict:
-		return ErrExists
-	}
-	return nil
-}
-
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		if sentinel := sentinelFor(resp); sentinel != nil {
-			return fmt.Errorf("%w: %s %s: %s", sentinel, method, path, bytes.TrimSpace(msg))
-		}
-		return fmt.Errorf("bmi: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	// Drain the (ignored, small) body so the keep-alive connection
-	// goes back to the pool instead of being torn down.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return httpjson.Call(ctx, c.HTTP, method, c.Base+path, body, out, func(resp *http.Response, msg []byte) error {
+		return sentinels.Error(resp, "bmi", method+" "+path, msg)
+	})
 }
 
 // ListImages lists image names.
@@ -320,25 +247,19 @@ type exportTransport struct {
 	node string
 }
 
+// octetStream marks a request body as a raw frame, not JSON.
+var octetStream = http.Header{"Content-Type": {"application/octet-stream"}}
+
 // RoundTrip implements blockdev.Transport.
 func (t *exportTransport) RoundTrip(req []byte) ([]byte, error) {
-	hreq, err := http.NewRequest("POST", t.c.Base+"/exports/"+url.PathEscape(t.node)+"/io", bytes.NewReader(req))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := t.c.HTTP.Do(hreq)
+	resp, err := httpjson.Do(context.Background(), t.c.HTTP, "POST", t.c.Base+"/exports/"+url.PathEscape(t.node)+"/io", octetStream, req,
+		func(resp *http.Response, msg []byte) error {
+			return sentinels.Error(resp, "bmi", "export io "+t.node, msg)
+		})
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		if sentinel := sentinelFor(resp); sentinel != nil {
-			return nil, fmt.Errorf("%w: export io %s: %s", sentinel, t.node, bytes.TrimSpace(msg))
-		}
-		return nil, fmt.Errorf("bmi: export io %s: %s: %s", t.node, resp.Status, bytes.TrimSpace(msg))
-	}
 	return io.ReadAll(resp.Body)
 }
 

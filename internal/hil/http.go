@@ -1,14 +1,11 @@
 package hil
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+
+	"bolted/internal/httpjson"
 )
 
 // This file provides HIL's REST surface, mirroring the real project's
@@ -17,67 +14,40 @@ import (
 // a deployed HIL. The surface covers everything the enclave pipeline
 // needs, so Client satisfies the orchestrator's HILService interface.
 
-// errHeader carries the sentinel-error class out of band so clients can
-// reconstruct errors.Is semantics across the wire.
-const errHeader = "X-Bolted-Error"
-
-// Sentinel wire tags.
-const (
-	errTagNotFound     = "not-found"
-	errTagUnauthorized = "unauthorized"
-	errTagInUse        = "in-use"
-)
+// sentinels are the error classes whose identity crosses the wire.
+var sentinels = httpjson.Sentinels{
+	{Err: ErrNotFound, Tag: "not-found", Status: http.StatusNotFound},
+	{Err: ErrUnauthorized, Tag: "unauthorized", Status: http.StatusForbidden},
+	{Err: ErrInUse, Tag: "in-use", Status: http.StatusConflict},
+}
 
 // NewHandler exposes a Service over HTTP.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
-	writeErr := func(w http.ResponseWriter, err error) {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrNotFound):
-			w.Header().Set(errHeader, errTagNotFound)
-			code = http.StatusNotFound
-		case errors.Is(err, ErrUnauthorized):
-			w.Header().Set(errHeader, errTagUnauthorized)
-			code = http.StatusForbidden
-		case errors.Is(err, ErrInUse):
-			w.Header().Set(errHeader, errTagInUse)
-			code = http.StatusConflict
+	writeErr := sentinels.Write
+	// serve adapts a route that reads no body: it answers status with
+	// what h returns as JSON (nothing, for nil) or h's error, mapped.
+	serve := func(status int, h func(r *http.Request) (interface{}, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			body, err := h(r)
+			if err != nil {
+				writeErr(w, err)
+				return
+			}
+			httpjson.Reply(w, status, body)
 		}
-		http.Error(w, err.Error(), code)
-	}
-	writeJSON := func(w http.ResponseWriter, v interface{}) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	decode := func(r *http.Request, v interface{}) error {
-		return json.NewDecoder(r.Body).Decode(v)
 	}
 
-	mux.HandleFunc("PUT /projects/{project}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.CreateProject(r.PathValue("project")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("DELETE /projects/{project}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DeleteProject(r.PathValue("project")); err != nil {
-			writeErr(w, err)
-			return
-		}
-	})
-	mux.HandleFunc("GET /nodes/free", func(w http.ResponseWriter, r *http.Request) {
-		free, err := s.FreeNodes()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, free)
-	})
+	mux.HandleFunc("PUT /projects/{project}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
+		return nil, s.CreateProject(r.PathValue("project"))
+	}))
+	mux.HandleFunc("DELETE /projects/{project}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return nil, s.DeleteProject(r.PathValue("project"))
+	}))
+	mux.HandleFunc("GET /nodes/free", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return s.FreeNodes()
+	}))
 	mux.HandleFunc("PUT /nodes/{node}", func(w http.ResponseWriter, r *http.Request) {
 		// Admin operation: register a node with its switch port and
 		// provider-published metadata. The BMC stays provider-side; a
@@ -87,7 +57,7 @@ func NewHandler(s *Service) http.Handler {
 			Port     string
 			Metadata map[string]string
 		}
-		if err := decode(r, &req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -97,33 +67,20 @@ func NewHandler(s *Service) http.Handler {
 		}
 		w.WriteHeader(http.StatusCreated)
 	})
-	mux.HandleFunc("GET /nodes/{node}/metadata", func(w http.ResponseWriter, r *http.Request) {
-		md, err := s.NodeMetadata(r.PathValue("node"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, md)
-	})
-	mux.HandleFunc("GET /nodes/{node}/owner", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /nodes/{node}/metadata", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return s.NodeMetadata(r.PathValue("node"))
+	}))
+	mux.HandleFunc("GET /nodes/{node}/owner", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
 		owner, err := s.NodeOwner(r.PathValue("node"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"owner": owner})
-	})
-	mux.HandleFunc("GET /nodes/{node}/port", func(w http.ResponseWriter, r *http.Request) {
+		return map[string]string{"owner": owner}, err
+	}))
+	mux.HandleFunc("GET /nodes/{node}/port", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
 		port, err := s.NodePort(r.PathValue("node"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"port": port})
-	})
+		return map[string]string{"port": port}, err
+	}))
 	mux.HandleFunc("POST /projects/{project}/nodes", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ Node string }
-		if err := decode(r, &req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -138,17 +95,14 @@ func NewHandler(s *Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]string{"node": node})
+		httpjson.Reply(w, http.StatusOK, map[string]string{"node": node})
 	})
-	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.FreeNode(r.Context(), r.PathValue("project"), r.PathValue("node")); err != nil {
-			writeErr(w, err)
-			return
-		}
-	})
+	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return nil, s.FreeNode(r.Context(), r.PathValue("project"), r.PathValue("node"))
+	}))
 	mux.HandleFunc("POST /projects/{project}/nodes/{node}/transfer", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ To string }
-		if err := decode(r, &req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -157,42 +111,24 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 	})
-	mux.HandleFunc("PUT /projects/{project}/networks/{network}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.CreateNetwork(r.Context(), r.PathValue("project"), r.PathValue("network")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("DELETE /projects/{project}/networks/{network}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DeleteNetwork(r.Context(), r.PathValue("project"), r.PathValue("network")); err != nil {
-			writeErr(w, err)
-			return
-		}
-	})
-	mux.HandleFunc("PUT /projects/{project}/nodes/{node}/networks/{network}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.ConnectNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}/networks/{network}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DetachNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network")); err != nil {
-			writeErr(w, err)
-			return
-		}
-	})
-	mux.HandleFunc("PUT /service-ports/{port}/networks/{network}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.ConnectServicePort(r.PathValue("port"), r.PathValue("network")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
+	mux.HandleFunc("PUT /projects/{project}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
+		return nil, s.CreateNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
+	}))
+	mux.HandleFunc("DELETE /projects/{project}/networks/{network}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return nil, s.DeleteNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
+	}))
+	mux.HandleFunc("PUT /projects/{project}/nodes/{node}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
+		return nil, s.ConnectNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
+	}))
+	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}/networks/{network}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return nil, s.DetachNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
+	}))
+	mux.HandleFunc("PUT /service-ports/{port}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
+		return nil, s.ConnectServicePort(r.PathValue("port"), r.PathValue("network"))
+	}))
 	mux.HandleFunc("POST /projects/{project}/nodes/{node}/power", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ Op string }
-		if err := decode(r, &req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -229,61 +165,10 @@ func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: http.DefaultClient}
 }
 
-// sentinelFor maps a response back to the service's sentinel errors,
-// preferring the explicit error header, falling back to the status
-// code for servers that predate it.
-func sentinelFor(resp *http.Response) error {
-	switch resp.Header.Get(errHeader) {
-	case errTagNotFound:
-		return ErrNotFound
-	case errTagUnauthorized:
-		return ErrUnauthorized
-	case errTagInUse:
-		return ErrInUse
-	}
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return ErrNotFound
-	case http.StatusForbidden:
-		return ErrUnauthorized
-	case http.StatusConflict:
-		return ErrInUse
-	}
-	return nil
-}
-
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		if sentinel := sentinelFor(resp); sentinel != nil {
-			return fmt.Errorf("%w: %s %s: %s", sentinel, method, path, bytes.TrimSpace(msg))
-		}
-		return fmt.Errorf("hil: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	// Drain the (ignored, small) body so the keep-alive connection
-	// goes back to the pool instead of being torn down.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return httpjson.Call(ctx, c.HTTP, method, c.Base+path, body, out, func(resp *http.Response, msg []byte) error {
+		return sentinels.Error(resp, "hil", method+" "+path, msg)
+	})
 }
 
 // CreateProject creates a project.

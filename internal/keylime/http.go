@@ -1,7 +1,6 @@
 package keylime
 
 import (
-	"bytes"
 	"context"
 	"crypto/ecdh"
 	"crypto/ecdsa"
@@ -10,13 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
 	neturl "net/url"
 	"strconv"
 	"strings"
 
+	"bolted/internal/httpjson"
 	"bolted/internal/ima"
 	"bolted/internal/tpm"
 )
@@ -154,14 +153,14 @@ func NewAgentHandler(a *Agent) http.Handler {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		json.NewEncoder(w).Encode(quoteToWire(q))
+		httpjson.Reply(w, http.StatusOK, quoteToWire(q))
 	})
 	mux.HandleFunc("GET /ima", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(imaToWire(a.IMAList()))
+		httpjson.Reply(w, http.StatusOK, imaToWire(a.IMAList()))
 	})
 	mux.HandleFunc("POST /keys/u", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ U string }
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -174,6 +173,8 @@ func NewAgentHandler(a *Agent) http.Handler {
 	})
 	mux.HandleFunc("POST /keys/v", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ V, Payload string }
+		// The sealed payload carries a kernel and an initrd: this body is
+		// not held to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -187,6 +188,14 @@ func NewAgentHandler(a *Agent) http.Handler {
 		a.ReceiveV(v, payload)
 	})
 	return mux
+}
+
+// call is one JSON round trip to an agent or a registrar; what names it
+// in the error for a status >= 400.
+func call(hc *http.Client, method, url, what string, body, out interface{}) error {
+	return httpjson.Call(context.Background(), hc, method, url, body, out, func(resp *http.Response, msg []byte) error {
+		return fmt.Errorf("keylime: %s: %s: %s", what, resp.Status, msg)
+	})
 }
 
 // RemoteAgent drives an agent's REST API; it satisfies AgentConn, so a
@@ -218,18 +227,8 @@ func (ra *RemoteAgent) Quote(nonce []byte, sel []int, verifierPort string) (*tpm
 		"pcrs":  {strings.Join(parts, ",")},
 		"from":  {verifierPort},
 	}
-	url := ra.Base + "/quote?" + q.Encode()
-	resp, err := ra.HTTP.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("keylime: remote quote: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var wq wireQuote
-	if err := json.NewDecoder(resp.Body).Decode(&wq); err != nil {
+	if err := call(ra.HTTP, "GET", ra.Base+"/quote?"+q.Encode(), "remote quote", nil, &wq); err != nil {
 		return nil, err
 	}
 	return wireToQuote(wq)
@@ -238,13 +237,8 @@ func (ra *RemoteAgent) Quote(nonce []byte, sel []int, verifierPort string) (*tpm
 // IMAList implements AgentConn. Transport failures return an empty
 // list, which the verifier's aggregate check will flag.
 func (ra *RemoteAgent) IMAList() []ima.Entry {
-	resp, err := ra.HTTP.Get(ra.Base + "/ima")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
 	var ws []wireIMAEntry
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
+	if call(ra.HTTP, "GET", ra.Base+"/ima", "/ima", nil, &ws) != nil {
 		return nil
 	}
 	es, err := wireToIMA(ws)
@@ -254,36 +248,16 @@ func (ra *RemoteAgent) IMAList() []ima.Entry {
 	return es
 }
 
-func (ra *RemoteAgent) post(path string, body interface{}) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := ra.HTTP.Post(ra.Base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("keylime: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	// Drain the (ignored, small) body so the keep-alive connection
-	// goes back to the pool instead of being torn down.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
 // ReceiveU implements AgentConn.
 func (ra *RemoteAgent) ReceiveU(u []byte) {
-	_ = ra.post("/keys/u", map[string]string{"U": hex.EncodeToString(u)})
+	_ = call(ra.HTTP, "POST", ra.Base+"/keys/u", "/keys/u", map[string]string{"U": hex.EncodeToString(u)}, nil)
 }
 
 // ReceiveV implements AgentConn.
 func (ra *RemoteAgent) ReceiveV(v, sealedPayload []byte) {
-	_ = ra.post("/keys/v", map[string]string{
+	_ = call(ra.HTTP, "POST", ra.Base+"/keys/v", "/keys/v", map[string]string{
 		"V": hex.EncodeToString(v), "Payload": hex.EncodeToString(sealedPayload),
-	})
+	}, nil)
 }
 
 // --- registrar HTTP server ---
@@ -293,7 +267,7 @@ func NewRegistrarHandler(reg *Registrar) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /agents/{uuid}/register", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ EK, AIK string }
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -317,7 +291,7 @@ func NewRegistrarHandler(reg *Registrar) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{
+		httpjson.Reply(w, http.StatusOK, map[string]string{
 			"ephemeral":   hex.EncodeToString(blob.EphemeralPub),
 			"nonce":       hex.EncodeToString(blob.Nonce),
 			"ciphertext":  hex.EncodeToString(blob.Ciphertext),
@@ -326,7 +300,7 @@ func NewRegistrarHandler(reg *Registrar) http.Handler {
 	})
 	mux.HandleFunc("POST /agents/{uuid}/activate", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ Proof string }
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := httpjson.Decode(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -346,7 +320,7 @@ func NewRegistrarHandler(reg *Registrar) http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{"aik": encodeECDSA(aik)})
+		httpjson.Reply(w, http.StatusOK, map[string]string{"aik": encodeECDSA(aik)})
 	})
 	mux.HandleFunc("GET /agents/{uuid}/ek", func(w http.ResponseWriter, r *http.Request) {
 		ek, err := reg.EK(r.PathValue("uuid"))
@@ -354,7 +328,7 @@ func NewRegistrarHandler(reg *Registrar) http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{"ek": hex.EncodeToString(ek.Bytes())})
+		httpjson.Reply(w, http.StatusOK, map[string]string{"ek": hex.EncodeToString(ek.Bytes())})
 	})
 	return mux
 }
@@ -375,38 +349,10 @@ func NewRegistrarClient(base string) *RegistrarClient {
 	return &RegistrarClient{Base: base, HTTP: http.DefaultClient}
 }
 
-func (rc *RegistrarClient) post(path string, body interface{}, out interface{}) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := rc.HTTP.Post(rc.Base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("keylime: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body) // keep the connection reusable
-	return nil
-}
-
-func (rc *RegistrarClient) get(path string, out interface{}) error {
-	resp, err := rc.HTTP.Get(rc.Base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("keylime: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+// call is one round trip about one enrolled agent ("/agents/{uuid}" + sub).
+func (rc *RegistrarClient) call(method, uuid, sub string, body, out interface{}) error {
+	path := "/agents/" + neturl.PathEscape(uuid) + sub
+	return call(rc.HTTP, method, rc.Base+path, path, body, out)
 }
 
 // Register implements RegistrarConn.
@@ -415,7 +361,7 @@ func (rc *RegistrarClient) Register(uuid string, ekPub *ecdh.PublicKey, aikPub *
 		return nil, errors.New("keylime: registration needs EK and AIK")
 	}
 	var raw map[string]string
-	err := rc.post("/agents/"+neturl.PathEscape(uuid)+"/register", map[string]string{
+	err := rc.call("POST", uuid, "/register", map[string]string{
 		"EK":  hex.EncodeToString(ekPub.Bytes()),
 		"AIK": encodeECDSA(aikPub),
 	}, &raw)
@@ -442,7 +388,7 @@ func (rc *RegistrarClient) Register(uuid string, ekPub *ecdh.PublicKey, aikPub *
 
 // Activate implements RegistrarConn.
 func (rc *RegistrarClient) Activate(uuid string, proof []byte) error {
-	return rc.post("/agents/"+neturl.PathEscape(uuid)+"/activate", map[string]string{
+	return rc.call("POST", uuid, "/activate", map[string]string{
 		"Proof": hex.EncodeToString(proof),
 	}, nil)
 }
@@ -450,7 +396,7 @@ func (rc *RegistrarClient) Activate(uuid string, proof []byte) error {
 // AIK implements RegistrarConn.
 func (rc *RegistrarClient) AIK(uuid string) (*ecdsa.PublicKey, error) {
 	var raw map[string]string
-	if err := rc.get("/agents/"+neturl.PathEscape(uuid)+"/aik", &raw); err != nil {
+	if err := rc.call("GET", uuid, "/aik", nil, &raw); err != nil {
 		return nil, err
 	}
 	return decodeECDSA(raw["aik"])
@@ -459,7 +405,7 @@ func (rc *RegistrarClient) AIK(uuid string) (*ecdsa.PublicKey, error) {
 // EK implements RegistrarConn.
 func (rc *RegistrarClient) EK(uuid string) (*ecdh.PublicKey, error) {
 	var raw map[string]string
-	if err := rc.get("/agents/"+neturl.PathEscape(uuid)+"/ek", &raw); err != nil {
+	if err := rc.call("GET", uuid, "/ek", nil, &raw); err != nil {
 		return nil, err
 	}
 	ekRaw, err := hex.DecodeString(raw["ek"])

@@ -9,12 +9,10 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -24,6 +22,7 @@ import (
 	"bolted/internal/bmi"
 	"bolted/internal/core"
 	"bolted/internal/hil"
+	"bolted/internal/httpjson"
 	"bolted/internal/ima"
 	"bolted/internal/keylime"
 	"bolted/internal/tpm"
@@ -65,13 +64,6 @@ type kexecRequest struct {
 
 func (np *nodePlane) handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v interface{}) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-
 	mux.HandleFunc("POST /nodes/{node}/boot", func(w http.ResponseWriter, r *http.Request) {
 		node := r.PathValue("node")
 		conn, err := np.cloud.Driver.Boot(r.Context(), node)
@@ -87,7 +79,7 @@ func (np *nodePlane) handler() http.Handler {
 		np.mu.Lock()
 		np.agents[node] = keylime.NewAgentHandler(agent)
 		np.mu.Unlock()
-		writeJSON(w, map[string]string{"uuid": conn.UUID()})
+		httpjson.Reply(w, http.StatusOK, map[string]string{"uuid": conn.UUID()})
 	})
 	mux.HandleFunc("/nodes/{node}/agent/", func(w http.ResponseWriter, r *http.Request) {
 		node := r.PathValue("node")
@@ -113,10 +105,12 @@ func (np *nodePlane) handler() http.Handler {
 				wire[key] = append(wire[key], hex.EncodeToString(d[:]))
 			}
 		}
-		writeJSON(w, wire)
+		httpjson.Reply(w, http.StatusOK, wire)
 	})
 	mux.HandleFunc("POST /nodes/{node}/kexec", func(w http.ResponseWriter, r *http.Request) {
 		var req kexecRequest
+		// A kexec carries a kernel and an initrd: this body is not held
+		// to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -194,8 +188,7 @@ func NewHandlerWithManager(cloud *core.Cloud, mgr *core.Manager) (http.Handler, 
 	mux.Handle(prefixPlane+"/", http.StripPrefix(prefixPlane, np.handler()))
 	mux.Handle(prefixV1+"/", http.StripPrefix(prefixV1, NewV1Handler(mgr)))
 	mux.HandleFunc("GET /info", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serverInfo{
+		httpjson.Reply(w, http.StatusOK, serverInfo{
 			Nodes:       cloud.Config.Nodes,
 			Firmware:    string(cloud.Config.Firmware),
 			PlatformGen: cloud.Config.PlatformGen,
@@ -215,34 +208,9 @@ type nodeDriver struct {
 var _ core.NodeDriver = (*nodeDriver)(nil)
 
 func (d *nodeDriver) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, d.base+prefixPlane+path, rd)
-	if err != nil {
-		return err
-	}
-	resp, err := d.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("remote: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	// Drain the (ignored, small) body so the keep-alive connection
-	// goes back to the pool instead of being torn down.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return httpjson.Call(ctx, d.http, method, d.base+prefixPlane+path, body, out, func(resp *http.Response, msg []byte) error {
+		return fmt.Errorf("remote: %s %s: %s: %s", method, path, resp.Status, msg)
+	})
 }
 
 // Boot implements core.NodeDriver: the node boots server-side; the
@@ -323,14 +291,13 @@ func Dial(serverURL string) (*core.Cloud, error) {
 	// Bound the probe: a blackholed server must not hang the dial
 	// (http.DefaultClient has no timeout).
 	infoClient := &http.Client{Timeout: 30 * time.Second}
-	resp, err := infoClient.Get(base + "/info")
+	resp, err := httpjson.Do(context.Background(), infoClient, "GET", base+"/info", nil, nil, func(resp *http.Response, _ []byte) error {
+		return fmt.Errorf("%s (not a full-surface boltedd?)", resp.Status)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", serverURL, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: dial %s: %s (not a full-surface boltedd?)", serverURL, resp.Status)
-	}
 	var info serverInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return nil, fmt.Errorf("remote: dial %s: bad server info: %w", serverURL, err)

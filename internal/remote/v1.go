@@ -23,6 +23,7 @@ import (
 	"bolted/internal/core"
 	"bolted/internal/guard"
 	"bolted/internal/hil"
+	"bolted/internal/httpjson"
 	"bolted/internal/keylime"
 	"bolted/internal/obs"
 )
@@ -73,28 +74,9 @@ type EnclaveInfo struct {
 type GuardPolicyInfo = guard.Policy
 
 // GuardInfo is the wire form of an enclave's runtime attestation guard.
-type GuardInfo struct {
-	Enclave     string          `json:"enclave"`
-	Policy      GuardPolicyInfo `json:"policy"`
-	Rounds      uint64          `json:"rounds"`
-	Checks      uint64          `json:"checks"`
-	Revocations uint64          `json:"revocations"`
-	Paused      bool            `json:"paused,omitempty"`
-	Incidents   []string        `json:"incidents,omitempty"`
-}
-
-func guardInfo(g *guard.Guard) *GuardInfo {
-	st := g.Status()
-	return &GuardInfo{
-		Enclave:     st.Enclave,
-		Policy:      st.Policy,
-		Rounds:      st.Rounds,
-		Checks:      st.Checks,
-		Revocations: st.Revocations,
-		Paused:      st.Paused,
-		Incidents:   st.Incidents,
-	}
-}
+// Like its policy, guard.Status carries its own wire tags, so the wire
+// form IS the status.
+type GuardInfo = guard.Status
 
 // IncidentStepInfo is one recorded response action of an incident.
 type IncidentStepInfo struct {
@@ -297,8 +279,10 @@ func operationInfo(op *core.Operation, st core.OpStatus) *OperationInfo {
 	return info
 }
 
-func enclaveInfo(e *core.Enclave) *EnclaveInfo {
-	info := &EnclaveInfo{Name: e.Project, Profile: e.Profile.Name, Nodes: make(map[string]string)}
+// enclaveInfo renders an enclave with its open incident IDs, the control
+// plane's "something is wrong here" flag.
+func enclaveInfo(e *core.Enclave, incidents []string) *EnclaveInfo {
+	info := &EnclaveInfo{Name: e.Project, Profile: e.Profile.Name, Nodes: make(map[string]string), Incidents: incidents}
 	for n, st := range e.NodeStates() {
 		info.Nodes[n] = string(st)
 	}
@@ -386,36 +370,29 @@ func writeV1Error(w http.ResponseWriter, err error) {
 		// well-behaved clients (V1Client does this transparently) back
 		// off instead of hammering the control plane.
 		code, status = codeExhausted, http.StatusTooManyRequests
-		retry := core.DefaultRetryAfter
-		var qe *core.QuotaError
-		if errors.As(err, &qe) && qe.RetryAfter > 0 {
-			retry = qe.RetryAfter
-		}
-		secs := int(retry / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		qe := new(core.QuotaError) // stays zero, so the default, when As finds none
+		errors.As(err, &qe)
+		setRetryAfter(w, qe.RetryAfter, core.DefaultRetryAfter)
 	case errors.Is(err, core.ErrDegraded):
 		// Degraded-mode fail-fast: a backend circuit breaker is open and
 		// the control plane refuses new work rather than feeding it into
 		// a dead service. 503 + Retry-After (the breaker's cooldown) so
 		// clients back off until a probe can close it.
 		code, status = codeUnavailable, http.StatusServiceUnavailable
-		retry := time.Second
-		var de *core.DegradedError
-		if errors.As(err, &de) && de.RetryAfter > 0 {
-			retry = de.RetryAfter
-		}
-		secs := int(retry / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		de := new(core.DegradedError)
+		errors.As(err, &de)
+		setRetryAfter(w, de.RetryAfter, time.Second)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: apiError{Code: code, Message: err.Error()}})
+	httpjson.Reply(w, status, errorEnvelope{Error: apiError{Code: code, Message: err.Error()}})
+}
+
+// setRetryAfter sends a back-off hint in whole seconds, never fewer than
+// one; an error that carries none (hint <= 0) gets def.
+func setRetryAfter(w http.ResponseWriter, hint, def time.Duration) {
+	if hint <= 0 {
+		hint = def
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(max(1, int(hint/time.Second))))
 }
 
 // clearWriteDeadline exempts one long-lived response (operation wait,
@@ -442,12 +419,6 @@ func awaitIfAsked(w http.ResponseWriter, r *http.Request, done <-chan struct{}) 
 		writeV1Error(w, fmt.Errorf("%w: wait interrupted: %v", errInvalid, r.Context().Err()))
 		return false
 	}
-}
-
-func writeV1JSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // bodyBufs recycles the buffers immutable history is assembled in.
@@ -523,598 +494,599 @@ func (vm v1Metrics) serveFeed(w http.ResponseWriter, r *http.Request, follow boo
 	}
 }
 
+// v1 is what the /v1 handlers share: the Manager they serve, the stream
+// instruments (resolved from the manager's registry; no-ops without one)
+// and the kept bytes of terminal operations.
+type v1 struct {
+	mgr   *core.Manager
+	vm    v1Metrics
+	wires opWires
+}
+
+// handlerFunc is a typed row of the route table: it answers a request
+// with a status and a JSON body (nil for none), or with an error, and
+// never sees the ResponseWriter — ServeHTTP below is the one place a
+// typed row's reply, success or envelope, is written.
+type handlerFunc func(r *http.Request) (status int, body any, err error)
+
+// located is a reply body that also says where the resource it shows
+// lives: ServeHTTP sends Location beside it.
+type located struct {
+	at   string
+	body any
+}
+
+func (h handlerFunc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	status, body, err := h(r)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	if l, ok := body.(located); ok {
+		w.Header().Set("Location", l.at)
+		body = l.body
+	}
+	httpjson.Reply(w, status, body)
+}
+
+// withBody adapts a row that takes a JSON request body: the body is read
+// under httpjson's size cap, and one that is malformed or too large is
+// the typed invalid_argument envelope.
+func withBody[T any](h func(r *http.Request, req T) (int, any, error)) handlerFunc {
+	return func(r *http.Request) (int, any, error) {
+		var req T
+		if err := httpjson.Decode(r, &req); err != nil {
+			return 0, nil, fmt.Errorf("%w: %v", errInvalid, err)
+		}
+		return h(r, req)
+	}
+}
+
+// verb splits a custom-verb segment ("op-0001:cancel"): the ServeMux
+// wildcard spans the whole segment, so the verb is cut off by hand. noun
+// names the resource in the error for any verb but want.
+func verb(r *http.Request, wildcard, want, noun string) (string, error) {
+	name, v, ok := strings.Cut(r.PathValue(wildcard), ":")
+	if !ok || v != want {
+		return "", fmt.Errorf("%w: unknown %s verb %q", errInvalid, noun, v)
+	}
+	return name, nil
+}
+
+// createdOr200 is the status of a PUT that creates or updates.
+func createdOr200(created bool) int {
+	if created {
+		return http.StatusCreated
+	}
+	return http.StatusOK
+}
+
+// route is one row of the /v1 route table: a ServeMux pattern and its
+// handler — a typed handlerFunc, or a raw http.HandlerFunc for the rows
+// that send kept bytes, stream, or hold the connection for a long poll.
+type route struct {
+	pattern string
+	h       http.Handler
+}
+
+// routes is the whole /v1 surface. Adding a route is one row here and
+// one row in a README route table (TestV1RouteTable checks both).
+func (s *v1) routes() []route {
+	return []route{
+		{"POST /enclaves", withBody(s.createEnclave)},
+		{"GET /enclaves", handlerFunc(s.listEnclaves)},
+		{"GET /enclaves/{name}", handlerFunc(s.getEnclave)},
+		{"DELETE /enclaves/{name}", handlerFunc(s.deleteEnclave)},
+		{"POST /enclaves/{name}/nodes:acquire", withBody(s.acquire)},
+		{"DELETE /enclaves/{name}/nodes/{node}", handlerFunc(s.releaseNode)},
+		{"POST /enclaves/{name}/nodes/{nodeverb}", handlerFunc(s.reclaimNode)},
+
+		{"GET /operations", http.HandlerFunc(s.listOperations)},
+		{"GET /operations/{id}", http.HandlerFunc(s.getOperation)},
+		{"POST /operations/{idverb}", handlerFunc(s.cancelOperation)},
+		{"GET /operations/{id}/events", http.HandlerFunc(s.operationEvents)},
+		{"GET /operations/{id}/trace", http.HandlerFunc(s.operationTrace)},
+
+		{"PUT /pools/{enclave}", withBody(s.putPool)},
+		{"GET /pools", handlerFunc(s.listPools)},
+		{"GET /pools/{enclave}", handlerFunc(s.getPool)},
+		{"POST /pools/{enclaveverb}", handlerFunc(s.drainPool)},
+		{"DELETE /pools/{enclave}", handlerFunc(s.deletePool)},
+
+		{"PUT /quotas/{tenant}", withBody(s.putQuota)},
+		{"GET /quotas", handlerFunc(s.listQuotas)},
+		{"GET /quotas/{tenant}", handlerFunc(s.getQuota)},
+		{"DELETE /quotas/{tenant}", handlerFunc(s.deleteQuota)},
+		{"GET /sched", handlerFunc(s.sched)},
+
+		{"GET /health", handlerFunc(s.health)},
+		{"GET /resilience", handlerFunc(s.getResilience)},
+		{"PUT /resilience", withBody(s.putResilience)},
+		{"GET /enclaves/{name}/resilience", handlerFunc(s.getResilience)},
+		{"PUT /enclaves/{name}/resilience", withBody(s.putResilience)},
+
+		{"PUT /enclaves/{name}/guard", withBody(s.putGuard)},
+		{"GET /enclaves/{name}/guard", handlerFunc(s.getGuard)},
+		{"DELETE /enclaves/{name}/guard", handlerFunc(s.deleteGuard)},
+		{"GET /enclaves/{name}/revocations", http.HandlerFunc(s.revocations)},
+		{"GET /enclaves/{name}/events", http.HandlerFunc(s.enclaveEvents)},
+		{"GET /incidents", http.HandlerFunc(s.incidents)},
+		{"GET /incidents/{id}", http.HandlerFunc(s.getIncident)},
+	}
+}
+
 // NewV1Handler serves the tenant control plane for one Manager. Mount
 // it under /v1 (NewHandler does this for a full-surface boltedd).
 func NewV1Handler(mgr *core.Manager) http.Handler {
+	s := &v1{mgr: mgr, vm: newV1Metrics(mgr.Metrics())}
 	mux := http.NewServeMux()
-
-	// Stream instruments (active watchers, flush counts) resolve from
-	// the manager's registry; without one they are no-ops.
-	vm := newV1Metrics(mgr.Metrics())
-
-	// withIncidents decorates an enclave resource with its open
-	// incident IDs, the control plane's "something is wrong here" flag.
-	withIncidents := func(info *EnclaveInfo) *EnclaveInfo {
-		info.Incidents = mgr.OpenIncidentIDs(info.Name)
-		return info
+	for _, rt := range s.routes() {
+		mux.Handle(rt.pattern, rt.h)
 	}
-
-	mux.HandleFunc("POST /enclaves", func(w http.ResponseWriter, r *http.Request) {
-		var req createEnclaveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		if req.Name == "" {
-			writeV1Error(w, fmt.Errorf("%w: enclave needs a name", errInvalid))
-			return
-		}
-		profile, ok := core.ProfileByName(req.Profile)
-		if !ok {
-			writeV1Error(w, fmt.Errorf("%w: unknown profile %q (want alice, bob or charlie)", errInvalid, req.Profile))
-			return
-		}
-		e, err := mgr.CreateEnclave(req.Name, profile)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusCreated, enclaveInfo(e))
-	})
-
-	mux.HandleFunc("GET /enclaves", func(w http.ResponseWriter, r *http.Request) {
-		out := []*EnclaveInfo{} // empty list is [], never null, on the wire
-		for _, name := range mgr.ListEnclaves() {
-			if e, err := mgr.Enclave(name); err == nil {
-				out = append(out, withIncidents(enclaveInfo(e)))
-			}
-		}
-		writeV1JSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("GET /enclaves/{name}", func(w http.ResponseWriter, r *http.Request) {
-		e, err := mgr.Enclave(r.PathValue("name"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, withIncidents(enclaveInfo(e)))
-	})
-
-	mux.HandleFunc("DELETE /enclaves/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := mgr.DeleteEnclave(r.PathValue("name")); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// Custom verb: POST /enclaves/{name}/nodes:acquire starts a batch
-	// and answers 202 with the Operation — the multi-minute pipeline
-	// never blocks the request. An Idempotency-Key header makes the
-	// submission replay-safe: a retry of a key the durable store already
-	// maps to an operation answers 200 with that operation instead of
-	// starting a second batch.
-	mux.HandleFunc("POST /enclaves/{name}/nodes:acquire", func(w http.ResponseWriter, r *http.Request) {
-		var req acquireRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		if req.Image == "" || req.Count < 1 {
-			writeV1Error(w, fmt.Errorf("%w: acquisition needs an image and a count >= 1", errInvalid))
-			return
-		}
-		op, replayed, err := mgr.StartAcquireIdem(r.PathValue("name"), req.Image, req.Count, r.Header.Get("Idempotency-Key"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.Header().Set("Location", prefixV1+"/operations/"+op.ID)
-		status := http.StatusAccepted
-		if replayed {
-			status = http.StatusOK
-		}
-		writeV1JSON(w, status, operationInfo(op, op.Status()))
-	})
-
-	mux.HandleFunc("DELETE /enclaves/{name}/nodes/{node}", func(w http.ResponseWriter, r *http.Request) {
-		e, err := mgr.Enclave(r.PathValue("name"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if err := e.ReleaseNode(r.PathValue("node"), r.URL.Query().Get("saveAs")); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// Operation reads serve bytes: a terminal operation is marshalled once
-	// (opWires), a running one afresh on every request.
-	var wires opWires
-	mux.HandleFunc("GET /operations", func(w http.ResponseWriter, r *http.Request) {
-		parts, err := wires.list(mgr.ListOperations())
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = writeJoined(w, true, "[", parts, ",", "]\n") // no operations is [], never null
-	})
-
-	// GET /operations/{id} polls; ?wait=1 long-polls until the
-	// operation is terminal (or the request context ends).
-	mux.HandleFunc("GET /operations/{id}", func(w http.ResponseWriter, r *http.Request) {
-		op, err := mgr.Operation(r.PathValue("id"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if !awaitIfAsked(w, r, op.Done()) {
-			return
-		}
-		b, _, err := wires.one(op)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-		_, _ = w.Write(b)
-	})
-
-	// Custom verb: POST /operations/{id}:cancel. The ServeMux wildcard
-	// spans the whole segment, so the verb is split off by hand.
-	mux.HandleFunc("POST /operations/{idverb}", func(w http.ResponseWriter, r *http.Request) {
-		id, verb, ok := strings.Cut(r.PathValue("idverb"), ":")
-		if !ok || verb != "cancel" {
-			writeV1Error(w, fmt.Errorf("%w: unknown operation verb %q", errInvalid, verb))
-			return
-		}
-		op, err := mgr.Operation(id)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		op.Cancel()
-		writeV1JSON(w, http.StatusOK, operationInfo(op, op.Status()))
-	})
-
-	// GET /operations/{id}/events streams the operation's lifecycle
-	// journal as NDJSON: replay from ?from=N, then follow live until
-	// the operation is terminal. The journal fan-out guarantees no
-	// event is lost between a snapshot and the wait for the next.
-	mux.HandleFunc("GET /operations/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		op, err := mgr.Operation(r.PathValue("id"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		cursor, err := cursorParam(r)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
-			lines, notify, terminal, err := op.LinesSince(cursor)
-			cursor += len(lines)
-			return lines, notify, terminal, err
-		})
-	})
-
-	// GET /operations/{id}/trace returns the operation's span tree as
-	// NDJSON: one root span for the operation plus one span per
-	// node × pipeline phase, each carrying start/end timestamps and any
-	// error. The tracer retains the most recent MaxRetainedOps traces;
-	// an evicted or restored-from-WAL operation answers 404.
-	mux.HandleFunc("GET /operations/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		spans, err := mgr.OperationTrace(r.PathValue("id"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = obs.WriteNDJSON(w, spans)
-	})
-
-	// --- warm-pool surface ---
-
-	// PUT /pools/{enclave} creates the enclave's warm pool or updates
-	// an existing one's policy. Body: PoolPolicyInfo; zero fields take
-	// defaults. 201 on create, 200 on update.
-	mux.HandleFunc("PUT /pools/{enclave}", func(w http.ResponseWriter, r *http.Request) {
-		var req PoolPolicyInfo
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		st, created, err := mgr.ConfigurePool(r.PathValue("enclave"), req)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusCreated
-		}
-		writeV1JSON(w, status, st)
-	})
-
-	mux.HandleFunc("GET /pools", func(w http.ResponseWriter, r *http.Request) {
-		out := []PoolInfo{} // empty list is [], never null, on the wire
-		out = append(out, mgr.ListPools()...)
-		writeV1JSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("GET /pools/{enclave}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := mgr.PoolStats(r.PathValue("enclave"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, st)
-	})
-
-	// Custom verb: POST /pools/{enclave}:drain releases every parked
-	// standby back to the free pool and idles the refiller.
-	mux.HandleFunc("POST /pools/{enclaveverb}", func(w http.ResponseWriter, r *http.Request) {
-		enclave, verb, ok := strings.Cut(r.PathValue("enclaveverb"), ":")
-		if !ok || verb != "drain" {
-			writeV1Error(w, fmt.Errorf("%w: unknown pool verb %q", errInvalid, verb))
-			return
-		}
-		st, err := mgr.DrainPool(enclave)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("DELETE /pools/{enclave}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("enclave")
-		had, err := mgr.DetachPool(name)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if !had {
-			writeV1Error(w, fmt.Errorf("%w: enclave %q has no warm pool", core.ErrNotFound, name))
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// --- tenant QoS surface: quotas + scheduler ---
-
-	// PUT /quotas/{tenant} creates or replaces a tenant's quota
-	// (weight, node cap, in-flight cap). 201 on create, 200 on update.
-	mux.HandleFunc("PUT /quotas/{tenant}", func(w http.ResponseWriter, r *http.Request) {
-		var req TenantQuotaInfo
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		st, created, err := mgr.SetQuota(r.PathValue("tenant"), req)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusCreated
-		}
-		writeV1JSON(w, status, st)
-	})
-
-	mux.HandleFunc("GET /quotas", func(w http.ResponseWriter, r *http.Request) {
-		out := []QuotaInfo{} // empty list is [], never null, on the wire
-		out = append(out, mgr.ListQuotas()...)
-		writeV1JSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("GET /quotas/{tenant}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := mgr.Quota(r.PathValue("tenant"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("DELETE /quotas/{tenant}", func(w http.ResponseWriter, r *http.Request) {
-		if err := mgr.DeleteQuota(r.PathValue("tenant")); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// GET /sched exposes the airlock scheduler: slot occupancy, queue
-	// depth, per-tenant grants/waits and preemption counters — the
-	// observability half of the fairness story.
-	mux.HandleFunc("GET /sched", func(w http.ResponseWriter, r *http.Request) {
-		writeV1JSON(w, http.StatusOK, mgr.SchedStats())
-	})
-
-	// --- resilience + degraded-mode surface ---
-
-	// GET /health is the degraded-mode snapshot: per-backend breaker
-	// states, degraded while any is open. Always 200 — the body says
-	// whether the cloud is degraded; the endpoint answering at all says
-	// the control plane is up.
-	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
-		writeV1JSON(w, http.StatusOK, mgr.Health())
-	})
-
-	// GET/PUT /resilience read and replace the cloud-wide resilience
-	// policy (retry budget, backoff, breaker thresholds, phase
-	// deadline). Zero fields in a PUT take server defaults.
-	mux.HandleFunc("GET /resilience", func(w http.ResponseWriter, r *http.Request) {
-		pol, err := mgr.ResiliencePolicyFor("")
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, pol)
-	})
-
-	mux.HandleFunc("PUT /resilience", func(w http.ResponseWriter, r *http.Request) {
-		var req ResiliencePolicyInfo
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		pol, err := mgr.ConfigureResilience("", req)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, pol)
-	})
-
-	// GET/PUT /enclaves/{name}/resilience read and set one enclave's
-	// policy override (phase deadlines act per enclave; retry and
-	// breaker parameters stay cloud-wide where the backends are
-	// wrapped).
-	mux.HandleFunc("GET /enclaves/{name}/resilience", func(w http.ResponseWriter, r *http.Request) {
-		pol, err := mgr.ResiliencePolicyFor(r.PathValue("name"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, pol)
-	})
-
-	mux.HandleFunc("PUT /enclaves/{name}/resilience", func(w http.ResponseWriter, r *http.Request) {
-		var req ResiliencePolicyInfo
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		pol, err := mgr.ConfigureResilience(r.PathValue("name"), req)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, pol)
-	})
-
-	// Custom verb: POST /enclaves/{name}/nodes/{node}:reclaim is the
-	// operator's scrub-and-return path for a rejected-pool node — after
-	// repair, the node is powered off, freed back to the provider's free
-	// pool, and the recovery journaled.
-	mux.HandleFunc("POST /enclaves/{name}/nodes/{nodeverb}", func(w http.ResponseWriter, r *http.Request) {
-		node, verb, ok := strings.Cut(r.PathValue("nodeverb"), ":")
-		if !ok || verb != "reclaim" {
-			writeV1Error(w, fmt.Errorf("%w: unknown node verb %q", errInvalid, verb))
-			return
-		}
-		if err := mgr.ReclaimNode(r.Context(), r.PathValue("name"), node); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// --- runtime attestation guard + incident response surface ---
-
-	// attachedGuard resolves an enclave's guard to the concrete type
-	// the /v1 surface serves (the manager registry is interface-typed).
-	attachedGuard := func(name string) (*guard.Guard, error) {
-		gc, ok := mgr.Guard(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: enclave %q has no guard enabled", core.ErrNotFound, name)
-		}
-		g, ok := gc.(*guard.Guard)
-		if !ok {
-			return nil, fmt.Errorf("remote: enclave %q has a non-standard guard controller", name)
-		}
-		return g, nil
-	}
-
-	// PUT /enclaves/{name}/guard enables the guard (or updates the
-	// policy of an already-enabled one). Body: GuardPolicyInfo; zero
-	// fields take defaults. Idempotent: a retried or concurrent PUT
-	// that loses the enable race degrades to a policy update.
-	mux.HandleFunc("PUT /enclaves/{name}/guard", func(w http.ResponseWriter, r *http.Request) {
-		var req GuardPolicyInfo
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeV1Error(w, fmt.Errorf("%w: %v", errInvalid, err))
-			return
-		}
-		name := r.PathValue("name")
-		if _, ok := mgr.Guard(name); !ok {
-			g, err := guard.Enable(mgr, name, req)
-			if err == nil {
-				writeV1JSON(w, http.StatusCreated, guardInfo(g))
-				return
-			}
-			if !errors.Is(err, core.ErrExists) {
-				writeV1Error(w, err)
-				return
-			}
-			// Lost an enable race; fall through to the update path.
-		}
-		g, err := attachedGuard(name)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if err := g.SetPolicy(req); err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, guardInfo(g))
-	})
-
-	mux.HandleFunc("GET /enclaves/{name}/guard", func(w http.ResponseWriter, r *http.Request) {
-		g, err := attachedGuard(r.PathValue("name"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		writeV1JSON(w, http.StatusOK, guardInfo(g))
-	})
-
-	mux.HandleFunc("DELETE /enclaves/{name}/guard", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if !mgr.DetachGuard(name) {
-			writeV1Error(w, fmt.Errorf("%w: enclave %q has no guard enabled", core.ErrNotFound, name))
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	// GET /enclaves/{name}/revocations is the wire form of the
-	// verifier's revocation feed (keylime.Verifier.Subscribe): a JSON
-	// snapshot from ?from=N, or — with ?watch=1 — an NDJSON stream that
-	// replays and then follows live.
-	mux.HandleFunc("GET /enclaves/{name}/revocations", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		cursor, err := cursorParam(r)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if r.URL.Query().Get("watch") == "" {
-			evs, _, next, err := mgr.RevocationsSince(name, cursor)
-			if err != nil {
-				writeV1Error(w, err)
-				return
-			}
-			out := []RevocationInfo{}
-			for i, ev := range evs {
-				out = append(out, revocationInfo(uint64(next-len(evs)+i+1), ev))
-			}
-			writeV1JSON(w, http.StatusOK, out)
-			return
-		}
-		// A bad name fails the first batch, which still gets the typed
-		// envelope; a later failure is the enclave deleted mid-stream.
-		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
-			evs, notify, next, err := mgr.RevocationsSince(name, cursor)
-			var lines [][]byte
-			for i, ev := range evs {
-				lines = marshalLine(lines, revocationInfo(uint64(next-len(evs)+i+1), ev))
-			}
-			cursor = next
-			return lines, notify, false, err
-		})
-	})
-
-	// GET /enclaves/{name}/events exposes the enclave lifecycle
-	// journal itself — unlike /operations/{id}/events it is not scoped
-	// to one acquisition, so runtime events (revoked, quarantined,
-	// rekeyed, healed) recorded long after a batch finished remain
-	// observable. NDJSON; ?from=N replays from a cursor, ?follow=1
-	// keeps following live.
-	mux.HandleFunc("GET /enclaves/{name}/events", func(w http.ResponseWriter, r *http.Request) {
-		e, err := mgr.Enclave(r.PathValue("name"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		cursor, err := cursorParam(r)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		follow := r.URL.Query().Get("follow") != ""
-		j := e.Journal()
-		var notify chan struct{}
-		if follow {
-			// Watch before the first read, so no event falls between a
-			// batch and the wait for the next.
-			notify = make(chan struct{}, 1)
-			defer j.Watch(func(core.Event) {
-				select {
-				case notify <- struct{}{}:
-				default:
-				}
-			})()
-		}
-		vm.serveFeed(w, r, follow, func() ([][]byte, <-chan struct{}, bool, error) {
-			lines, err := j.LinesSince(cursor)
-			cursor += len(lines)
-			return lines, notify, !follow, err
-		})
-	})
-
-	// GET /incidents lists incident resources (?enclave= filters); with
-	// ?watch=1 it becomes an NDJSON stream of incident-status updates,
-	// replaying from ?from=N and then following live. The cursor counts
-	// feed positions, so it stays meaningful with and without a filter.
-	mux.HandleFunc("GET /incidents", func(w http.ResponseWriter, r *http.Request) {
-		cursor, err := cursorParam(r)
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		enclave := r.URL.Query().Get("enclave")
-		if r.URL.Query().Get("watch") == "" {
-			out := []*IncidentInfo{} // empty list is [], never null
-			for _, inc := range mgr.ListIncidents(enclave) {
-				out = append(out, incidentInfo(inc.Status()))
-			}
-			writeV1JSON(w, http.StatusOK, out)
-			return
-		}
-		vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
-			updates, notify, next := mgr.IncidentUpdatesSince(cursor)
-			var lines [][]byte
-			for i, st := range updates {
-				if enclave != "" && st.Enclave != enclave {
-					continue // filtered out; cursor still advances
-				}
-				info := incidentInfo(st)
-				info.Seq = uint64(next - len(updates) + i + 1)
-				lines = marshalLine(lines, info)
-			}
-			cursor = next
-			return lines, notify, false, nil
-		})
-	})
-
-	// GET /incidents/{id} polls; ?wait=1 long-polls until the incident
-	// reaches a terminal state.
-	mux.HandleFunc("GET /incidents/{id}", func(w http.ResponseWriter, r *http.Request) {
-		inc, err := mgr.Incident(r.PathValue("id"))
-		if err != nil {
-			writeV1Error(w, err)
-			return
-		}
-		if !awaitIfAsked(w, r, inc.Done()) {
-			return
-		}
-		writeV1JSON(w, http.StatusOK, incidentInfo(inc.Status()))
-	})
-
 	// Per-route request latency/status wraps the whole surface; with no
 	// registry attached this returns the mux untouched.
 	return instrumentMux(mgr.Metrics(), mux)
+}
+
+// --- enclaves and acquisitions ---
+
+func (s *v1) createEnclave(r *http.Request, req createEnclaveRequest) (int, any, error) {
+	if req.Name == "" {
+		return 0, nil, fmt.Errorf("%w: enclave needs a name", errInvalid)
+	}
+	profile, ok := core.ProfileByName(req.Profile)
+	if !ok {
+		return 0, nil, fmt.Errorf("%w: unknown profile %q (want alice, bob or charlie)", errInvalid, req.Profile)
+	}
+	e, err := s.mgr.CreateEnclave(req.Name, profile)
+	if err != nil {
+		return 0, nil, err
+	}
+	return http.StatusCreated, enclaveInfo(e, nil), nil
+}
+
+func (s *v1) listEnclaves(*http.Request) (int, any, error) {
+	out := []*EnclaveInfo{} // empty list is [], never null, on the wire
+	for _, name := range s.mgr.ListEnclaves() {
+		if e, err := s.mgr.Enclave(name); err == nil {
+			out = append(out, enclaveInfo(e, s.mgr.OpenIncidentIDs(e.Project)))
+		}
+	}
+	return http.StatusOK, out, nil
+}
+
+func (s *v1) getEnclave(r *http.Request) (int, any, error) {
+	e, err := s.mgr.Enclave(r.PathValue("name"))
+	if err != nil {
+		return 0, nil, err
+	}
+	return http.StatusOK, enclaveInfo(e, s.mgr.OpenIncidentIDs(e.Project)), nil
+}
+
+func (s *v1) deleteEnclave(r *http.Request) (int, any, error) {
+	return http.StatusNoContent, nil, s.mgr.DeleteEnclave(r.PathValue("name"))
+}
+
+// acquire is the custom verb POST /enclaves/{name}/nodes:acquire: it
+// starts a batch and answers 202 with the Operation — the multi-minute
+// pipeline never blocks the request. An Idempotency-Key header makes the
+// submission replay-safe: a retry of a key the durable store already
+// maps to an operation answers 200 with that operation instead of
+// starting a second batch.
+func (s *v1) acquire(r *http.Request, req acquireRequest) (int, any, error) {
+	if req.Image == "" || req.Count < 1 {
+		return 0, nil, fmt.Errorf("%w: acquisition needs an image and a count >= 1", errInvalid)
+	}
+	op, replayed, err := s.mgr.StartAcquireIdem(r.PathValue("name"), req.Image, req.Count, r.Header.Get("Idempotency-Key"))
+	if err != nil {
+		return 0, nil, err
+	}
+	status := http.StatusAccepted
+	if replayed {
+		status = http.StatusOK
+	}
+	return status, located{at: prefixV1 + "/operations/" + op.ID, body: operationInfo(op, op.Status())}, nil
+}
+
+func (s *v1) releaseNode(r *http.Request) (int, any, error) {
+	e, err := s.mgr.Enclave(r.PathValue("name"))
+	if err != nil {
+		return 0, nil, err
+	}
+	return http.StatusNoContent, nil, e.ReleaseNode(r.PathValue("node"), r.URL.Query().Get("saveAs"))
+}
+
+// reclaimNode is the custom verb POST /enclaves/{name}/nodes/{node}:reclaim,
+// the operator's scrub-and-return path for a rejected-pool node — after
+// repair, the node is powered off, freed back to the provider's free
+// pool, and the recovery journaled.
+func (s *v1) reclaimNode(r *http.Request) (int, any, error) {
+	node, err := verb(r, "nodeverb", "reclaim", "node")
+	if err != nil {
+		return 0, nil, err
+	}
+	return http.StatusNoContent, nil, s.mgr.ReclaimNode(r.Context(), r.PathValue("name"), node)
+}
+
+// --- operations ---
+//
+// Operation reads serve bytes: a terminal operation is marshalled once
+// (opWires), a running one afresh on every request.
+
+func (s *v1) listOperations(w http.ResponseWriter, r *http.Request) {
+	parts, err := s.wires.list(s.mgr.ListOperations())
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = writeJoined(w, true, "[", parts, ",", "]\n") // no operations is [], never null
+}
+
+// getOperation polls; ?wait=1 long-polls until the operation is terminal
+// (or the request context ends).
+func (s *v1) getOperation(w http.ResponseWriter, r *http.Request) {
+	op, err := s.mgr.Operation(r.PathValue("id"))
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	if !awaitIfAsked(w, r, op.Done()) {
+		return
+	}
+	b, _, err := s.wires.one(op)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
+}
+
+// cancelOperation is the custom verb POST /operations/{id}:cancel.
+func (s *v1) cancelOperation(r *http.Request) (int, any, error) {
+	id, err := verb(r, "idverb", "cancel", "operation")
+	if err != nil {
+		return 0, nil, err
+	}
+	op, err := s.mgr.Operation(id)
+	if err != nil {
+		return 0, nil, err
+	}
+	op.Cancel()
+	return http.StatusOK, operationInfo(op, op.Status()), nil
+}
+
+// operationEvents streams the operation's lifecycle journal as NDJSON:
+// replay from ?from=N, then follow live until the operation is terminal.
+// The journal fan-out guarantees no event is lost between a snapshot and
+// the wait for the next.
+func (s *v1) operationEvents(w http.ResponseWriter, r *http.Request) {
+	op, err := s.mgr.Operation(r.PathValue("id"))
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	cursor, err := cursorParam(r)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	s.vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
+		lines, notify, terminal, err := op.LinesSince(cursor)
+		cursor += len(lines)
+		return lines, notify, terminal, err
+	})
+}
+
+// operationTrace returns the operation's span tree as NDJSON: one root
+// span for the operation plus one span per node × pipeline phase, each
+// carrying start/end timestamps and any error. The tracer retains the
+// most recent MaxRetainedOps traces; an evicted or restored-from-WAL
+// operation answers 404.
+func (s *v1) operationTrace(w http.ResponseWriter, r *http.Request) {
+	spans, err := s.mgr.OperationTrace(r.PathValue("id"))
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_ = obs.WriteNDJSON(w, spans)
+}
+
+// --- warm pools ---
+
+// putPool creates the enclave's warm pool or updates an existing one's
+// policy; zero fields take defaults. 201 on create, 200 on update.
+func (s *v1) putPool(r *http.Request, req PoolPolicyInfo) (int, any, error) {
+	st, created, err := s.mgr.ConfigurePool(r.PathValue("enclave"), req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return createdOr200(created), st, nil
+}
+
+func (s *v1) listPools(*http.Request) (int, any, error) {
+	// empty list is [], never null, on the wire
+	return http.StatusOK, append([]PoolInfo{}, s.mgr.ListPools()...), nil
+}
+
+func (s *v1) getPool(r *http.Request) (int, any, error) {
+	st, err := s.mgr.PoolStats(r.PathValue("enclave"))
+	return http.StatusOK, st, err
+}
+
+// drainPool is the custom verb POST /pools/{enclave}:drain: it releases
+// every parked standby back to the free pool and idles the refiller.
+func (s *v1) drainPool(r *http.Request) (int, any, error) {
+	enclave, err := verb(r, "enclaveverb", "drain", "pool")
+	if err != nil {
+		return 0, nil, err
+	}
+	st, err := s.mgr.DrainPool(enclave)
+	return http.StatusOK, st, err
+}
+
+func (s *v1) deletePool(r *http.Request) (int, any, error) {
+	name := r.PathValue("enclave")
+	had, err := s.mgr.DetachPool(name)
+	if err == nil && !had {
+		err = fmt.Errorf("%w: enclave %q has no warm pool", core.ErrNotFound, name)
+	}
+	return http.StatusNoContent, nil, err
+}
+
+// --- tenant QoS: quotas and the scheduler ---
+
+// putQuota creates or replaces a tenant's quota (weight, node cap,
+// in-flight cap). 201 on create, 200 on update.
+func (s *v1) putQuota(r *http.Request, req TenantQuotaInfo) (int, any, error) {
+	st, created, err := s.mgr.SetQuota(r.PathValue("tenant"), req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return createdOr200(created), st, nil
+}
+
+func (s *v1) listQuotas(*http.Request) (int, any, error) {
+	// empty list is [], never null, on the wire
+	return http.StatusOK, append([]QuotaInfo{}, s.mgr.ListQuotas()...), nil
+}
+
+func (s *v1) getQuota(r *http.Request) (int, any, error) {
+	st, err := s.mgr.Quota(r.PathValue("tenant"))
+	return http.StatusOK, st, err
+}
+
+func (s *v1) deleteQuota(r *http.Request) (int, any, error) {
+	return http.StatusNoContent, nil, s.mgr.DeleteQuota(r.PathValue("tenant"))
+}
+
+// sched exposes the airlock scheduler: slot occupancy, queue depth,
+// per-tenant grants/waits and preemption counters — the observability
+// half of the fairness story.
+func (s *v1) sched(*http.Request) (int, any, error) {
+	return http.StatusOK, s.mgr.SchedStats(), nil
+}
+
+// --- resilience and degraded mode ---
+
+// health is the degraded-mode snapshot: per-backend breaker states,
+// degraded while any is open. Always 200 — the body says whether the
+// cloud is degraded; the endpoint answering at all says the control
+// plane is up.
+func (s *v1) health(*http.Request) (int, any, error) {
+	return http.StatusOK, s.mgr.Health(), nil
+}
+
+// getResilience and putResilience read and replace a resilience policy
+// (retry budget, backoff, breaker thresholds, phase deadline): the
+// cloud-wide one on /resilience, where there is no {name}, and one
+// enclave's override on /enclaves/{name}/resilience (phase deadlines act
+// per enclave; retry and breaker parameters stay cloud-wide where the
+// backends are wrapped). Zero fields in a PUT take server defaults.
+func (s *v1) getResilience(r *http.Request) (int, any, error) {
+	pol, err := s.mgr.ResiliencePolicyFor(r.PathValue("name"))
+	return http.StatusOK, pol, err
+}
+
+func (s *v1) putResilience(r *http.Request, req ResiliencePolicyInfo) (int, any, error) {
+	pol, err := s.mgr.ConfigureResilience(r.PathValue("name"), req)
+	return http.StatusOK, pol, err
+}
+
+// --- runtime attestation guard and incident response ---
+
+// attachedGuard resolves an enclave's guard to the concrete type the /v1
+// surface serves (the manager registry is interface-typed).
+func (s *v1) attachedGuard(name string) (*guard.Guard, error) {
+	gc, ok := s.mgr.Guard(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: enclave %q has no guard enabled", core.ErrNotFound, name)
+	}
+	g, ok := gc.(*guard.Guard)
+	if !ok {
+		return nil, fmt.Errorf("remote: enclave %q has a non-standard guard controller", name)
+	}
+	return g, nil
+}
+
+// putGuard enables the guard (or updates the policy of an already-enabled
+// one); zero fields take defaults. Idempotent: a retried or concurrent
+// PUT that loses the enable race degrades to a policy update.
+func (s *v1) putGuard(r *http.Request, req GuardPolicyInfo) (int, any, error) {
+	name := r.PathValue("name")
+	if _, ok := s.mgr.Guard(name); !ok {
+		g, err := guard.Enable(s.mgr, name, req)
+		if err == nil {
+			return http.StatusCreated, g.Status(), nil
+		}
+		if !errors.Is(err, core.ErrExists) {
+			return 0, nil, err
+		}
+		// Lost an enable race; fall through to the update path.
+	}
+	g, err := s.attachedGuard(name)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := g.SetPolicy(req); err != nil {
+		return 0, nil, err
+	}
+	return http.StatusOK, g.Status(), nil
+}
+
+func (s *v1) getGuard(r *http.Request) (int, any, error) {
+	g, err := s.attachedGuard(r.PathValue("name"))
+	if err != nil {
+		return 0, nil, err
+	}
+	return http.StatusOK, g.Status(), nil
+}
+
+func (s *v1) deleteGuard(r *http.Request) (int, any, error) {
+	name := r.PathValue("name")
+	if !s.mgr.DetachGuard(name) {
+		return 0, nil, fmt.Errorf("%w: enclave %q has no guard enabled", core.ErrNotFound, name)
+	}
+	return http.StatusNoContent, nil, nil
+}
+
+// revocations is the wire form of the verifier's revocation feed
+// (keylime.Verifier.Subscribe): a JSON snapshot from ?from=N, or — with
+// ?watch=1 — an NDJSON stream that replays and then follows live.
+func (s *v1) revocations(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("watch") == "" {
+		handlerFunc(s.listRevocations).ServeHTTP(w, r)
+		return
+	}
+	name := r.PathValue("name")
+	cursor, err := cursorParam(r)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	// A bad name fails the first batch, which still gets the typed
+	// envelope; a later failure is the enclave deleted mid-stream.
+	s.vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
+		evs, notify, next, err := s.mgr.RevocationsSince(name, cursor)
+		var lines [][]byte
+		for i, ev := range evs {
+			lines = marshalLine(lines, revocationInfo(uint64(next-len(evs)+i+1), ev))
+		}
+		cursor = next
+		return lines, notify, false, err
+	})
+}
+
+func (s *v1) listRevocations(r *http.Request) (int, any, error) {
+	cursor, err := cursorParam(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	evs, _, next, err := s.mgr.RevocationsSince(r.PathValue("name"), cursor)
+	if err != nil {
+		return 0, nil, err
+	}
+	out := []RevocationInfo{}
+	for i, ev := range evs {
+		out = append(out, revocationInfo(uint64(next-len(evs)+i+1), ev))
+	}
+	return http.StatusOK, out, nil
+}
+
+// enclaveEvents exposes the enclave lifecycle journal itself — unlike
+// /operations/{id}/events it is not scoped to one acquisition, so runtime
+// events (revoked, quarantined, rekeyed, healed) recorded long after a
+// batch finished remain observable. NDJSON; ?from=N replays from a
+// cursor, ?follow=1 keeps following live.
+func (s *v1) enclaveEvents(w http.ResponseWriter, r *http.Request) {
+	e, err := s.mgr.Enclave(r.PathValue("name"))
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	cursor, err := cursorParam(r)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	follow := r.URL.Query().Get("follow") != ""
+	j := e.Journal()
+	var notify chan struct{}
+	if follow {
+		// Watch before the first read, so no event falls between a
+		// batch and the wait for the next.
+		notify = make(chan struct{}, 1)
+		defer j.Watch(func(core.Event) {
+			select {
+			case notify <- struct{}{}:
+			default:
+			}
+		})()
+	}
+	s.vm.serveFeed(w, r, follow, func() ([][]byte, <-chan struct{}, bool, error) {
+		lines, err := j.LinesSince(cursor)
+		cursor += len(lines)
+		return lines, notify, !follow, err
+	})
+}
+
+// incidents lists incident resources (?enclave= filters); with ?watch=1
+// it becomes an NDJSON stream of incident-status updates, replaying from
+// ?from=N and then following live. The cursor counts feed positions, so
+// it stays meaningful with and without a filter.
+func (s *v1) incidents(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("watch") == "" {
+		handlerFunc(s.listIncidents).ServeHTTP(w, r)
+		return
+	}
+	cursor, err := cursorParam(r)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	enclave := r.URL.Query().Get("enclave")
+	s.vm.serveFeed(w, r, true, func() ([][]byte, <-chan struct{}, bool, error) {
+		updates, notify, next := s.mgr.IncidentUpdatesSince(cursor)
+		var lines [][]byte
+		for i, st := range updates {
+			if enclave != "" && st.Enclave != enclave {
+				continue // filtered out; cursor still advances
+			}
+			info := incidentInfo(st)
+			info.Seq = uint64(next - len(updates) + i + 1)
+			lines = marshalLine(lines, info)
+		}
+		cursor = next
+		return lines, notify, false, nil
+	})
+}
+
+func (s *v1) listIncidents(r *http.Request) (int, any, error) {
+	if _, err := cursorParam(r); err != nil {
+		return 0, nil, err
+	}
+	out := []*IncidentInfo{} // empty list is [], never null
+	for _, inc := range s.mgr.ListIncidents(r.URL.Query().Get("enclave")) {
+		out = append(out, incidentInfo(inc.Status()))
+	}
+	return http.StatusOK, out, nil
+}
+
+// getIncident polls; ?wait=1 long-polls until the incident reaches a
+// terminal state.
+func (s *v1) getIncident(w http.ResponseWriter, r *http.Request) {
+	inc, err := s.mgr.Incident(r.PathValue("id"))
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	if !awaitIfAsked(w, r, inc.Done()) {
+		return
+	}
+	httpjson.Reply(w, http.StatusOK, incidentInfo(inc.Status()))
 }
 
 // cursorParam parses the replay cursor: ?from=N (0-based feed

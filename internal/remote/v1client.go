@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -18,6 +17,7 @@ import (
 
 	"bolted/internal/core"
 	"bolted/internal/hil"
+	"bolted/internal/httpjson"
 	"bolted/internal/obs"
 )
 
@@ -110,31 +110,19 @@ func (c *V1Client) SetMetrics(reg *obs.Registry) {
 // (the /v1 prefix is implied). It shares the package's pooled
 // transport, so polling loops and event streams reuse connections.
 func NewV1Client(serverURL string) *V1Client {
-	return &V1Client{base: trimBase(serverURL) + prefixV1, http: sharedHTTPClient}
-}
-
-func trimBase(u string) string {
-	for len(u) > 0 && u[len(u)-1] == '/' {
-		u = u[:len(u)-1]
-	}
-	return u
+	return &V1Client{base: strings.TrimRight(serverURL, "/") + prefixV1, http: sharedHTTPClient}
 }
 
 // decodeV1Error turns a non-2xx response into the sentinel the server
 // mapped from, so client code branches with errors.Is exactly as it
-// would in process.
-func decodeV1Error(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+// would in process. It is the httpjson.ErrorFunc of every /v1 call.
+func decodeV1Error(resp *http.Response, body []byte) error {
 	var env errorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
 		// Not boltedd's typed envelope: something between the client
 		// and the server answered (proxy 502, LB error page). Surface
 		// it as a typed transport error, not an anonymous string.
-		b := bytes.TrimSpace(body)
-		if len(b) > 256 {
-			b = b[:256]
-		}
-		return &TransportError{StatusCode: resp.StatusCode, Status: resp.Status, Body: string(b)}
+		return &TransportError{StatusCode: resp.StatusCode, Status: resp.Status, Body: string(body[:min(len(body), 256)])}
 	}
 	msg := env.Error.Message
 	wrap := func(sentinel error) error {
@@ -159,26 +147,12 @@ func decodeV1Error(resp *http.Response) error {
 	case codeExhausted:
 		// Rebuild the QuotaError so errors.Is(err, core.ErrOverQuota)
 		// works and the Retry-After hint survives the wire.
-		retry := core.DefaultRetryAfter
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-				retry = time.Duration(secs) * time.Second
-			}
-		}
-		detail := msg
-		if rest, ok := strings.CutPrefix(msg, core.ErrOverQuota.Error()+": "); ok {
-			detail = rest
-		}
-		return &core.QuotaError{Detail: detail, RetryAfter: retry}
+		detail := strings.TrimPrefix(msg, core.ErrOverQuota.Error()+": ")
+		return &core.QuotaError{Detail: detail, RetryAfter: retryAfter(resp, core.DefaultRetryAfter)}
 	case codeUnavailable:
 		// Rebuild the DegradedError so errors.Is(err, core.ErrDegraded)
 		// works and the Retry-After hint survives the wire.
-		de := &core.DegradedError{RetryAfter: time.Second}
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-				de.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
+		de := &core.DegradedError{RetryAfter: retryAfter(resp, time.Second)}
 		if rest, ok := strings.CutPrefix(msg, core.ErrDegraded.Error()+": "); ok {
 			if b, _, found := strings.Cut(rest, " "); found || b != "" {
 				de.Backend = b
@@ -188,6 +162,15 @@ func decodeV1Error(resp *http.Response) error {
 	default:
 		return fmt.Errorf("remote: %s: %s", env.Error.Code, msg)
 	}
+}
+
+// retryAfter reads the server's back-off hint (whole seconds); def when
+// the header is absent or malformed.
+func retryAfter(resp *http.Response, def time.Duration) time.Duration {
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+		return time.Duration(secs) * time.Second
+	}
+	return def
 }
 
 // Quota-retry defaults: how many times do re-sends a 429-rejected
@@ -211,19 +194,16 @@ func (c *V1Client) do(ctx context.Context, method, path string, body, out interf
 // (idempotent replay) vs 202 (new operation). Quota retries re-send the
 // same headers, so a retried acquisition keeps its key.
 func (c *V1Client) doHdr(ctx context.Context, method, path string, hdr http.Header, body, out interface{}) (int, error) {
-	var b []byte
-	if body != nil {
-		var err error
-		if b, err = json.Marshal(body); err != nil {
-			return 0, err
-		}
+	b, err := httpjson.Marshal(body)
+	if err != nil {
+		return 0, err
 	}
 	retries := defaultQuotaRetries
 	if c.MaxQuotaRetries != nil {
 		retries = *c.MaxQuotaRetries
 	}
 	for attempt := 0; ; attempt++ {
-		status, err := c.doOnce(ctx, method, path, hdr, b, out)
+		status, err := httpjson.CallRaw(ctx, c.http, method, c.base+path, hdr, b, out, decodeV1Error)
 		var qe *core.QuotaError
 		if err == nil || !errors.As(err, &qe) || attempt >= retries {
 			return status, err
@@ -251,83 +231,39 @@ func (c *V1Client) doHdr(ctx context.Context, method, path string, hdr http.Head
 	}
 }
 
-// doOnce is one HTTP round trip of do.
-func (c *V1Client) doOnce(ctx context.Context, method, path string, hdr http.Header, body []byte, out interface{}) (int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// call is do for the methods that return the one resource the reply
+// carries.
+func call[T any](ctx context.Context, c *V1Client, method, path string, body any) (*T, error) {
+	var out T
+	if err := c.do(ctx, method, path, body, &out); err != nil {
+		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return 0, err
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	if rd != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return resp.StatusCode, decodeV1Error(resp)
-	}
-	if out != nil {
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body) // keep the connection reusable
-	return resp.StatusCode, nil
+	return &out, nil
 }
 
-// get is one GET whose 2xx response the caller reads itself (and closes);
-// anything else comes back as the typed error.
-func (c *V1Client) get(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.base+path, nil)
+// list is a GET whose reply is an array of T.
+func list[T any](ctx context.Context, c *V1Client, path string) ([]T, error) {
+	out, err := call[[]T](ctx, c, "GET", path, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		defer resp.Body.Close()
-		return nil, decodeV1Error(resp)
-	}
-	return resp, nil
+	return *out, nil
 }
 
 // CreateEnclave creates a named enclave under a profile ("alice",
 // "bob" or "charlie").
 func (c *V1Client) CreateEnclave(ctx context.Context, name, profile string) (*EnclaveInfo, error) {
-	var info EnclaveInfo
-	if err := c.do(ctx, "POST", "/enclaves", createEnclaveRequest{Name: name, Profile: profile}, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[EnclaveInfo](ctx, c, "POST", "/enclaves", createEnclaveRequest{Name: name, Profile: profile})
 }
 
 // ListEnclaves returns every enclave resource.
 func (c *V1Client) ListEnclaves(ctx context.Context) ([]*EnclaveInfo, error) {
-	var out []*EnclaveInfo
-	if err := c.do(ctx, "GET", "/enclaves", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return list[*EnclaveInfo](ctx, c, "/enclaves")
 }
 
 // GetEnclave returns one enclave resource.
 func (c *V1Client) GetEnclave(ctx context.Context, name string) (*EnclaveInfo, error) {
-	var info EnclaveInfo
-	if err := c.do(ctx, "GET", "/enclaves/"+url.PathEscape(name), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[EnclaveInfo](ctx, c, "GET", "/enclaves/"+url.PathEscape(name), nil)
 }
 
 // DeleteEnclave releases every node and removes the enclave. It fails
@@ -381,7 +317,7 @@ func (c *V1Client) ReleaseNode(ctx context.Context, enclave, node, saveAs string
 // the caller gets the *OperationInfo it got last time. The memo is rebuilt
 // from each reply, so it never holds more than the list does.
 func (c *V1Client) ListOperations(ctx context.Context) ([]*OperationInfo, error) {
-	resp, err := c.get(ctx, "/operations")
+	resp, err := httpjson.Do(ctx, c.http, "GET", c.base+"/operations", nil, nil, decodeV1Error)
 	if err != nil {
 		return nil, err
 	}
@@ -478,32 +414,20 @@ func splitArray(b []byte) ([][]byte, error) {
 
 // GetOperation polls an operation.
 func (c *V1Client) GetOperation(ctx context.Context, id string) (*OperationInfo, error) {
-	var info OperationInfo
-	if err := c.do(ctx, "GET", "/operations/"+url.PathEscape(id), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[OperationInfo](ctx, c, "GET", "/operations/"+url.PathEscape(id), nil)
 }
 
 // WaitOperation blocks (server-side long poll) until the operation is
 // terminal and returns its final state.
 func (c *V1Client) WaitOperation(ctx context.Context, id string) (*OperationInfo, error) {
-	var info OperationInfo
-	if err := c.do(ctx, "GET", "/operations/"+url.PathEscape(id)+"?wait=1", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[OperationInfo](ctx, c, "GET", "/operations/"+url.PathEscape(id)+"?wait=1", nil)
 }
 
 // CancelOperation asks the batch to stop at the next phase boundary;
 // unfinished nodes return to the free pool. The returned snapshot is
 // immediate — wait for the terminal state to observe the cleanup.
 func (c *V1Client) CancelOperation(ctx context.Context, id string) (*OperationInfo, error) {
-	var info OperationInfo
-	if err := c.do(ctx, "POST", "/operations/"+url.PathEscape(id)+":cancel", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[OperationInfo](ctx, c, "POST", "/operations/"+url.PathEscape(id)+":cancel", nil)
 }
 
 // OperationTrace fetches an operation's span tree — the operation root
@@ -538,7 +462,7 @@ var scanBufs = sync.Pool{New: func() any { b := make([]byte, 0, 64*1024); return
 // calling fn until the stream ends (nil), fn errors (returned as-is),
 // or ctx ends.
 func streamNDJSON[T any](ctx context.Context, c *V1Client, path string, fn func(T) error) error {
-	resp, err := c.get(ctx, path)
+	resp, err := httpjson.Do(ctx, c.http, "GET", c.base+path, nil, nil, decodeV1Error)
 	if err != nil {
 		return err
 	}
@@ -566,40 +490,24 @@ func streamNDJSON[T any](ctx context.Context, c *V1Client, path string, fn func(
 // ConfigurePool creates an enclave's warm pool or updates an existing
 // one's policy. Zero policy fields take server-side defaults.
 func (c *V1Client) ConfigurePool(ctx context.Context, enclave string, p PoolPolicyInfo) (*PoolInfo, error) {
-	var info PoolInfo
-	if err := c.do(ctx, "PUT", "/pools/"+url.PathEscape(enclave), p, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[PoolInfo](ctx, c, "PUT", "/pools/"+url.PathEscape(enclave), p)
 }
 
 // ListPools returns every configured warm pool's stats.
 func (c *V1Client) ListPools(ctx context.Context) ([]*PoolInfo, error) {
-	var out []*PoolInfo
-	if err := c.do(ctx, "GET", "/pools", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return list[*PoolInfo](ctx, c, "/pools")
 }
 
 // GetPool returns an enclave's warm-pool stats (core.ErrNotFound when
 // no pool is configured).
 func (c *V1Client) GetPool(ctx context.Context, enclave string) (*PoolInfo, error) {
-	var info PoolInfo
-	if err := c.do(ctx, "GET", "/pools/"+url.PathEscape(enclave), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[PoolInfo](ctx, c, "GET", "/pools/"+url.PathEscape(enclave), nil)
 }
 
 // DrainPool releases every parked standby back to the provider's free
 // pool and idles the refiller (the policy's Target drops to 0).
 func (c *V1Client) DrainPool(ctx context.Context, enclave string) (*PoolInfo, error) {
-	var info PoolInfo
-	if err := c.do(ctx, "POST", "/pools/"+url.PathEscape(enclave)+":drain", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[PoolInfo](ctx, c, "POST", "/pools/"+url.PathEscape(enclave)+":drain", nil)
 }
 
 // DeletePool stops and removes an enclave's warm pool entirely.
@@ -611,21 +519,13 @@ func (c *V1Client) DeletePool(ctx context.Context, enclave string) error {
 // updates the policy of an already-enabled guard). Zero policy fields
 // take server-side defaults.
 func (c *V1Client) EnableGuard(ctx context.Context, enclave string, p GuardPolicyInfo) (*GuardInfo, error) {
-	var info GuardInfo
-	if err := c.do(ctx, "PUT", "/enclaves/"+url.PathEscape(enclave)+"/guard", p, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[GuardInfo](ctx, c, "PUT", "/enclaves/"+url.PathEscape(enclave)+"/guard", p)
 }
 
 // GetGuard returns an enclave's guard status (core.ErrNotFound when no
 // guard is enabled).
 func (c *V1Client) GetGuard(ctx context.Context, enclave string) (*GuardInfo, error) {
-	var info GuardInfo
-	if err := c.do(ctx, "GET", "/enclaves/"+url.PathEscape(enclave)+"/guard", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[GuardInfo](ctx, c, "GET", "/enclaves/"+url.PathEscape(enclave)+"/guard", nil)
 }
 
 // DisableGuard stops and detaches an enclave's guard.
@@ -640,30 +540,18 @@ func (c *V1Client) ListIncidents(ctx context.Context, enclave string) ([]*Incide
 	if enclave != "" {
 		path += "?enclave=" + url.QueryEscape(enclave)
 	}
-	var out []*IncidentInfo
-	if err := c.do(ctx, "GET", path, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return list[*IncidentInfo](ctx, c, path)
 }
 
 // GetIncident polls an incident.
 func (c *V1Client) GetIncident(ctx context.Context, id string) (*IncidentInfo, error) {
-	var info IncidentInfo
-	if err := c.do(ctx, "GET", "/incidents/"+url.PathEscape(id), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[IncidentInfo](ctx, c, "GET", "/incidents/"+url.PathEscape(id), nil)
 }
 
 // WaitIncident blocks (server-side long poll) until the incident is
 // terminal and returns its final state.
 func (c *V1Client) WaitIncident(ctx context.Context, id string) (*IncidentInfo, error) {
-	var info IncidentInfo
-	if err := c.do(ctx, "GET", "/incidents/"+url.PathEscape(id)+"?wait=1", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[IncidentInfo](ctx, c, "GET", "/incidents/"+url.PathEscape(id)+"?wait=1", nil)
 }
 
 // StreamIncidents follows the server-wide incident feed from update
@@ -677,12 +565,7 @@ func (c *V1Client) StreamIncidents(ctx context.Context, from int, fn func(Incide
 // index `from` — the wire equivalent of keylime.Verifier.Subscribe for
 // tenants that poll.
 func (c *V1Client) Revocations(ctx context.Context, enclave string, from int) ([]RevocationInfo, error) {
-	var out []RevocationInfo
-	path := "/enclaves/" + url.PathEscape(enclave) + "/revocations?from=" + strconv.Itoa(from)
-	if err := c.do(ctx, "GET", path, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return list[RevocationInfo](ctx, c, "/enclaves/"+url.PathEscape(enclave)+"/revocations?from="+strconv.Itoa(from))
 }
 
 // StreamRevocations follows an enclave's revocation feed live from
@@ -708,31 +591,19 @@ func (c *V1Client) EnclaveEvents(ctx context.Context, enclave string, from int, 
 // weighted-fair share plus optional hard caps on nodes and in-flight
 // acquires. Returns the resulting status.
 func (c *V1Client) SetQuota(ctx context.Context, tenant string, q TenantQuotaInfo) (*QuotaInfo, error) {
-	var info QuotaInfo
-	if err := c.do(ctx, "PUT", "/quotas/"+url.PathEscape(tenant), q, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[QuotaInfo](ctx, c, "PUT", "/quotas/"+url.PathEscape(tenant), q)
 }
 
 // GetQuota returns a tenant's quota and current usage
 // (core.ErrNotFound when no quota is set for the tenant).
 func (c *V1Client) GetQuota(ctx context.Context, tenant string) (*QuotaInfo, error) {
-	var info QuotaInfo
-	if err := c.do(ctx, "GET", "/quotas/"+url.PathEscape(tenant), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[QuotaInfo](ctx, c, "GET", "/quotas/"+url.PathEscape(tenant), nil)
 }
 
 // ListQuotas returns every configured tenant quota with usage, sorted
 // by tenant.
 func (c *V1Client) ListQuotas(ctx context.Context) ([]QuotaInfo, error) {
-	var out []QuotaInfo
-	if err := c.do(ctx, "GET", "/quotas", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return list[QuotaInfo](ctx, c, "/quotas")
 }
 
 // DeleteQuota removes a tenant's quota; the tenant falls back to the
@@ -745,11 +616,7 @@ func (c *V1Client) DeleteQuota(ctx context.Context, tenant string) error {
 // slot occupancy, queue depth, grant and preemption counters, and
 // per-tenant shares.
 func (c *V1Client) SchedStats(ctx context.Context) (*SchedInfo, error) {
-	var info SchedInfo
-	if err := c.do(ctx, "GET", "/sched", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[SchedInfo](ctx, c, "GET", "/sched", nil)
 }
 
 // Health returns the cloud's degraded-mode snapshot: per-backend
@@ -757,41 +624,28 @@ func (c *V1Client) SchedStats(ctx context.Context) (*SchedInfo, error) {
 // itself succeeding says the control plane is reachable; the body says
 // whether its backends are.
 func (c *V1Client) Health(ctx context.Context) (*HealthInfo, error) {
-	var info HealthInfo
-	if err := c.do(ctx, "GET", "/health", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[HealthInfo](ctx, c, "GET", "/health", nil)
 }
 
 // GetResilience returns the effective resilience policy: the cloud-wide
 // one for an empty enclave name, an enclave's override (falling back to
 // cloud-wide) otherwise.
 func (c *V1Client) GetResilience(ctx context.Context, enclave string) (*ResiliencePolicyInfo, error) {
-	path := "/resilience"
-	if enclave != "" {
-		path = "/enclaves/" + url.PathEscape(enclave) + "/resilience"
+	return call[ResiliencePolicyInfo](ctx, c, "GET", resiliencePath(enclave), nil)
+}
+
+func resiliencePath(enclave string) string {
+	if enclave == "" {
+		return "/resilience"
 	}
-	var pol ResiliencePolicyInfo
-	if err := c.do(ctx, "GET", path, nil, &pol); err != nil {
-		return nil, err
-	}
-	return &pol, nil
+	return "/enclaves/" + url.PathEscape(enclave) + "/resilience"
 }
 
 // SetResilience replaces the cloud-wide resilience policy (empty
 // enclave name) or installs a per-enclave override. Zero fields take
 // server-side defaults; the applied, defaults-filled policy comes back.
 func (c *V1Client) SetResilience(ctx context.Context, enclave string, pol ResiliencePolicyInfo) (*ResiliencePolicyInfo, error) {
-	path := "/resilience"
-	if enclave != "" {
-		path = "/enclaves/" + url.PathEscape(enclave) + "/resilience"
-	}
-	var out ResiliencePolicyInfo
-	if err := c.do(ctx, "PUT", path, pol, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[ResiliencePolicyInfo](ctx, c, "PUT", resiliencePath(enclave), pol)
 }
 
 // ReclaimNode scrubs a rejected-pool node and returns it to the
