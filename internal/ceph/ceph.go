@@ -12,11 +12,13 @@
 package ceph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"bolted/internal/blockdev"
@@ -72,18 +74,23 @@ func (c *Cluster) Replication() int { return c.replication }
 // placement returns the OSDs holding an object, primary first, via
 // rendezvous (highest-random-weight) hashing: deterministic, uniform,
 // and minimally disruptive on membership change — the properties CRUSH
-// provides.
+// provides. An OSD's score hashes the key "<name>|osd<ID>", built in one
+// reused buffer.
 func (c *Cluster) placement(name string) []*OSD {
 	type scored struct {
 		osd   *OSD
 		score uint64
 	}
 	scores := make([]scored, len(c.osds))
+	var buf [128]byte
+	key := append(append(buf[:0], name...), "|osd"...)
+	prefix := len(key)
 	for i, o := range c.osds {
-		h := sha256.Sum256([]byte(fmt.Sprintf("%s|osd%d", name, o.ID)))
+		key = strconv.AppendInt(key[:prefix], int64(o.ID), 10)
+		h := sha256.Sum256(key)
 		scores[i] = scored{o, binary.BigEndian.Uint64(h[:8])}
 	}
-	sort.Slice(scores, func(i, j int) bool { return scores[i].score > scores[j].score })
+	slices.SortFunc(scores, func(a, b scored) int { return cmp.Compare(b.score, a.score) })
 	out := make([]*OSD, c.replication)
 	for i := range out {
 		out[i] = scores[i].osd

@@ -62,16 +62,27 @@ func (a *Agent) checkPath(peerPort string) error {
 	return a.fabric.CheckReachable(a.Port(), peerPort)
 }
 
-// RegisterWith performs the full enrolment dance against a registrar
-// reachable on registrarPort: submit EK+AIK, activate the returned
-// credential in the TPM, return the proof. The registrar may be
-// in-process or a RegistrarClient for a remote enrolment endpoint.
+// RegisterWith enrols the agent with a registrar reachable on
+// registrarPort. The registrar may be in-process or a RegistrarClient
+// for a remote enrolment endpoint.
+//
+// A TPM's EK and AIK survive a reboot, so a node the registrar already
+// certifies needs no new proof that they share a TPM: when the
+// registrar holds an activated entry for this uuid whose AIK and EK
+// both equal this TPM's, nothing is written. Any other answer — unknown
+// agent, not activated, a lookup fault, a different key — runs the full
+// enrolment: submit EK+AIK, activate the returned credential in the
+// TPM, return the proof. Attestation is not affected: every acquisition
+// still verifies a fresh-nonce quote against the certified AIK.
 func (a *Agent) RegisterWith(ctx context.Context, r RegistrarConn, registrarPort string) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("keylime: %w", err)
 	}
 	if err := a.checkPath(registrarPort); err != nil {
 		return fmt.Errorf("keylime: agent cannot reach registrar: %w", err)
+	}
+	if a.certified(r) {
+		return nil
 	}
 	blob, err := r.Register(a.uuid, a.EKPublic(), a.AIKPublic())
 	if err != nil {
@@ -82,6 +93,17 @@ func (a *Agent) RegisterWith(ctx context.Context, r RegistrarConn, registrarPort
 		return fmt.Errorf("keylime: credential activation failed: %w", err)
 	}
 	return r.Activate(a.uuid, activationProof(secret, a.uuid))
+}
+
+// certified reports whether r already certifies this TPM's AIK and EK
+// under the agent's uuid. The EK is looked up only if the AIK matches.
+func (a *Agent) certified(r RegistrarConn) bool {
+	aik, err := r.AIK(a.uuid)
+	if err != nil || aik == nil || !aik.Equal(a.AIKPublic()) {
+		return false
+	}
+	ek, err := r.EK(a.uuid)
+	return err == nil && ek != nil && ek.Equal(a.EKPublic())
 }
 
 // Quote produces a TPM quote for a verifier-chosen nonce, over the boot

@@ -48,8 +48,12 @@ func NewRegistrar() *Registrar {
 }
 
 // Register begins enrolment of an agent's keys and returns the
-// credential blob challenge. Re-registration (e.g. after reboot with a
-// new AIK) restarts the binding from scratch.
+// credential blob challenge. Agent.RegisterWith calls it on a node's
+// first boot and whenever the registrar does not already certify that
+// TPM's AIK and EK (a new AIK, a swapped TPM, an entry never
+// activated); a reboot of a certified node does not. Re-registration
+// replaces the entry and restarts the binding from scratch: the AIK is
+// uncertified until the new credential is activated.
 func (r *Registrar) Register(uuid string, ekPub *ecdh.PublicKey, aikPub *ecdsa.PublicKey) (*tpm.CredentialBlob, error) {
 	if uuid == "" || ekPub == nil || aikPub == nil {
 		return nil, errors.New("keylime: registration needs uuid, EK and AIK")
