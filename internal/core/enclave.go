@@ -70,8 +70,8 @@ type Enclave struct {
 	pool   *WarmPool
 
 	// bannedWarm records standbys revoked in the window between being
-	// taken from the pool and admission; the fast path consults it
-	// before a banned node can become a member (pool.go).
+	// taken from the pool and admission; the walk's gates consult it
+	// before a banned node can become a member (provisioner.go).
 	banMu      sync.Mutex
 	bannedWarm map[string]string
 
@@ -250,37 +250,34 @@ func (e *Enclave) AcquireNode(ctx context.Context, image string) (*Node, error) 
 	return nil, fmt.Errorf("core: node %s failed %s phase, moved to rejected pool: %w", f.Node, f.Phase, f.Err)
 }
 
-// nodeWork carries one node through the provisioning pipeline phases.
+// nodeWork carries one node along its route. A standby's has no boot
+// info until an acquisition picks the tenant image.
 type nodeWork struct {
 	name    string
-	boot    *bmi.BootInfo
+	boot    *bmi.BootInfo     // unauthenticated: attesting profiles kexec the payload instead
 	machine *firmware.Machine // in-process clouds only
 	agent   keylime.AgentConn
+	diskKey []byte // the tenant-generated LUKS master key, delivered inside the payload
 
-	// kernel/initrd come from the (unauthenticated) image path; under
-	// attesting profiles the node ignores them and kexecs the payload
-	// its agent unwrapped instead. diskKey is the tenant-generated LUKS
-	// master key delivered inside that payload.
-	kernel, initrd []byte
-	diskKey        []byte
-
-	node *Node // set by provisionNode, membership by admitNode
+	node      *Node  // set by provisionNode, membership by admitNode
+	delivered bool   // the sealed payload (and any enclave PSK) reached the node
+	banned    string // why a gate found the node revoked
 }
 
 // airlockNode is phase (1): wire the node into its private airlock.
 // The node shares VLANs only with the attestation and provisioning
 // services, never with other airlocked nodes.
-func (e *Enclave) airlockNode(ctx context.Context, name string) error {
+func (e *Enclave) airlockNode(ctx context.Context, w *nodeWork) error {
 	c := e.cloud
-	if err := c.HIL.CreateNetwork(ctx, e.Project, airlockNet(name)); err != nil {
+	if err := c.HIL.CreateNetwork(ctx, e.Project, airlockNet(w.name)); err != nil {
 		return err
 	}
-	for _, net := range []string{airlockNet(name), NetAttestation, NetProvisioning} {
-		if err := c.HIL.ConnectNode(ctx, e.Project, name, net); err != nil {
+	for _, net := range []string{airlockNet(w.name), NetAttestation, NetProvisioning} {
+		if err := c.HIL.ConnectNode(ctx, e.Project, w.name, net); err != nil {
 			return err
 		}
 	}
-	return e.lc.to(name, StateAirlocked, "")
+	return e.lc.to(w.name, StateAirlocked, "")
 }
 
 // bootNode is phase (2): power on — flash firmware measures itself
@@ -303,11 +300,6 @@ func (e *Enclave) bootNode(ctx context.Context, w *nodeWork) error {
 	w.agent = agent
 	if m, err := c.Machine(w.name); err == nil {
 		w.machine = m // in-process visibility for tests and examples
-	}
-	if w.boot != nil {
-		// Warm refills boot with no tenant image: the kernel/initrd
-		// arrive at acquisition time with the payload.
-		w.kernel, w.initrd = w.boot.Kernel, w.boot.Initrd
 	}
 	return nil
 }
@@ -332,48 +324,61 @@ func (e *Enclave) acquireAirlock(ctx context.Context) (release func(), err error
 	return e.cloud.sched.Acquire(ctx, e.Project, class, preempt)
 }
 
-// attestNode is phase (3): quote over the boot PCRs against the
-// provider-published whitelist; on success the verifier releases the
-// sealed payload, whose kernel/initrd/keys become authoritative. The
-// quote pipeline is bounded by the enclave's airlock slots (§7.3: the
-// prototype had one; PoolPolicy.Airlocks configures N).
-func (e *Enclave) attestNode(ctx context.Context, w *nodeWork) error {
-	if err := e.lc.to(w.name, StateAttesting, "verifier="+e.verifierPort); err != nil {
-		return err
+// quote builds phase (3) in each of its three forms — the cold quote,
+// the warm re-quote, the refill pre-attest: enter StateAttesting unless
+// the node stays parked, hold one of the enclave's airlock slots (§7.3:
+// the prototype had one; PoolPolicy.Airlocks configures N) while check
+// runs, and journal the verdict. detail formats the verifier port.
+func quote(enter bool, detail string, check stepFunc) stepFunc {
+	return func(e *Enclave, ctx context.Context, w *nodeWork) error {
+		d := fmt.Sprintf(detail, e.verifierPort)
+		if enter {
+			if err := e.lc.to(w.name, StateAttesting, d); err != nil {
+				return err
+			}
+		}
+		release, err := e.acquireAirlock(ctx)
+		if err != nil {
+			return err
+		}
+		defer release()
+		if err := check(e, ctx, w); err != nil {
+			return err
+		}
+		e.journal.record(EvAttested, w.name, d)
+		return nil
 	}
-	release, err := e.acquireAirlock(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return e.deliverPayload(ctx, w, "verifier="+e.verifierPort)
 }
 
-// requoteWarm is the fast-path counterpart of attestNode for a node
-// taken from the warm pool: the runtime is already booted, measured
-// and pre-attested, so only the fresh-nonce quote and the tenant
-// payload delivery remain. The node stays in StateWarm until the
-// provision phase moves it on.
-func (e *Enclave) requoteWarm(ctx context.Context, w *nodeWork) error {
-	release, err := e.acquireAirlock(ctx)
+// checkPlatform quotes a standby's runtime against the provider's
+// platform whitelist — the "pre-attested" half of the standby promise.
+// No tenant payload is involved yet (that comes at acquisition, with a
+// fresh nonce); it only guarantees firmware implants never wait in warm.
+func (e *Enclave) checkPlatform(ctx context.Context, w *nodeWork) error {
+	whitelist, err := e.cloud.Driver.ExpectedBootPCRs(ctx, w.name)
 	if err != nil {
 		return err
 	}
-	defer release()
-	return e.deliverPayload(ctx, w, "verifier="+e.verifierPort+" warm-requote")
+	return keylime.QuoteAgainstWhitelist(ctx, e.cloud.Registrar, w.agent, e.verifierPort, whitelist)
+}
+
+// parkNode ends a refill walk: the node waits as a standby in the
+// attested runtime.
+func (e *Enclave) parkNode(_ context.Context, w *nodeWork) error {
+	return e.lc.to(w.name, StateWarm, "standby in attested runtime")
 }
 
 // deliverPayload runs the tenant side of attestation: build the sealed
 // payload, provision the verifier, and attest the node so the payload
 // is released to its agent. Callers hold an airlock slot.
-func (e *Enclave) deliverPayload(ctx context.Context, w *nodeWork, detail string) error {
+func (e *Enclave) deliverPayload(ctx context.Context, w *nodeWork) error {
 	c := e.cloud
 	if e.Profile.EncryptDisk {
 		w.diskKey = randKey(luks.MasterKeySize)
 	}
 	payload := &keylime.Payload{
-		Kernel:  w.kernel,
-		Initrd:  w.initrd,
+		Kernel:  w.boot.Kernel,
+		Initrd:  w.boot.Initrd,
 		Script:  "#!/bin/sh\n# join enclave network, kexec tenant kernel\n",
 		DiskKey: w.diskKey,
 	}
@@ -402,7 +407,7 @@ func (e *Enclave) deliverPayload(ctx context.Context, w *nodeWork, detail string
 	// never what came over the unauthenticated image path. The tenant
 	// keeps its own copy of the payload contents it authored — the
 	// disk key in w.diskKey is the one the node just received.
-	e.journal.record(EvAttested, w.name, detail)
+	w.delivered = true
 	return nil
 }
 
@@ -473,7 +478,7 @@ func (e *Enclave) provisionNode(ctx context.Context, w *nodeWork) error {
 			return err
 		}
 	} else {
-		if err := c.Driver.Kexec(ctx, w.name, w.boot.KernelID, w.kernel, w.initrd); err != nil {
+		if err := c.Driver.Kexec(ctx, w.name, w.boot.KernelID, w.boot.Kernel, w.boot.Initrd); err != nil {
 			return err
 		}
 	}
@@ -492,11 +497,15 @@ func (e *Enclave) provisionNode(ctx context.Context, w *nodeWork) error {
 	return nil
 }
 
-// admitNode completes the lifecycle: wire the pairwise IPsec mesh with
-// existing members (keyed from the payload-delivered enclave PSK) and
-// record full membership. Admissions serialize on e.mu, so every
-// concurrent batch member pairs with all earlier admits.
-func (e *Enclave) admitNode(w *nodeWork) error {
+// admitNode completes the lifecycle: past the last ban gate, wire the
+// pairwise IPsec mesh with existing members (keyed from the
+// payload-delivered enclave PSK) and record full membership. Admissions
+// serialize on e.mu, so every concurrent batch member pairs with all
+// earlier admits.
+func (e *Enclave) admitNode(_ context.Context, w *nodeWork) error {
+	if err := e.gate(w); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	if e.Profile.EncryptNetwork {
 		// Build every pair before installing any: a mid-mesh failure
@@ -597,16 +606,25 @@ func (e *Enclave) QuarantineNode(name, reason string) error {
 	default:
 		return fmt.Errorf("%w: node %q is %s, not %s or %s", ErrConflict, name, st, StateAllocated, StateWarm)
 	}
-	e.mu.Lock()
-	n, ok := e.nodes[name]
-	if !ok {
-		e.mu.Unlock()
+	if e.dropMember(name) == nil {
 		return fmt.Errorf("%w: node %q not in enclave", ErrNotFound, name)
 	}
+	// A compromised node's disk state is evidence, not something to
+	// reuse, and its export must not stay reachable from quarantine.
+	return e.evict(name, StateQuarantined, reason, reason)
+}
+
+// dropMember takes a member out of the enclave (nil if it is not one)
+// and revokes every tunnel to or from it — before any slower teardown,
+// so a compromised node loses the data plane at once.
+func (e *Enclave) dropMember(name string) *Node {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n, ok := e.nodes[name]
+	if !ok {
+		return nil
+	}
 	delete(e.nodes, name)
-	// Cryptographic ban first: peers drop their SAs before any slower
-	// teardown happens, so the compromised node loses the data plane
-	// immediately even if provider calls below are slow.
 	for _, pn := range e.nodes {
 		if ep, ok := pn.tunnels[name]; ok {
 			ep.Revoke()
@@ -616,18 +634,7 @@ func (e *Enclave) QuarantineNode(name, reason string) error {
 	for _, ep := range n.tunnels {
 		ep.Revoke()
 	}
-	e.mu.Unlock()
-
-	// Shared teardown (monitoring, verifier, agent, BMI export and
-	// volume): a compromised node's disk state is evidence, not
-	// something to reuse, and the export must not stay reachable from
-	// quarantine.
-	e.releaseNodeResources(name)
-	// MarkRejected transfers the node to the provider's rejected
-	// project, which detaches its switch port from every network and
-	// powers it off — the HIL-level ban.
-	e.cloud.MarkRejected(e.Project, name, reason)
-	return e.lc.to(name, StateQuarantined, reason)
+	return n
 }
 
 // RotateNetKey replaces the enclave-wide IPsec PSK and rebuilds every
@@ -678,21 +685,10 @@ func (e *Enclave) StartContinuousAttestation(node string, interval time.Duration
 // as a BMI image (restartable on any compatible node); otherwise every
 // trace of the tenant evaporates with the export.
 func (e *Enclave) ReleaseNode(name, saveAs string) error {
-	e.mu.Lock()
-	n, ok := e.nodes[name]
-	if !ok {
-		e.mu.Unlock()
+	n := e.dropMember(name)
+	if n == nil {
 		return fmt.Errorf("%w: node %q not in enclave", ErrNotFound, name)
 	}
-	delete(e.nodes, name)
-	for peer, pn := range e.nodes {
-		if ep, ok := pn.tunnels[name]; ok {
-			ep.Revoke()
-			delete(pn.tunnels, name)
-		}
-		_ = peer
-	}
-	e.mu.Unlock()
 
 	if e.verifier != nil {
 		e.verifier.StopMonitoring(name)

@@ -206,8 +206,8 @@ type RecoverReport struct {
 	// Readopted lists nodes re-quoted back into their recorded state
 	// ("enclave/node"), Allocated members and Warm standbys alike.
 	Readopted []string
-	// Rejected lists recorded nodes whose fresh re-quote failed; they sit
-	// in the provider's rejected pool.
+	// Rejected lists recorded nodes whose walk back failed; they sit in
+	// the provider's rejected pool.
 	Rejected []string
 	// Quarantined lists nodes restored directly into quarantine (distrust
 	// needs no fresh quote).
@@ -215,8 +215,8 @@ type RecoverReport struct {
 	// Interrupted lists operations that were in flight at the crash, now
 	// terminal with phase OpInterrupted.
 	Interrupted []string
-	// Released lists recorded in-flight nodes (mid-pipeline at the crash)
-	// released back to the free pool.
+	// Released lists recorded nodes returned to the free pool instead of
+	// re-adopted ("enclave/node").
 	Released []string
 }
 
@@ -741,11 +741,10 @@ func (ro *readoption) note(list *[]string, e *Enclave, node string) {
 
 // readoptNodes re-establishes every recorded node of one enclave:
 //
-//   - Allocated members and Warm standbys are re-adopted by re-running the
-//     acquisition pipeline — fresh-nonce re-quote against the whitelist; a
-//     node that fails lands in the rejected pool exactly like a cold-path
-//     phase failure. These run in the background, bounded by ro.sem; the
-//     caller waits on ro.requotes.
+//   - Allocated members and Warm standbys are re-adopted by walking their
+//     route again (readopt) — a fresh-nonce quote; the walk routes a node
+//     that fails exactly like any other. These run in the background,
+//     bounded by ro.sem; the caller waits on ro.requotes.
 //   - Quarantined and Rejected nodes are restored as-is: distrust survives
 //     a restart without a new quote.
 //   - Nodes recorded mid-pipeline (reserved/airlocked/booting/attesting/
@@ -775,17 +774,7 @@ func (m *Manager) readoptNodes(ctx context.Context, e *Enclave, re *replayEnclav
 			go func() {
 				defer ro.requotes.Done()
 				defer func() { <-ro.sem }()
-				var err error
-				if rn.state == StateAllocated {
-					err = m.readoptMember(ctx, e, name, rn.image)
-				} else {
-					err = m.readoptWarm(ctx, e, name)
-				}
-				if err != nil {
-					ro.note(&ro.rep.Rejected, e, name)
-					return
-				}
-				ro.note(&ro.rep.Readopted, e, name)
+				ro.note(readopt(ctx, e, name, rn, ro.rep), e, name)
 			}()
 		default:
 			// Mid-pipeline at the crash: the operation driving it is now
@@ -797,58 +786,48 @@ func (m *Manager) readoptNodes(ctx context.Context, e *Enclave, re *replayEnclav
 	}
 }
 
-// readoptMember re-adopts one recorded Allocated member: reserve the same
-// named node, then run the full cold pipeline — airlock, boot, fresh-nonce
-// attest, provision, admit. The recorded state only nominates the node;
-// membership is earned again by the quote.
-func (m *Manager) readoptMember(ctx context.Context, e *Enclave, name, image string) error {
-	if image == "" {
-		e.journal.record(EvReleased, name, "released at recovery: no image recorded")
-		return fmt.Errorf("core: node %s has no recorded image", name)
+// readopt re-adopts one recorded node and names the report list it lands
+// on: reserve the same named node, then walk the cold route (an Allocated
+// member) or the refill route (a Warm standby, parked back in its pool).
+// The recorded state only nominates the node; it is trusted again by the
+// walk's fresh quote.
+func readopt(ctx context.Context, e *Enclave, name string, rn *replayNode, rep *RecoverReport) *[]string {
+	release := func(why string) *[]string {
+		e.journal.record(EvReleased, name, "released at recovery: "+why)
+		return &rep.Released
 	}
-	boot, err := e.cloud.BMI.ExtractBootInfo(ctx, image)
-	if err != nil {
-		e.journal.record(EvReleased, name, "released at recovery: image "+image+": "+err.Error())
-		return err
-	}
-	if err := e.cloud.HIL.AllocateNode(ctx, e.Project, name); err != nil {
-		e.journal.record(EvReleased, name, "released at recovery: "+err.Error())
-		return err
-	}
-	e.journal.record(EvAllocated, name, "readopt image="+image)
-	if _, _, fail := e.provisionOne(ctx, name, boot); fail != nil {
-		return fail.Err
-	}
-	e.journal.record(EvRecovered, name, "readopted member image="+image)
-	return nil
-}
-
-// readoptWarm re-adopts one recorded Warm standby: reserve the same named
-// node, drive it through the warm pipeline (airlock, boot, pre-attest with
-// a fresh nonce), and park it back in the pool. Without a pool (policy was
-// detached before the crash) the node stays free.
-func (m *Manager) readoptWarm(ctx context.Context, e *Enclave, name string) error {
+	w := &nodeWork{name: name}
+	route, reserved, recovered := routeCold, "readopt image="+rn.image, "readopted member image="+rn.image
 	pool := e.warmPool()
-	if pool == nil {
-		e.journal.record(EvReleased, name, "released at recovery: no warm pool")
-		return fmt.Errorf("core: enclave %s has no warm pool for standby %s", e.Project, name)
+	switch {
+	case rn.state == StateWarm && pool == nil:
+		return release("no warm pool") // the policy was detached before the crash
+	case rn.state == StateWarm:
+		route, reserved, recovered = routeRefill, "warm readopt", "readopted warm standby"
+	case rn.image == "":
+		return release("no image recorded")
+	default:
+		boot, err := e.cloud.BMI.ExtractBootInfo(ctx, rn.image)
+		if err != nil {
+			return release("image " + rn.image + ": " + err.Error())
+		}
+		w.boot = boot
 	}
 	if err := e.cloud.HIL.AllocateNode(ctx, e.Project, name); err != nil {
-		e.journal.record(EvReleased, name, "released at recovery: "+err.Error())
-		return err
+		return release(err.Error())
 	}
-	e.journal.record(EvAllocated, name, "warm readopt")
-	wn, err := e.warmOne(ctx, name)
-	if err != nil {
-		e.rejectNode(name, PhaseWarmRefill, err)
-		return err
-	}
-	if !pool.park(wn) {
+	e.journal.record(EvAllocated, name, reserved)
+	switch _, _, to := e.walk(ctx, w, route); {
+	case to == StateFree:
+		return &rep.Released
+	case to != "":
+		return &rep.Rejected
+	case rn.state == StateWarm && !pool.park(w):
 		e.releaseWarmNode(name, "pool closed during recovery")
-		return fmt.Errorf("core: pool closed during recovery")
+		return &rep.Released
 	}
-	e.journal.record(EvRecovered, name, "readopted warm standby")
-	return nil
+	e.journal.record(EvRecovered, name, recovered)
+	return &rep.Readopted
 }
 
 // restoreIncident rebuilds an Incident from its last recorded status.

@@ -2,14 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
-
-	"bolted/internal/firmware"
-	"bolted/internal/keylime"
 )
 
 // This file is the warm-pool subsystem: the paper's headline elasticity
@@ -116,14 +112,6 @@ type PoolStats struct {
 	WarmNodes []string   `json:"warm_nodes,omitempty"`
 }
 
-// warmNode is one parked, pre-attested standby: everything the kexec
-// fast path needs to resume where the refiller stopped.
-type warmNode struct {
-	name    string
-	agent   keylime.AgentConn
-	machine *firmware.Machine // in-process clouds only
-}
-
 // WarmPool keeps an enclave's standby nodes and runs the background
 // refiller. All methods are safe for concurrent use.
 type WarmPool struct {
@@ -135,7 +123,7 @@ type WarmPool struct {
 
 	mu        sync.Mutex
 	policy    PoolPolicy
-	ready     []*warmNode
+	ready     []*nodeWork // parked standbys: refill walks paused at StateWarm
 	refilling int
 	closed    bool
 	// recovering holds the refiller idle (no refills, no surplus
@@ -299,14 +287,14 @@ func (p *WarmPool) poke() {
 // take pops up to n warm nodes for an acquisition, counting the
 // shortfall as cold-path misses. It wakes the refiller to replace what
 // it handed out.
-func (p *WarmPool) take(n int) []*warmNode {
+func (p *WarmPool) take(n int) []*nodeWork {
 	p.mu.Lock()
 	k := n
 	if k > len(p.ready) {
 		k = len(p.ready)
 	}
-	out := append([]*warmNode(nil), p.ready[:k]...)
-	p.ready = append([]*warmNode(nil), p.ready[k:]...)
+	out := append([]*nodeWork(nil), p.ready[:k]...)
+	p.ready = append([]*nodeWork(nil), p.ready[k:]...)
 	p.hits += uint64(k)
 	p.misses += uint64(n - k)
 	p.metrics.hits.Add(float64(k))
@@ -324,7 +312,7 @@ func (p *WarmPool) take(n int) []*warmNode {
 // of the pool go to quarantine instead, and nodes returned after
 // ClosePool are released to the free pool rather than re-parked in a
 // detached pool nothing will ever drain.
-func (p *WarmPool) putBack(nodes []*warmNode, misses int) {
+func (p *WarmPool) putBack(nodes []*nodeWork, misses int) {
 	p.mu.Lock()
 	p.misses -= uint64(misses)
 	p.mu.Unlock()
@@ -339,7 +327,7 @@ func (p *WarmPool) putBack(nodes []*warmNode, misses int) {
 			p.rejected++
 			p.metrics.rejected.Inc()
 			p.mu.Unlock()
-			_ = p.e.quarantineTaken(wn.name, reason)
+			_ = p.e.evict(wn.name, StateQuarantined, reason, reason)
 			continue
 		}
 		keep = append(keep, wn)
@@ -364,7 +352,7 @@ func (p *WarmPool) putBack(nodes []*warmNode, misses int) {
 // park re-inserts a standby the caller booted outside the refiller —
 // crash recovery re-adopting a recorded warm node. It reports false when
 // the pool closed meanwhile (the caller releases the node itself).
-func (p *WarmPool) park(wn *warmNode) bool {
+func (p *WarmPool) park(wn *nodeWork) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -379,9 +367,9 @@ func (p *WarmPool) park(wn *warmNode) bool {
 
 // remove pulls one parked node by name (quarantine path). It returns
 // nil when the node is not parked — e.g. already taken by a batch.
-func (p *WarmPool) remove(name string) *warmNode {
+func (p *WarmPool) remove(name string) *nodeWork {
 	p.mu.Lock()
-	var got *warmNode
+	var got *nodeWork
 	for i, wn := range p.ready {
 		if wn.name == name {
 			p.ready = append(p.ready[:i:i], p.ready[i+1:]...)
@@ -457,7 +445,7 @@ func (p *WarmPool) run() {
 			continue
 		}
 		// Surplus first: a lowered target releases parked nodes.
-		var surplus []*warmNode
+		var surplus []*nodeWork
 		for len(p.ready) > p.policy.Target {
 			last := len(p.ready) - 1
 			surplus = append(surplus, p.ready[last])
@@ -517,11 +505,13 @@ func (p *WarmPool) run() {
 }
 
 // refillOne boots one standby node into the warm state: reserve from
-// the free pool, airlock, boot the attested runtime, pre-attest it
-// against the provider whitelist, and park it. Failures route the node
-// to the rejected pool exactly like a cold-path phase failure — and
-// because rejected (and quarantined) nodes live in the provider's
-// rejected project, not the free pool, they can never re-enter warm.
+// the free pool, walk the refill route, and park it. The walk routes a
+// failed node to the rejected pool exactly like a cold-path phase
+// failure — and because rejected (and quarantined) nodes live in the
+// provider's rejected project, not the free pool, they can never
+// re-enter warm. A pool shutdown, or a scheduler preemption of this
+// attempt, is the walk's caller cancelling: the healthy node goes back
+// to free.
 func (p *WarmPool) refillOne() {
 	defer p.wg.Done()
 	defer func() {
@@ -545,28 +535,20 @@ func (p *WarmPool) refillOne() {
 		return
 	}
 	e.journal.record(EvAllocated, name, "warm refill")
-	wn, err := e.warmOne(ctx, name)
-	if err != nil {
-		// Mirror provisionOne's routing: a pool shutdown — or a
-		// scheduler preemption of this attempt — aborts the healthy
-		// node back to the free pool; a genuine phase failure
-		// quarantines it in the rejected pool.
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			e.abortNode(name, err)
-		} else {
+	wn := &nodeWork{name: name}
+	if _, _, to := e.walk(ctx, wn, routeRefill); to != "" {
+		if to != StateFree {
 			p.mu.Lock()
 			p.rejected++
 			p.metrics.rejected.Inc()
 			p.mu.Unlock()
-			e.rejectNode(name, PhaseWarmRefill, err)
 		}
-		// Both routes back off: a preempted refill means foreground
+		// Both exits back off: a preempted refill means foreground
 		// pressure, a rejection means a sick node or service.
 		p.noteRefill(false)
 		return
 	}
 	p.metrics.refillSeconds.ObserveSince(t0)
-	e.cloud.metrics.observePhase(PhaseWarmRefill, time.Since(t0))
 	p.mu.Lock()
 	if p.closed || len(p.ready) >= p.policy.Target {
 		// The pool closed (or shrank) while this node booted.
@@ -609,51 +591,6 @@ func (p *WarmPool) retryDelayLocked() time.Duration {
 	return Backoff(p.policy.RetryBackoff, maxRefillBackoff, p.failStreak)
 }
 
-// warmOne drives one reserved node to the parked warm state.
-func (e *Enclave) warmOne(ctx context.Context, name string) (*warmNode, error) {
-	if err := e.airlockNode(ctx, name); err != nil {
-		return nil, err
-	}
-	w := &nodeWork{name: name}
-	if err := e.bootNode(ctx, w); err != nil {
-		return nil, err
-	}
-	if e.Profile.Attest {
-		if err := e.preAttestWarm(ctx, w); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.lc.to(name, StateWarm, "standby in attested runtime"); err != nil {
-		return nil, err
-	}
-	return &warmNode{name: name, agent: w.agent, machine: w.machine}, nil
-}
-
-// preAttestWarm quotes the parked runtime against the provider's
-// platform whitelist before the node enters the pool — the "pre-
-// attested" half of the standby promise. No tenant payload is involved
-// yet (that happens at acquisition time with a fresh nonce); this
-// check only guarantees that firmware implants never wait in warm.
-func (e *Enclave) preAttestWarm(ctx context.Context, w *nodeWork) error {
-	if err := e.lc.to(w.name, StateAttesting, "warm pre-attest verifier="+e.verifierPort); err != nil {
-		return err
-	}
-	release, err := e.acquireAirlock(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	whitelist, err := e.cloud.Driver.ExpectedBootPCRs(ctx, w.name)
-	if err != nil {
-		return err
-	}
-	if err := keylime.QuoteAgainstWhitelist(ctx, e.cloud.Registrar, w.agent, e.verifierPort, whitelist); err != nil {
-		return err
-	}
-	e.journal.record(EvAttested, w.name, "warm pre-attest verifier="+e.verifierPort)
-	return nil
-}
-
 // releaseWarmNode returns a healthy parked node to the provider's free
 // pool: stop its agent, unwire its airlock, free it. The ban check
 // runs after the release, pairing with quarantineWarm's state check on
@@ -685,7 +622,7 @@ func (e *Enclave) releaseWarmNode(name, detail string) {
 func (e *Enclave) quarantineWarm(name, reason string) error {
 	if p := e.warmPool(); p != nil {
 		if wn := p.remove(name); wn != nil {
-			return e.quarantineTaken(wn.name, reason)
+			return e.evict(wn.name, StateQuarantined, reason, reason)
 		}
 	}
 	e.banNode(name, reason)
@@ -719,15 +656,6 @@ func (e *Enclave) quarantineWarm(name, reason string) error {
 		e.bannedReason(name)
 		return fmt.Errorf("%w: node %q is already %s", ErrConflict, name, st)
 	}
-}
-
-// quarantineTaken tears down a standby the caller already owns (pulled
-// from the pool, or held by a rolled-back batch) into quarantine.
-func (e *Enclave) quarantineTaken(name, reason string) error {
-	e.releaseNodeResources(name)
-	e.cloud.MarkRejected(e.Project, name, reason)
-	_ = e.cloud.HIL.DeleteNetwork(context.Background(), e.Project, airlockNet(name))
-	return e.lc.to(name, StateQuarantined, reason)
 }
 
 // banNode records a revocation that arrived while the node was out of

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"bolted/internal/bmi"
 	"bolted/internal/obs"
 )
 
@@ -83,7 +83,7 @@ func (e *Enclave) AcquireNodes(ctx context.Context, image string, n int) (*Batch
 	}
 
 	// Drain the warm pool first; cold reservation covers the shortfall.
-	var warm []*warmNode
+	var warm []*nodeWork
 	pool := e.warmPool()
 	if pool != nil {
 		warm = pool.take(n)
@@ -111,8 +111,8 @@ func (e *Enclave) AcquireNodes(ctx context.Context, image string, n int) (*Batch
 	}
 
 	type batchJob struct {
-		name string
-		warm *warmNode // non-nil: kexec fast path
+		w     *nodeWork
+		route []routeStep
 	}
 	res := &BatchResult{}
 	var mu sync.Mutex // guards res
@@ -127,35 +127,29 @@ func (e *Enclave) AcquireNodes(ctx context.Context, image string, n int) (*Batch
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				var node *Node
-				var spans []phaseSpan
-				var fail *provisionFailure
-				if job.warm != nil {
-					node, spans, fail = e.provisionWarmOne(ctx, job.warm, bootInfo)
-				} else {
-					node, spans, fail = e.provisionOne(ctx, job.name, bootInfo)
-				}
+				spans, fail, to := e.walk(ctx, job.w, job.route)
 				mu.Lock()
 				for _, sp := range spans {
 					res.Timings.observe(sp.phase, sp.d)
 				}
-				switch {
-				case node != nil:
-					res.Nodes = append(res.Nodes, node)
-				case fail.aborted:
-					res.Aborted = append(res.Aborted, fail.NodeFailure)
+				switch to {
+				case "":
+					res.Nodes = append(res.Nodes, job.w.node)
+				case StateFree:
+					res.Aborted = append(res.Aborted, fail)
 				default:
-					res.Failed = append(res.Failed, fail.NodeFailure)
+					res.Failed = append(res.Failed, fail)
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for _, wn := range warm {
-		jobs <- batchJob{name: wn.name, warm: wn}
+	for _, w := range warm {
+		w.boot = bootInfo // the standby resumes its walk with the tenant's image
+		jobs <- batchJob{w, routeWarm}
 	}
 	for _, name := range names {
-		jobs <- batchJob{name: name}
+		jobs <- batchJob{&nodeWork{name: name, boot: bootInfo}, routeCold}
 	}
 	close(jobs)
 	wg.Wait()
@@ -176,8 +170,8 @@ type phaseSpan struct {
 	d     time.Duration
 }
 
-// phaseRunner builds the per-phase measurement closure both pipeline
-// variants share: skip when the batch is already cancelled, time the
+// phaseRunner builds the per-phase measurement closure the walk runs
+// every phase through: skip when the batch is already cancelled, time the
 // phase into *spans (the BatchTimings source) and the phase histogram,
 // and — when the context carries a trace (an operation started via the
 // Manager) — emit a node×phase span parented under the operation's
@@ -214,157 +208,124 @@ func (e *Enclave) phaseRunner(ctx context.Context, node string, spans *[]phaseSp
 	}
 }
 
-// provisionFailure annotates a NodeFailure with how the node left the
-// pipeline: rejected (quarantined) or aborted (returned to free).
-type provisionFailure struct {
-	NodeFailure
-	aborted bool
+// A routeStep is one row of a route: the canonical phase it is timed,
+// bounded and reported under, whether only attesting profiles run it,
+// and the work.
+type routeStep struct {
+	phase  string
+	attest bool
+	step   stepFunc
 }
 
-// provisionOne drives a single reserved node through the pipeline. On
-// success the node is a full member and the return is (node, spans,
-// nil); on failure the node has already been routed to the rejected
-// pool (or the free pool, for cancellation) and the failure says which
-// phase ended it.
-func (e *Enclave) provisionOne(ctx context.Context, name string, boot *bmi.BootInfo) (*Node, []phaseSpan, *provisionFailure) {
-	w := &nodeWork{name: name, boot: boot}
+// A stepFunc is one piece of a phase's work on a node.
+type stepFunc func(*Enclave, context.Context, *nodeWork) error
+
+// The Figure-1 life cycle as data: one route per entry point, the rows a
+// reserved node walks in order. Consecutive rows of one phase run as one
+// phase. A standby is a refill walk paused at StateWarm; an acquisition
+// resumes it on the warm route.
+var (
+	routeCold = []routeStep{
+		{PhaseAirlock, false, (*Enclave).airlockNode},
+		{PhaseBoot, false, (*Enclave).bootNode},
+		{PhaseAttest, true, quote(true, "verifier=%s", (*Enclave).deliverPayload)},
+		{PhaseProvision, false, (*Enclave).provisionNode},
+		{PhaseProvision, false, (*Enclave).admitNode},
+	}
+	routeWarm = []routeStep{
+		{PhaseWarmRequote, true, quote(false, "verifier=%s warm-requote", (*Enclave).deliverPayload)},
+		{PhaseWarmProvision, false, (*Enclave).provisionNode},
+		{PhaseWarmProvision, false, (*Enclave).admitNode},
+	}
+	routeRefill = []routeStep{
+		{PhaseWarmRefill, false, (*Enclave).airlockNode},
+		{PhaseWarmRefill, false, (*Enclave).bootNode},
+		{PhaseWarmRefill, true, quote(true, "warm pre-attest verifier=%s", (*Enclave).checkPlatform)},
+		{PhaseWarmRefill, false, (*Enclave).parkNode},
+	}
+)
+
+// walk drives one reserved node along route, one phase at a time through
+// phaseRunner, checking for a ban before each phase, and hands whatever
+// ends the walk to leave.
+func (e *Enclave) walk(ctx context.Context, w *nodeWork, route []routeStep) ([]phaseSpan, NodeFailure, NodeState) {
+	if !e.Profile.Attest {
+		route = slices.DeleteFunc(slices.Clone(route), func(r routeStep) bool { return r.attest })
+	}
 	var spans []phaseSpan
-	run := e.phaseRunner(ctx, name, &spans)
-
-	phase := PhaseAirlock
-	err := run(PhaseAirlock, func(ctx context.Context) error { return e.airlockNode(ctx, name) })
-	if err == nil {
-		phase = PhaseBoot
-		err = run(PhaseBoot, func(ctx context.Context) error { return e.bootNode(ctx, w) })
-	}
-	if err == nil && e.Profile.Attest {
-		phase = PhaseAttest
-		err = run(PhaseAttest, func(ctx context.Context) error { return e.attestNode(ctx, w) })
-	}
-	if err == nil {
-		phase = PhaseProvision
-		err = run(PhaseProvision, func(ctx context.Context) error {
-			if err := e.provisionNode(ctx, w); err != nil {
-				return err
-			}
-			return e.admitNode(w)
-		})
-	}
-	if err == nil {
-		return w.node, spans, nil
-	}
-
-	fail := &provisionFailure{NodeFailure: NodeFailure{Node: name, Phase: phase, Err: err}}
-	// Abort only when the phase error IS the caller's cancellation. A
-	// genuine phase failure (say, compromised firmware) that merely
-	// coincides with — or wraps — a cancellation must still quarantine
-	// the node, never hand it back to the free pool.
-	if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-		fail.aborted = true
-		e.abortNode(name, err)
-	} else {
-		e.rejectNode(name, phase, err)
-	}
-	return nil, spans, fail
-}
-
-// provisionWarmOne is the kexec fast path: the node arrives pre-booted
-// in the attested runtime (airlock, PXE chain, agent registration and
-// the provider-whitelist pre-attest already paid by the refiller), so
-// the acquisition charges only the fresh-nonce re-quote with the
-// tenant's payload, the network move, and the kexec — the warm-path
-// phases of the timing model.
-func (e *Enclave) provisionWarmOne(ctx context.Context, wn *warmNode, boot *bmi.BootInfo) (*Node, []phaseSpan, *provisionFailure) {
-	w := &nodeWork{name: wn.name, boot: boot, agent: wn.agent, machine: wn.machine}
-	w.kernel, w.initrd = boot.Kernel, boot.Initrd
-	var spans []phaseSpan
-	run := e.phaseRunner(ctx, wn.name, &spans)
-
+	run := e.phaseRunner(ctx, w.name, &spans)
+	var phase string
 	var err error
-	banned := false    // revocation raced the fast path (checked at both gates)
-	delivered := false // sealed payload (and any enclave PSK) released to the node
-	checkBan := func() error {
-		if reason, ok := e.bannedReason(wn.name); ok {
-			banned = true
-			return fmt.Errorf("core: standby revoked mid-acquisition: %s", reason)
+	for len(route) > 0 && err == nil {
+		n := 1
+		for n < len(route) && route[n].phase == route[0].phase {
+			n++
 		}
-		return nil
-	}
-	phase := PhaseWarmRequote
-	// First gate: a revocation that raced the fast path (the guard
-	// found the standby already taken) banned the node instead of
-	// tearing it down. Honour it before the re-quote would hand the
-	// node the sealed payload.
-	if err = checkBan(); err != nil {
-		// Never admit; routed to the rejected pool below.
-	} else if e.Profile.Attest {
-		err = run(PhaseWarmRequote, func(ctx context.Context) error { return e.requoteWarm(ctx, w) })
-		delivered = err == nil
-	} else {
-		// No attestation: nothing to re-quote; the fast path is just
-		// the provision phase below.
-		err = ctx.Err()
-	}
-	if err == nil {
-		phase = PhaseWarmProvision
-		err = run(PhaseWarmProvision, func(ctx context.Context) error {
-			if err := e.provisionNode(ctx, w); err != nil {
-				return err
-			}
-			// Last gate before membership: the ban may have landed
-			// while the payload was in flight.
-			if err := checkBan(); err != nil {
-				return err
-			}
-			return e.admitNode(w)
-		})
-	}
-	if err == nil {
-		// The last gate ran before admitNode; a ban landing during
-		// admission pairs with quarantineWarm's state check: if the
-		// ban was recorded before this read, we see it here and undo
-		// the admission; if after, quarantineWarm sees StateAllocated
-		// and runs the member quarantine itself. Either side wins.
-		if reason, late := e.bannedReason(wn.name); late {
-			err = fmt.Errorf("core: standby revoked mid-acquisition: %s", reason)
-			_ = e.QuarantineNode(wn.name, reason)
-			if e.Profile.EncryptNetwork {
-				_ = e.RotateNetKey()
-			}
-			return nil, spans, &provisionFailure{NodeFailure: NodeFailure{Node: wn.name, Phase: PhaseWarmProvision, Err: err}}
+		rows := route[:n]
+		phase, route = rows[0].phase, route[n:]
+		if err = e.gate(w); err == nil {
+			err = run(phase, func(ctx context.Context) error {
+				for _, r := range rows {
+					if err := r.step(e, ctx, w); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 		}
-		return w.node, spans, nil
 	}
+	fail, to := e.leave(ctx, w, phase, err)
+	return spans, fail, to
+}
 
-	fail := &provisionFailure{NodeFailure: NodeFailure{Node: wn.name, Phase: phase, Err: err}}
-	// Same routing as the cold path: only the caller's own cancellation
-	// returns the (healthy) node to the free pool — unless the node was
-	// banned mid-flight, in which case it is never healthy and must not
-	// transit the free pool. Any genuine failure quarantines it.
-	if _, lateBan := e.bannedReason(wn.name); lateBan {
-		banned = true // the ban landed after the last gate ran
+// gate honours a revocation that banned the node while it was out of the
+// pool (quarantineWarm): the walk goes no further.
+func (e *Enclave) gate(w *nodeWork) error {
+	if reason, ok := e.bannedReason(w.name); ok {
+		w.banned = reason
+		return fmt.Errorf("core: standby revoked mid-acquisition: %s", reason)
 	}
-	if ctxErr := ctx.Err(); !banned && ctxErr != nil && errors.Is(err, ctxErr) {
-		fail.aborted = true
-		e.abortNode(wn.name, err)
-	} else {
-		e.rejectNode(wn.name, phase, err)
+	return nil
+}
+
+// leave is the one place that decides where a node leaving the walk
+// goes, and returns its failure and that state ("" when it stays). A
+// finished node stays: a member, or a standby its caller parks. Only the
+// caller's own cancellation of an unbanned node frees it. A node banned
+// after its last gate is quarantined, and any other failure — a phase
+// error, a gate, a cancellation that merely coincides with a genuine
+// failure — rejects it. The rejected and quarantined never transit the
+// free pool, where a concurrent batch could claim them. The enclave PSK
+// is rotated iff a banned node already received the payload.
+func (e *Enclave) leave(ctx context.Context, w *nodeWork, phase string, err error) (NodeFailure, NodeState) {
+	late := e.gate(w) // a ban that landed after the last gate
+	var to NodeState
+	switch ctxErr := ctx.Err(); {
+	case err == nil && late == nil:
+		return NodeFailure{}, ""
+	case err == nil:
+		err, to = late, StateQuarantined
+		e.dropMember(w.name)
+		_ = e.evict(w.name, to, w.banned, w.banned)
+	case w.banned == "" && ctxErr != nil && errors.Is(err, ctxErr):
+		to = StateFree
+		_ = e.evict(w.name, to, "", "aborted: "+err.Error())
+	default:
+		to = StateRejected
+		_ = e.evict(w.name, to, err.Error(), phase+": "+err.Error())
 	}
-	if banned && delivered && e.Profile.EncryptNetwork {
-		// The sealed payload already carried the enclave PSK to a node
-		// now known to be compromised: retire that key on every
-		// surviving member, exactly like a member quarantine would.
+	if w.banned != "" && w.delivered && e.Profile.EncryptNetwork {
 		_ = e.RotateNetKey()
 	}
-	return nil, spans, fail
+	return NodeFailure{Node: w.name, Phase: phase, Err: err}, to
 }
 
-// releaseNodeResources is the cleanup shared by rejection, abort and
-// quarantine: stop any continuous-attestation loop, forget the node at
-// the verifier (a fresh attempt on a repaired node starts from
-// scratch), stop its agent, and tear down its storage. Errors from
-// resources the node never reached are ignored.
-func (e *Enclave) releaseNodeResources(name string) {
+// evict tears a node down — verifier (a repaired node starts from
+// scratch), agent, storage, airlock; errors from resources it never
+// reached are ignored — into state to: the free pool for an abort, else
+// straight into the provider's rejected project for reason, which
+// detaches its switch port from every network and powers it off.
+func (e *Enclave) evict(name string, to NodeState, reason, detail string) error {
 	ctx := context.Background()
 	if e.verifier != nil {
 		e.verifier.StopMonitoring(name)
@@ -373,31 +334,16 @@ func (e *Enclave) releaseNodeResources(name string) {
 	_ = e.cloud.Driver.StopAgent(ctx, name)
 	_ = e.cloud.BMI.Unexport(ctx, name, "")
 	_ = e.cloud.BMI.DeleteImage(ctx, e.volName(name))
-}
-
-// rejectNode quarantines a node that failed a phase: off every
-// network and parked in the provider's rejected pool for forensics.
-// The node moves there directly — it must never transit the free
-// pool, where a concurrent batch could claim it.
-func (e *Enclave) rejectNode(name, phase string, cause error) {
-	e.releaseNodeResources(name)
-	e.cloud.MarkRejected(e.Project, name, cause.Error())
-	_ = e.cloud.HIL.DeleteNetwork(context.Background(), e.Project, airlockNet(name))
-	_ = e.lc.to(name, StateRejected, phase+": "+cause.Error())
-}
-
-// abortNode unwinds a node whose batch was cancelled: same cleanup as
-// rejection, but the node is healthy, so it returns to the free pool
-// rather than quarantine.
-func (e *Enclave) abortNode(name string, cause error) {
-	e.releaseNodeResources(name)
-	ctx := context.Background()
-	_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
-	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
-	if e.lc.state(name) != StateFree {
-		_ = e.lc.to(name, StateFree, "aborted: "+cause.Error())
+	if to == StateFree {
+		_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
 	} else {
-		// Reserved but never airlocked: journal the return directly.
-		e.journal.record(EvReleased, name, "aborted: "+cause.Error())
+		e.cloud.MarkRejected(e.Project, name, reason)
 	}
+	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
+	if to == StateFree && e.lc.state(name) == StateFree {
+		// Reserved but never airlocked: journal the return directly.
+		e.journal.record(EvReleased, name, detail)
+		return nil
+	}
+	return e.lc.to(name, to, detail)
 }
