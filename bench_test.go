@@ -6,14 +6,11 @@ package bolted_test
 
 import (
 	"context"
-	"crypto/aes"
-	"crypto/cipher"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,11 +26,9 @@ import (
 	"bolted/internal/npb"
 	"bolted/internal/obs"
 	"bolted/internal/remote"
-	"bolted/internal/softaes"
 	"bolted/internal/store"
 	"bolted/internal/tpm"
 	"bolted/internal/workload"
-	"bolted/internal/xts"
 )
 
 // --- Figure 3a: LUKS overhead on a RAM disk (dd) ---
@@ -956,137 +951,6 @@ func BenchmarkGuardQuarantine(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes), "nodes/enclave")
 		})
-	}
-}
-
-// --- Figure 3a/3b parallel: data-plane per-core scaling ---
-
-// BenchmarkFig3aParallel sweeps sharded XTS sector sealing: worker
-// count x sector size x AES backend over a fixed 4 MiB span, each
-// worker sealing a contiguous shard with its own cipher (exactly what
-// luks.Volume does above the crossover), plus the full LUKS volume
-// write path at each parallelism setting. CI derives BENCH_dataplane.json
-// from this sweep and gates on 4-worker throughput >= 2x serial.
-func BenchmarkFig3aParallel(b *testing.B) {
-	const span = 4 << 20
-	key := make([]byte, 64)
-	for i := range key {
-		key[i] = byte(i * 11)
-	}
-	src := make([]byte, span)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	backends := []struct {
-		name string
-		mk   func([]byte) (cipher.Block, error)
-	}{
-		{"aesni", aes.NewCipher},
-		{"softaes", func(k []byte) (cipher.Block, error) { return softaes.New(k) }},
-	}
-	for _, backend := range backends {
-		for _, sectorSize := range []int{512, 4096} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("xts/%s/sector%d/workers-%d", backend.name, sectorSize, workers)
-				b.Run(name, func(b *testing.B) {
-					ciphers := make([]*xts.Cipher, workers)
-					for i := range ciphers {
-						c, err := xts.NewCipher(backend.mk, key)
-						if err != nil {
-							b.Fatal(err)
-						}
-						ciphers[i] = c
-					}
-					dst := make([]byte, span)
-					sectors := span / sectorSize
-					per := sectors / workers
-					b.SetBytes(span)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						var wg sync.WaitGroup
-						for w := 0; w < workers; w++ {
-							lo, n := w*per, per
-							if w == workers-1 {
-								n = sectors - lo
-							}
-							wg.Add(1)
-							go func(c *xts.Cipher, d, s []byte, first uint64) {
-								defer wg.Done()
-								if err := c.EncryptSectors(d, s, sectorSize, first); err != nil {
-									panic(err)
-								}
-							}(ciphers[w], dst[lo*sectorSize:(lo+n)*sectorSize], src[lo*sectorSize:(lo+n)*sectorSize], uint64(lo))
-						}
-						wg.Wait()
-					}
-				})
-			}
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("luks/workers-%d", workers), func(b *testing.B) {
-			disk, err := blockdev.NewRAMDisk(64 << 20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vol, err := luks.FormatWithIterations(disk, []byte("bench"), 16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := vol.SetParallelism(workers); err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, span)
-			copy(buf, src)
-			b.SetBytes(span)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := vol.WriteSectors(buf, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3bParallel sweeps the parallel ESP pipeline: stream
-// workers x AES backend, sealing and reassembling a 1 MiB stream at
-// MTU 9000. Sequence numbers stay strictly ordered (asserted by the
-// ipsec tests); this measures what that ordering costs at each width.
-func BenchmarkFig3bParallel(b *testing.B) {
-	const streamLen = 1 << 20
-	stream := make([]byte, streamLen)
-	for i := range stream {
-		stream[i] = byte(i * 7)
-	}
-	for _, cfg := range []struct {
-		name  string
-		suite ipsec.Suite
-	}{
-		{"hw-aes", ipsec.SuiteHWAES},
-		{"sw-aes", ipsec.SuiteSWAES},
-	} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", cfg.name, workers), func(b *testing.B) {
-				tx, rx, err := ipsec.NewPair(cfg.suite, ipsec.NewMasterKey())
-				if err != nil {
-					b.Fatal(err)
-				}
-				tx.SetStreamWorkers(workers)
-				rx.SetStreamWorkers(workers)
-				b.SetBytes(streamLen)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pkts, err := ipsec.SegmentStream(tx, stream, 9000)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := ipsec.ReassembleStream(rx, pkts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

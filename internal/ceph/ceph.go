@@ -399,9 +399,7 @@ func (d *ImageDevice) ReadVector(bufs [][]byte, start int64) error {
 			seg := b[:n]
 			copied, _ := d.c.ReadAt(d.objName(objIdx), seg, inObj)
 			// Missing objects and short tails read as zeros.
-			for i := copied; i < len(seg); i++ {
-				seg[i] = 0
-			}
+			clear(seg[copied:])
 			b = b[n:]
 			byteOff += n
 		}

@@ -51,9 +51,11 @@ const (
 // lifecycleTransitions is the set of legal state changes. Booting may
 // skip Attesting (profiles without attestation), and every in-flight
 // state may fall to Rejected (phase failure) or back to Free (batch
-// aborted by the caller's context).
+// aborted by the caller's context). A reserved node whose airlock could
+// not be wired is still Free to the life cycle, so Free may fall to
+// Rejected too: its distrust must be journalled like any other.
 var lifecycleTransitions = map[NodeState][]NodeState{
-	StateFree:        {StateAirlocked},
+	StateFree:        {StateAirlocked, StateRejected},
 	StateAirlocked:   {StateBooting, StateRejected, StateFree},
 	StateBooting:     {StateAttesting, StateProvisioned, StateWarm, StateRejected, StateFree},
 	StateAttesting:   {StateProvisioned, StateWarm, StateRejected, StateFree},

@@ -121,10 +121,10 @@ var routeRows = []routeRow{
 	},
 	{
 		name:       "cold/airlock-fault",
-		background: "A HIL failure while wiring the airlock strands no node: the provider takes it into the rejected pool.",
-		logic:      "Fail the airlock CreateNetwork. The node never entered the life cycle, so its journal ends at the reservation while the provider holds it rejected.",
+		background: "A HIL failure while wiring the airlock strands no node: the provider takes it into the rejected pool, and the journal says so.",
+		logic:      "Fail the airlock CreateNetwork. The node never reached airlocked, yet it must be journalled rejected straight from its reservation.",
 		entry:      "cold", at: "CreateNetwork", act: "fail",
-		state: StateFree, where: "rejected", events: evs(nil, EvAllocated), phase: PhaseAirlock,
+		state: StateRejected, where: "rejected", events: evs(nil, EvAllocated, EvRejected), phase: PhaseAirlock,
 	},
 	{
 		name:       "cold/boot-fault",
@@ -217,9 +217,9 @@ var routeRows = []routeRow{
 	{
 		name:       "refill/airlock-fault",
 		background: "A refill that cannot wire its airlock gives its node to the rejected pool, never back to free.",
-		logic:      "Fail the airlock CreateNetwork during a refill; the provider must hold the node rejected.",
+		logic:      "Fail the airlock CreateNetwork during a refill; the node must be journalled rejected at warm-refill and held rejected.",
 		entry:      "refill", at: "CreateNetwork", act: "fail",
-		state: StateFree, where: "rejected", events: evs(nil, EvAllocated),
+		state: StateRejected, where: "rejected", events: evs(nil, EvAllocated, EvRejected), phase: PhaseWarmRefill,
 	},
 	{
 		name:       "refill/boot-fault",
@@ -261,9 +261,9 @@ var routeRows = []routeRow{
 	{
 		name:       "readopt-member/airlock-fault",
 		background: "A recorded member whose airlock cannot be wired is not kept.",
-		logic:      "Fail the airlock CreateNetwork during recovery; the provider must hold the node rejected.",
+		logic:      "Fail the airlock CreateNetwork during recovery; the node must be journalled rejected at the airlock phase and held rejected.",
 		entry:      "readopt-member", at: "CreateNetwork", act: "fail",
-		state: StateFree, where: "rejected", events: evs(nil, EvAllocated),
+		state: StateRejected, where: "rejected", events: evs(nil, EvAllocated, EvRejected), phase: PhaseAirlock,
 	},
 	{
 		name:       "readopt-member/boot-fault",
@@ -305,9 +305,9 @@ var routeRows = []routeRow{
 	{
 		name:       "readopt-warm/airlock-fault",
 		background: "A recorded standby whose airlock cannot be wired is not kept.",
-		logic:      "Fail the airlock CreateNetwork during recovery; the provider must hold the node rejected.",
+		logic:      "Fail the airlock CreateNetwork during recovery; the node must be journalled rejected at warm-refill and held rejected.",
 		entry:      "readopt-warm", at: "CreateNetwork", act: "fail",
-		state: StateFree, where: "rejected", events: evs(nil, EvAllocated),
+		state: StateRejected, where: "rejected", events: evs(nil, EvAllocated, EvRejected), phase: PhaseWarmRefill,
 	},
 	{
 		name:       "readopt-warm/boot-fault",
@@ -605,4 +605,58 @@ func routePhase(res *BatchResult, node string, evs []Event) string {
 		}
 	}
 	return ""
+}
+
+// TestAirlockFaultDistrustSurvives: a node rejected because its airlock
+// could not be wired is rejected in the journal as well as at the
+// provider, so the operator can reclaim it and a restart restores it
+// rejected instead of releasing it to the free pool.
+func TestAirlockFaultDistrustSurvives(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCloud(t, 1, FirmwareLinuxBoot)
+	probe := newRouteProbe()
+	c.Intercept(probe.intercept)
+	mgr := NewManagerWithStore(c, st)
+	if _, err := mgr.CreateEnclave("t", ProfileCharlie); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := mgr.Enclave("t")
+	probe.arm("CreateNetwork", "node00", "fail", nil)
+	ctx := context.Background()
+	res, _ := e.AcquireNodes(ctx, "fedora28", 1)
+	if res == nil || len(res.Failed) != 1 || res.Failed[0].Phase != PhaseAirlock {
+		t.Fatalf("acquire = %+v, want node00 failed at %s", res, PhaseAirlock)
+	}
+	// Make every staged event durable before the crash copy.
+	if _, err := e.Journal().LinesSince(0); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr2, rep := recoverFrom(t, dir, 1)
+	if !slices.Equal(rep.Quarantined, []string{"t/node00"}) || len(rep.Released) != 0 {
+		t.Fatalf("recover report quarantined %v released %v, want [t/node00] and none", rep.Quarantined, rep.Released)
+	}
+	e2, err := mgr2.Enclave("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e2.NodeState("node00"); s != StateRejected {
+		t.Fatalf("recovered state = %s, want %s", s, StateRejected)
+	}
+	if w := routeWhere(t, mgr2.cloud, "node00"); w != "rejected" {
+		t.Fatalf("recovered provider holds node00 %s, want rejected", w)
+	}
+
+	for _, en := range []*Enclave{e, e2} {
+		if err := en.ReclaimRejected(ctx, "node00"); err != nil {
+			t.Fatalf("reclaim: %v", err)
+		}
+		if s := en.NodeState("node00"); s != StateFree {
+			t.Fatalf("state after reclaim = %s, want %s", s, StateFree)
+		}
+	}
 }

@@ -87,8 +87,8 @@ type SA struct {
 	maxBytes, maxPkts   uint64
 	usedBytes, usedPkts uint64
 
-	// nonceBuf is scratch for the serial Seal/Open path, valid only
-	// while mu is held. Parallel stream workers carry their own.
+	// nonceBuf is scratch for Seal/Open, valid only while mu is held.
+	// SegmentStream carries its own.
 	nonceBuf [12]byte
 }
 
@@ -134,7 +134,7 @@ func (sa *SA) nonceLocked(seq uint64) []byte {
 }
 
 // fillNonce writes the nonce for seq into caller-owned scratch, for
-// workers that must not share the SA's buffer.
+// callers that seal outside the lock.
 func (sa *SA) fillNonce(nonce *[12]byte, seq uint64) {
 	copy(nonce[:4], sa.salt[:])
 	binary.BigEndian.PutUint64(nonce[4:], seq)
@@ -218,9 +218,8 @@ func (sa *SA) OpenAppend(dst, pkt []byte) ([]byte, error) {
 
 // reserveSeq reserves n consecutive outbound sequence numbers under a
 // single lock acquisition, accounting totalBytes of payload against the
-// SA lifetime, and returns the first reserved number. The parallel
-// stream path uses it so sequence assignment stays strictly in stream
-// order while the AEAD work fans out.
+// SA lifetime, and returns the first reserved number. SegmentStream
+// uses it so a stream's packets carry consecutive sequence numbers.
 func (sa *SA) reserveSeq(n int, totalBytes int) (uint64, error) {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -243,8 +242,8 @@ func (sa *SA) reserveSeq(n int, totalBytes int) (uint64, error) {
 
 // sealPacketInto seals payload under an already-reserved sequence
 // number, appending to dst (typically a zero-length, exact-capacity
-// arena slot so nothing reallocates). nonce is caller-owned scratch;
-// workers share no mutable SA state, so this needs no lock.
+// arena slot so nothing reallocates). nonce is caller-owned scratch and
+// no mutable SA state is touched, so this needs no lock.
 func (sa *SA) sealPacketInto(dst []byte, seq uint64, payload []byte, nonce *[12]byte) []byte {
 	base := len(dst)
 	var hdr [12]byte
@@ -253,45 +252,6 @@ func (sa *SA) sealPacketInto(dst []byte, seq uint64, payload []byte, nonce *[12]
 	dst = append(dst, hdr[:]...)
 	sa.fillNonce(nonce, seq)
 	return sa.aead.Seal(dst, nonce[:], payload, dst[base:base+12])
-}
-
-// openPacketInto authenticates pkt and appends its payload to dst
-// without touching replay state; the caller must commit accepted
-// sequence numbers in packet order afterwards via commitReplay.
-func (sa *SA) openPacketInto(dst, pkt []byte, nonce *[12]byte) ([]byte, uint64, error) {
-	if len(pkt) < 12+TagOverhead {
-		return nil, 0, errors.New("ipsec: packet too short")
-	}
-	spi := binary.BigEndian.Uint32(pkt[:4])
-	if spi != sa.spi {
-		return nil, 0, fmt.Errorf("ipsec: SPI %d does not match SA %d", spi, sa.spi)
-	}
-	seq := binary.BigEndian.Uint64(pkt[4:12])
-	sa.fillNonce(nonce, seq)
-	payload, err := sa.aead.Open(dst, nonce[:], pkt[12:], pkt[:12])
-	if err != nil {
-		return nil, 0, ErrAuth
-	}
-	return payload, seq, nil
-}
-
-// commitReplay runs the anti-replay check-and-mark for a batch of
-// already-authenticated sequence numbers, in packet order, under one
-// lock acquisition. Committing in order keeps the window semantics
-// identical to opening the packets serially.
-func (sa *SA) commitReplay(seqs []uint64) error {
-	sa.mu.Lock()
-	defer sa.mu.Unlock()
-	if sa.revoked {
-		return ErrRevoked
-	}
-	for _, seq := range seqs {
-		if err := sa.checkReplayLocked(seq); err != nil {
-			return err
-		}
-		sa.markSeenLocked(seq)
-	}
-	return nil
 }
 
 func (sa *SA) checkReplayLocked(seq uint64) error {
@@ -345,18 +305,6 @@ func (sa *SA) Revoked() bool {
 type Endpoint struct {
 	Out *SA
 	In  *SA
-
-	// streamWorkers bounds SegmentStream/ReassembleStream parallelism
-	// (0 or 1 = serial). Set before streaming; not synchronized with
-	// in-flight calls.
-	streamWorkers int
-}
-
-// SetStreamWorkers sets how many goroutines SegmentStream and
-// ReassembleStream may fan packet sealing out across on this endpoint.
-// Values below 1 mean serial.
-func (e *Endpoint) SetStreamWorkers(n int) {
-	e.streamWorkers = n
 }
 
 // NewPair creates the two endpoints of a tunnel keyed by a pre-shared
@@ -424,45 +372,13 @@ func NewMasterKey() []byte {
 	return k
 }
 
-// streamParallelThreshold is the packet count below which the stream
-// helpers stay serial; on tiny streams the goroutine fan-out costs more
-// than the parallel AEAD work recovers.
-const streamParallelThreshold = 16
-
-// splitRange fans [0, n) across workers as contiguous index ranges and
-// calls fn(w, lo, hi) on one goroutine per worker.
-func splitRange(n, workers int, fn func(w, lo, hi int)) {
-	per, extra := n/workers, n%workers
-	var wg sync.WaitGroup
-	idx := 0
-	for w := 0; w < workers; w++ {
-		cnt := per
-		if w < extra {
-			cnt++
-		}
-		if cnt == 0 {
-			continue
-		}
-		lo, hi := idx, idx+cnt
-		idx = hi
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // SegmentStream seals a byte stream as MTU-sized ESP packets, returning
 // the packets. This is the data path the Figure 3b iperf-style benchmark
 // measures.
 //
-// All sequence numbers are reserved up front in stream order, so even
-// when sealing fans out across the endpoint's stream workers, packet i
-// always carries sequence first+i — the wire ordering is identical to
-// the serial path. Packets are exact-capacity slices of one shared
-// arena: a 1 MiB stream costs one allocation, not one per packet.
+// All sequence numbers are reserved under one lock, so packet i always
+// carries sequence first+i. Packets are exact-capacity slices of one
+// shared arena: a 1 MiB stream costs one allocation, not one per packet.
 func SegmentStream(e *Endpoint, stream []byte, mtu int) ([][]byte, error) {
 	payloadPer := mtu - HeaderOverhead - TagOverhead - 40
 	if payloadPer < 1 {
@@ -480,45 +396,27 @@ func SegmentStream(e *Endpoint, stream []byte, mtu int) ([][]byte, error) {
 	const pktOverhead = 12 + TagOverhead
 	arena := make([]byte, len(stream)+n*pktOverhead)
 	pkts := make([][]byte, n)
-	seal := func(i int, nonce *[12]byte) {
+	var nonce [12]byte
+	for i := range pkts {
 		po := i * payloadPer
-		pe := po + payloadPer
-		if pe > len(stream) {
-			pe = len(stream)
-		}
+		pe := min(po+payloadPer, len(stream))
 		ao := i * (payloadPer + pktOverhead)
-		size := pe - po + pktOverhead
-		slot := arena[ao : ao : ao+size]
-		pkts[i] = e.Out.sealPacketInto(slot, first+uint64(i), stream[po:pe], nonce)
+		slot := arena[ao : ao : ao+pe-po+pktOverhead]
+		pkts[i] = e.Out.sealPacketInto(slot, first+uint64(i), stream[po:pe], &nonce)
 	}
-
-	workers := e.streamWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < streamParallelThreshold {
-		var nonce [12]byte
-		for i := 0; i < n; i++ {
-			seal(i, &nonce)
-		}
-		return pkts, nil
-	}
-	splitRange(n, workers, func(_, lo, hi int) {
-		var nonce [12]byte
-		for i := lo; i < hi; i++ {
-			seal(i, &nonce)
-		}
-	})
 	return pkts, nil
 }
 
 // ReassembleStream opens a packet sequence back into the byte stream.
 //
-// With stream workers configured, packets authenticate in parallel and
-// the replay window is committed afterwards in packet order, so the
-// accept/reject outcome matches opening the packets serially (the whole
-// stream is discarded on any error either way). Payloads decrypt
-// directly into slots of the returned buffer — no per-packet copy.
+// The packets must carry consecutive sequence numbers, as SegmentStream
+// emits them: a reordered, holed or duplicated stream is refused with
+// ErrReplay before any packet is opened. Each packet is then
+// authenticated and marked seen in order; a packet is marked seen only
+// once it authenticates. On the first failure the whole stream is
+// discarded (packets before it stay marked seen — a sender retries
+// under fresh sequence numbers). Payloads decrypt directly into slots
+// of the returned buffer — no per-packet copy.
 func ReassembleStream(e *Endpoint, pkts [][]byte) ([]byte, error) {
 	if len(pkts) == 0 {
 		return nil, nil
@@ -528,46 +426,19 @@ func ReassembleStream(e *Endpoint, pkts [][]byte) ([]byte, error) {
 		if len(p) < 12+TagOverhead {
 			return nil, errors.New("ipsec: packet too short")
 		}
+		if want := packetSeq(pkts[0]) + uint64(i); packetSeq(p) != want {
+			return nil, fmt.Errorf("%w: stream packet %d carries seq %d, want %d", ErrReplay, i, packetSeq(p), want)
+		}
 		offs[i+1] = offs[i] + len(p) - 12 - TagOverhead
 	}
 	arena := make([]byte, offs[len(pkts)])
-
-	workers := e.streamWorkers
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	if workers <= 1 || len(pkts) < streamParallelThreshold {
-		for i, p := range pkts {
-			if _, err := e.In.OpenAppend(arena[offs[i]:offs[i]:offs[i+1]], p); err != nil {
-				return nil, err
-			}
-		}
-		return arena, nil
-	}
-
-	if e.In.Revoked() {
-		return nil, ErrRevoked
-	}
-	seqs := make([]uint64, len(pkts))
-	errs := make([]error, workers)
-	splitRange(len(pkts), workers, func(w, lo, hi int) {
-		var nonce [12]byte
-		for i := lo; i < hi; i++ {
-			_, seq, err := e.In.openPacketInto(arena[offs[i]:offs[i]:offs[i+1]], pkts[i], &nonce)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			seqs[i] = seq
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
+	for i, p := range pkts {
+		if _, err := e.In.OpenAppend(arena[offs[i]:offs[i]:offs[i+1]], p); err != nil {
 			return nil, err
 		}
 	}
-	if err := e.In.commitReplay(seqs); err != nil {
-		return nil, err
-	}
 	return arena, nil
 }
+
+// packetSeq reads a packet's (not yet authenticated) sequence number.
+func packetSeq(pkt []byte) uint64 { return binary.BigEndian.Uint64(pkt[4:12]) }

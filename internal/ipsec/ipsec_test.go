@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	mrand "math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -272,13 +273,11 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelSegmentOrdering proves that parallel sealing assigns
-// sequence numbers strictly in stream order: packet i on the wire must
-// carry seq first+i exactly as the serial path would emit it.
-func TestParallelSegmentOrdering(t *testing.T) {
+// TestSegmentStreamOrdering proves that a stream's packets carry
+// consecutive sequence numbers in stream order, and that they reassemble
+// into the stream.
+func TestSegmentStreamOrdering(t *testing.T) {
 	a, b := newTunnel(t, SuiteHWAES)
-	a.SetStreamWorkers(4)
-	b.SetStreamWorkers(4)
 	stream := make([]byte, 256<<10)
 	mrand.New(mrand.NewSource(5)).Read(stream)
 
@@ -286,8 +285,8 @@ func TestParallelSegmentOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkts) < streamParallelThreshold {
-		t.Fatalf("only %d packets; test did not exercise the parallel path", len(pkts))
+	if len(pkts) < 2 {
+		t.Fatalf("only %d packets; the stream must span several", len(pkts))
 	}
 	var prev uint64
 	for i, p := range pkts {
@@ -307,17 +306,15 @@ func TestParallelSegmentOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, stream) {
-		t.Fatal("parallel segment/reassemble corrupted the stream")
+		t.Fatal("segment/reassemble corrupted the stream")
 	}
 }
 
-// TestParallelReassemblyReplayRejected replays a whole parallel-opened
-// stream: the second pass must fail with ErrReplay because the window
-// was committed for every packet of the first pass.
-func TestParallelReassemblyReplayRejected(t *testing.T) {
+// TestReassemblyReplayRejected replays a whole stream: the second pass
+// must fail with ErrReplay because every packet of the first pass was
+// marked seen.
+func TestReassemblyReplayRejected(t *testing.T) {
 	a, b := newTunnel(t, SuiteHWAES)
-	a.SetStreamWorkers(4)
-	b.SetStreamWorkers(4)
 	stream := make([]byte, 128<<10)
 	pkts, err := SegmentStream(a, stream, 1500)
 	if err != nil {
@@ -341,13 +338,11 @@ func TestParallelReassemblyReplayRejected(t *testing.T) {
 	}
 }
 
-// TestParallelReassemblyAuthFailure corrupts one packet in a parallel
-// batch: reassembly must fail and — because nothing commits on error —
-// the intact packets must still be acceptable afterwards.
-func TestParallelReassemblyAuthFailure(t *testing.T) {
+// TestReassemblyAuthFailure corrupts one packet in a stream: reassembly
+// must fail, and the sender's retry — the same bytes resealed under fresh
+// sequence numbers, as IPsecTransport does — must be accepted.
+func TestReassemblyAuthFailure(t *testing.T) {
 	a, b := newTunnel(t, SuiteHWAES)
-	a.SetStreamWorkers(4)
-	b.SetStreamWorkers(4)
 	stream := make([]byte, 128<<10)
 	pkts, err := SegmentStream(a, stream, 1500)
 	if err != nil {
@@ -355,14 +350,16 @@ func TestParallelReassemblyAuthFailure(t *testing.T) {
 	}
 	evil := append([]byte(nil), pkts[3]...)
 	evil[len(evil)-1] ^= 0xFF
-	good := pkts[3]
 	pkts[3] = evil
 	if _, err := ReassembleStream(b, pkts); !errors.Is(err, ErrAuth) {
 		t.Fatalf("tampered stream accepted: err=%v", err)
 	}
-	pkts[3] = good
-	if _, err := ReassembleStream(b, pkts); err != nil {
-		t.Fatalf("intact stream rejected after failed batch: %v", err)
+	retry, err := SegmentStream(a, stream, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReassembleStream(b, retry); err != nil {
+		t.Fatalf("resealed stream rejected after failed batch: %v", err)
 	}
 }
 
@@ -434,4 +431,99 @@ func TestConcurrentSeal(t *testing.T) {
 			t.Fatalf("seq %d failed to open: %v", binary.BigEndian.Uint64(p[4:12]), err)
 		}
 	}
+}
+
+// sealedStream seals a deterministic 64 KiB stream on a fresh tunnel
+// and returns the receiving endpoint, the stream and its packets.
+func sealedStream(t testing.TB, mtu int) (*Endpoint, []byte, [][]byte) {
+	t.Helper()
+	a, b := newTunnel(t, SuiteHWAES)
+	stream := make([]byte, 64<<10)
+	mrand.New(mrand.NewSource(7)).Read(stream)
+	pkts, err := SegmentStream(a, stream, mtu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, stream, pkts
+}
+
+// TestReassembleStreamTampering edits one sealed stream on the wire in
+// each way a provider-side peer can: every edit must be refused whole,
+// with no bytes returned.
+func TestReassembleStreamTampering(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		edit func(pkts [][]byte) [][]byte
+		want error
+	}{
+		{"swapped", func(p [][]byte) [][]byte { p[1], p[2] = p[2], p[1]; return p }, ErrReplay},
+		{"dropped", func(p [][]byte) [][]byte { return slices.Delete(p, 2, 3) }, ErrReplay},
+		{"duplicated", func(p [][]byte) [][]byte { return slices.Insert(p, 2, p[1]) }, ErrReplay},
+		{"truncated", func(p [][]byte) [][]byte { p[2] = p[2][:len(p[2])-1]; return p }, ErrAuth},
+		{"bit-flipped", func(p [][]byte) [][]byte {
+			p[2] = slices.Clone(p[2])
+			p[2][40] ^= 0x01
+			return p
+		}, ErrAuth},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			b, _, pkts := sealedStream(t, 1500)
+			got, err := ReassembleStream(b, r.edit(pkts))
+			if !errors.Is(err, r.want) || got != nil {
+				t.Fatalf("got %d bytes, err = %v; want none and %v", len(got), err, r.want)
+			}
+		})
+	}
+}
+
+// FuzzReassembleStream lets the fuzzer drop, swap, duplicate, truncate
+// and bit-flip the packets of one sealed stream before a fresh receiver
+// reassembles them. It must never panic, and whatever it accepts must be
+// a contiguous, packet-aligned run of the sealed bytes.
+func FuzzReassembleStream(f *testing.F) {
+	const mtu = 1500
+	payloadPer := mtu - HeaderOverhead - TagOverhead - 40
+	_, stream, sealed := sealedStream(f, mtu)
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})          // drop the first packet
+	f.Add([]byte{0, 46})         // drop the last packet
+	f.Add([]byte{1, 3})          // swap two
+	f.Add([]byte{2, 5})          // duplicate one
+	f.Add([]byte{3, 7, 3, 0})    // truncate two
+	f.Add([]byte{4, 9, 200, 17}) // flip a bit
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		_, b := newTunnel(t, SuiteHWAES)
+		pkts := slices.Clone(sealed)
+		for i := 0; i+1 < len(ops) && len(pkts) > 0; i += 2 {
+			k := int(ops[i+1]) % len(pkts)
+			switch ops[i] % 5 {
+			case 0:
+				pkts = slices.Delete(pkts, k, k+1)
+			case 1:
+				j := (k + 1) % len(pkts)
+				pkts[k], pkts[j] = pkts[j], pkts[k]
+			case 2:
+				pkts = slices.Insert(pkts, k, pkts[k])
+			case 3:
+				pkts[k] = pkts[k][:len(pkts[k])*int(ops[i+1])/256]
+			case 4:
+				if i+2 < len(ops) && len(pkts[k]) > 0 {
+					pkts[k] = slices.Clone(pkts[k])
+					pkts[k][int(ops[i+2])%len(pkts[k])] ^= 1 << (ops[i+1] % 8)
+					i++
+				}
+			}
+		}
+		got, err := ReassembleStream(b, pkts)
+		if err != nil || len(pkts) == 0 {
+			return
+		}
+		for lo := 0; lo < len(stream); lo += payloadPer {
+			hi := lo + len(got)
+			if hi <= len(stream) && (hi%payloadPer == 0 || hi == len(stream)) && bytes.Equal(got, stream[lo:hi]) {
+				return
+			}
+		}
+		t.Fatalf("accepted %d bytes that are no packet-aligned run of the stream", len(got))
+	})
 }

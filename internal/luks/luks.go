@@ -280,31 +280,13 @@ func RemoveKey(dev blockdev.Device, passphrase []byte) error {
 	return writeHeader(dev, h)
 }
 
-// parallelCrossover is the span size, in sectors, above which
-// ReadSectors/WriteSectors shard the cipher work across the volume's
-// worker pool. Below it the goroutine fan-out costs more than the
-// parallelism recovers (a 32 KiB span seals in a few microseconds with
-// AES-NI).
-const parallelCrossover = 64
-
 // Volume is an unlocked LUKS container. It implements blockdev.Device
 // over the data area, transparently encrypting with XTS-AES-256 using
 // the data-area sector number as tweak (plain64).
-//
-// Large spans are sealed by a bounded worker pool (see SetParallelism):
-// XTS sectors are independent — each derives its tweak from its own
-// sector number — so a span splits into contiguous shards with no
-// cross-shard state. Each worker owns a private xts.Cipher so no cipher
-// state is shared between goroutines.
 type Volume struct {
-	dev       blockdev.Device
-	cipher    *xts.Cipher
-	uuid      string
-	masterKey []byte
-
-	mu      sync.Mutex
-	workers int
-	shards  []*xts.Cipher // one per worker
+	dev    blockdev.Device
+	cipher *xts.Cipher
+	uuid   string
 
 	// bufs recycles WriteSectors ciphertext staging buffers.
 	bufs sync.Pool
@@ -315,94 +297,22 @@ func newVolume(dev blockdev.Device, h *header, masterKey []byte) (*Volume, error
 	if err != nil {
 		return nil, err
 	}
-	return &Volume{
-		dev:       dev,
-		cipher:    c,
-		uuid:      h.UUID,
-		masterKey: append([]byte(nil), masterKey...),
-		workers:   1,
-	}, nil
+	return &Volume{dev: dev, cipher: c, uuid: h.UUID}, nil
 }
 
 // UUID returns the container UUID.
 func (v *Volume) UUID() string { return v.uuid }
 
-// SetParallelism sets the number of workers available to shard sector
-// sealing across (1 = fully serial, the default). Each worker gets its
-// own cipher instance built from the master key.
-func (v *Volume) SetParallelism(n int) error {
-	if n < 1 {
-		return errors.New("luks: parallelism must be at least 1")
-	}
-	shards := make([]*xts.Cipher, n)
-	for i := range shards {
-		c, err := xts.NewCipher(aes.NewCipher, v.masterKey)
-		if err != nil {
-			return err
-		}
-		shards[i] = c
-	}
-	v.mu.Lock()
-	v.workers, v.shards = n, shards
-	v.mu.Unlock()
-	return nil
-}
-
-// cryptSpan encrypts or decrypts a whole sector span, sharding across
-// the worker pool when the span is large enough to pay for the fan-out.
-// dst may alias src.
+// cryptSpan encrypts or decrypts a whole sector span. dst may alias src.
 func (v *Volume) cryptSpan(dst, src []byte, firstSector uint64, encrypt bool) error {
-	sectors := len(src) / blockdev.SectorSize
 	m := sealMetricsNow()
-	m.batchSectors.Observe(float64(sectors))
+	m.batchSectors.Observe(float64(len(src) / blockdev.SectorSize))
 	if encrypt {
 		m.sealedBytes.Add(float64(len(src)))
-	} else {
-		m.unsealedBytes.Add(float64(len(src)))
+		return v.cipher.EncryptSectors(dst, src, blockdev.SectorSize, firstSector)
 	}
-	v.mu.Lock()
-	workers, shards := v.workers, v.shards
-	v.mu.Unlock()
-	if workers > sectors {
-		workers = sectors
-	}
-	if workers <= 1 || sectors < parallelCrossover {
-		return cryptSerial(v.cipher, dst, src, firstSector, encrypt)
-	}
-
-	per, extra := sectors/workers, sectors%workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	off := 0
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		bo, bl := off*blockdev.SectorSize, n*blockdev.SectorSize
-		sec := firstSector + uint64(off)
-		c := shards[w]
-		wg.Add(1)
-		go func(w int, d, s []byte, sec uint64) {
-			defer wg.Done()
-			errs[w] = cryptSerial(c, d, s, sec, encrypt)
-		}(w, dst[bo:bo+bl], src[bo:bo+bl], sec)
-		off += n
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func cryptSerial(c *xts.Cipher, dst, src []byte, firstSector uint64, encrypt bool) error {
-	if encrypt {
-		return c.EncryptSectors(dst, src, blockdev.SectorSize, firstSector)
-	}
-	return c.DecryptSectors(dst, src, blockdev.SectorSize, firstSector)
+	m.unsealedBytes.Add(float64(len(src)))
+	return v.cipher.DecryptSectors(dst, src, blockdev.SectorSize, firstSector)
 }
 
 // NumSectors implements Device (data area only).

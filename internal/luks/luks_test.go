@@ -279,77 +279,12 @@ func TestQuickVolumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial writes a large span through a sharded
-// volume and verifies both the decrypted contents and the on-disk
-// ciphertext are byte-identical to a fully serial volume: sharding must
-// not change what lands on the device, only how fast it gets there.
-func TestParallelMatchesSerial(t *testing.T) {
-	const spanSectors = 512 // well above the parallel crossover
-	data := make([]byte, spanSectors*blockdev.SectorSize)
-	rand.New(rand.NewSource(1)).Read(data)
-
-	serialDisk := newDisk(t, 1<<20)
-	serial, err := FormatWithIterations(serialDisk, []byte("pw"), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same master key on a second disk so ciphertext is comparable.
-	parDisk := newDisk(t, 1<<20)
-	hdr := make([]byte, headerBytes)
-	if err := serialDisk.ReadSectors(hdr, 0); err != nil {
-		t.Fatal(err)
-	}
-	parDisk.WriteSectors(hdr, 0)
-	par, err := Open(parDisk, []byte("pw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := par.SetParallelism(4); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := serial.WriteSectors(data, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.WriteSectors(data, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	// On-disk ciphertext must be identical sector for sector.
-	rawA := make([]byte, len(data))
-	rawB := make([]byte, len(data))
-	serialDisk.ReadSectors(rawA, headerSectors+3)
-	parDisk.ReadSectors(rawB, headerSectors+3)
-	if !bytes.Equal(rawA, rawB) {
-		t.Fatal("sharded encryption produced different ciphertext than serial")
-	}
-
-	// Parallel read of serially written data (and vice versa).
-	got := make([]byte, len(data))
-	if err := par.ReadSectors(got, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("parallel read of serial write mismatch")
-	}
-	got2 := make([]byte, len(data))
-	if err := serial.ReadSectors(got2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, data) {
-		t.Fatal("serial read of parallel write mismatch")
-	}
-}
-
-// TestConcurrentVolumeIO hammers a sharded volume from many goroutines
-// on disjoint ranges; run under -race this proves the worker pool and
-// buffer pool share no unsynchronized state.
+// TestConcurrentVolumeIO hammers one volume from many goroutines on
+// disjoint ranges; run under -race this proves the shared cipher and
+// the staging-buffer pool hold no unsynchronized state.
 func TestConcurrentVolumeIO(t *testing.T) {
 	disk := newDisk(t, 4<<20)
 	v := format(t, disk, "pw")
-	if err := v.SetParallelism(4); err != nil {
-		t.Fatal(err)
-	}
 	const goroutines = 4
 	const spanSectors = 256
 	var wg sync.WaitGroup

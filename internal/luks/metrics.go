@@ -31,7 +31,7 @@ func SetMetrics(reg *obs.Registry) {
 		unsealedBytes: reg.Counter("bolted_luks_unsealed_bytes_total",
 			"Ciphertext bytes unsealed (decrypted) through the XTS data plane."),
 		batchSectors: reg.Histogram("bolted_luks_batch_sectors",
-			"Sectors per sealing span (the unit sharded across XTS workers).",
+			"Sectors per sealing span (one EncryptSectors or DecryptSectors call).",
 			obs.DefCountBuckets),
 	})
 }
