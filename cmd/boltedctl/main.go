@@ -7,62 +7,12 @@
 //
 // Usage:
 //
-//	boltedctl [-server URL] [-json] <command> [args]
+//	boltedctl [flags] <command> [args]
 //
 // All flags precede the command (standard library flag parsing stops
-// at the first positional argument).
-//
-//	project create <name>
-//	node list-free
-//	node allocate <project> [node]
-//	node free <project> <node>
-//	node metadata <node>
-//	net create <project> <network>
-//	net delete <project> <network>
-//	net connect <project> <node> <network>
-//	net detach <project> <node> <network>
-//	power <on|off|cycle> <project> <node>
-//	image list
-//	image create <name> <size-bytes>
-//	image clone <src> <dst>
-//	image snapshot <src> <snap>
-//	image delete <name>
-//	image bootinfo <name>
-//	firmware verify <node> <source-id> <source-file>
-//	enclave create <name>         (-profile alice|bob|charlie)
-//	enclave list
-//	enclave get <name>
-//	enclave delete <name>
-//	enclave acquire <image> <n>   (-project NAME, -async, -idem KEY)
-//	enclave release <node>        (-project NAME, -save IMAGE)
-//	enclave reclaim <node>        (-project NAME)
-//	enclave guard <name> [enable|disable]  (-interval, -max-quotes, -tolerance, -heal-image)
-//	enclave events <name>         (-follow)
-//	enclave revocations <name>
-//	pool set <enclave>            (-target, -airlocks, -refill)
-//	pool get <enclave>
-//	pool list
-//	pool drain <enclave>
-//	pool delete <enclave>
-//	quota set <tenant>            (-weight, -max-nodes, -inflight)
-//	quota get <tenant>
-//	quota list
-//	quota delete <tenant>
-//	sched stats
-//	health
-//	resilience get [enclave]
-//	resilience set [enclave]      (-max-attempts, -retry-backoff,
-//	                               -backoff-cap, -phase-deadline,
-//	                               -breaker-threshold, -breaker-cooldown)
-//	op list
-//	op get <id>
-//	op wait <id>
-//	op cancel <id>
-//	op events <id>
-//	incident list [enclave]
-//	incident get <id>
-//	incident wait <id>
-//	incident stream
+// at the first positional argument). `boltedctl -h` prints every
+// command with its arguments and help, then the flags; both come from
+// the command table below, which is the only list of commands.
 //
 // Exit codes are script-friendly: 0 success, 1 transport or API error,
 // 2 usage error, 3 batch finished but some nodes failed (inspect
@@ -82,8 +32,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"bolted"
@@ -105,620 +57,312 @@ const (
 	exitDegraded  = 7 // cloud degraded: a backend circuit breaker is open
 )
 
-var jsonOut bool
+var (
+	server      = flag.String("server", "http://127.0.0.1:8080", "boltedd service-plane base URL")
+	jsonOut     = flag.Bool("json", false, "emit results as JSON")
+	profileName = flag.String("profile", "bob", "enclave security profile: alice, bob or charlie")
+	project     = flag.String("project", "boltedctl", "enclave name on the /v1 control plane")
+	async       = flag.Bool("async", false, "enclave acquire: return the operation immediately instead of waiting")
+	idemKey     = flag.String("idem", "", "enclave acquire: idempotency key; a retried submission with the same key resumes the original operation instead of starting a second batch")
+	saveAs      = flag.String("save", "", "enclave release: preserve the node's volume as this image")
+	follow      = flag.Bool("follow", false, "enclave events: keep streaming live events")
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: boltedctl [-server URL] [-json] [-profile P] [-project NAME] [-async] <command> [args]
-commands:
-  project create <name>
-  node list-free
-  node allocate <project> [node]
-  node free <project> <node>
-  node metadata <node>
-  net create <project> <network>
-  net delete <project> <network>
-  net connect <project> <node> <network>
-  net detach <project> <node> <network>
-  power <on|off|cycle> <project> <node>
-  image list | create <name> <size> | clone <src> <dst> |
-        snapshot <src> <snap> | delete <name> | bootinfo <name>
-  firmware verify <node> <source-id> <source-file>
-        (rebuild LinuxBoot from source and compare against the
-         provider-published platform PCR for the node)
-  enclave create <name> | list | get <name> | delete <name>
-        (server-side enclave resources on the /v1 control plane)
-  enclave acquire <image> <n>
-        (start an async batch acquisition Operation against the
-         -project enclave; without -async, follow it to completion;
-         -idem KEY makes a retried submission resume the original
-         operation instead of starting a second batch)
-  enclave release <node>   (-project NAME, -save IMAGE)
-  enclave reclaim <node>   (scrub a rejected-pool node and return it to
-        the provider's free pool after repair; -project NAME)
-  enclave guard <name> [enable|disable]
-        (runtime attestation guard: enable takes -interval,
-         -max-quotes, -tolerance and -heal-image; bare form shows
-         status; re-running enable updates the policy)
-  enclave events <name>      (lifecycle journal; -follow streams live)
-  enclave revocations <name> (verifier revocation feed over the wire)
-  pool set <enclave>         (warm pool of pre-attested standbys:
-        -target occupancy, -airlocks attestation parallelism,
-        -refill concurrent warm boots; re-run to update the policy)
-  pool get <enclave> | list | drain <enclave> | delete <enclave>
-  quota set <tenant>         (weighted-fair share and admission caps:
-        -weight fair share, -max-nodes total node cap,
-        -inflight concurrent acquire cap; re-run to update)
-  quota get <tenant> | list | delete <tenant>
-  sched stats                (airlock scheduler snapshot: slots, queue,
-        grants, preemptions, per-tenant shares)
-  health                     (degraded-mode snapshot: per-backend circuit
-        breaker states; exit 7 while degraded)
-  resilience get [enclave]   (effective retry/breaker/deadline policy;
-        cloud-wide without an enclave)
-  resilience set [enclave]   (-max-attempts, -retry-backoff, -backoff-cap,
-        -phase-deadline, -breaker-threshold, -breaker-cooldown;
-        re-run to update — only the flags passed change)
-  op list | get <id> | wait <id> | cancel <id> | events <id>
-  op trace <id>              (per-node phase timeline from the server's
-        span tracer; recent operations only)
-  incident list [enclave] | get <id> | wait <id> | stream
-exit codes: 0 ok, 1 transport/API error, 2 usage,
-            3 partial batch failure, 4 operation cancelled,
-            5 incident open / degraded, 6 over quota (429),
-            7 cloud degraded (breaker open)`)
-	os.Exit(exitUsage)
+	// The policy flags are bound into the policy they set, so a `set`
+	// command can overlay exactly the flags passed (see overlay).
+	guardPolicy bolted.GuardPolicyInfo
+	poolPolicy  bolted.PoolPolicyInfo
+	quota       bolted.TenantQuotaInfo
+	resilience  bolted.ResiliencePolicyInfo
+)
+
+func init() {
+	flag.DurationVar(&guardPolicy.Interval, "interval", 0, "enclave guard enable: IMA check cadence (0 = server default)")
+	flag.IntVar(&guardPolicy.MaxConcurrent, "max-quotes", 0, "enclave guard enable: max concurrent quotes per round (0 = server default)")
+	flag.IntVar(&guardPolicy.FailureTolerance, "tolerance", 0, "enclave guard enable: consecutive failed rounds before revocation (0 = server default)")
+	flag.StringVar(&guardPolicy.Image, "heal-image", "", "enclave guard enable: self-heal with replacements booted from this image")
+	flag.IntVar(&poolPolicy.Target, "target", 0, "pool set: warm standby occupancy to maintain")
+	flag.IntVar(&poolPolicy.Airlocks, "airlocks", 0, "pool set: parallel attestation airlocks (0 = server default)")
+	flag.IntVar(&poolPolicy.MaxRefill, "refill", 0, "pool set: concurrent warm boots (0 = server default)")
+	flag.IntVar(&quota.Weight, "weight", 0, "quota set: weighted-fair share of the airlocks (0 = default weight 1)")
+	flag.IntVar(&quota.MaxNodes, "max-nodes", 0, "quota set: hard cap on the tenant's total nodes (0 = unlimited)")
+	flag.IntVar(&quota.MaxInFlight, "inflight", 0, "quota set: hard cap on concurrent acquires in flight (0 = unlimited)")
+	flag.IntVar(&resilience.MaxAttempts, "max-attempts", 0, "resilience set: per-backend-call attempt budget, 1 disables retries (0 = server default)")
+	flag.DurationVar(&resilience.RetryBackoff, "retry-backoff", 0, "resilience set: base of the capped full-jitter retry backoff (0 = server default)")
+	flag.DurationVar(&resilience.BackoffCap, "backoff-cap", 0, "resilience set: cap on exponential backoff growth (0 = server default)")
+	flag.DurationVar(&resilience.PhaseDeadline, "phase-deadline", 0, "resilience set: per-lifecycle-phase deadline (0 = unbounded)")
+	flag.IntVar(&resilience.BreakerThreshold, "breaker-threshold", 0, "resilience set: consecutive transient failures that trip a backend breaker (0 = server default)")
+	flag.DurationVar(&resilience.BreakerCooldown, "breaker-cooldown", 0, "resilience set: how long a tripped breaker stays open before a half-open probe (0 = server default)")
 }
 
-// emit prints v as JSON under -json, or runs the human formatter.
-func emit(v interface{}, human func()) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			fmt.Fprintln(os.Stderr, "boltedctl:", err)
-			os.Exit(exitError)
-		}
-		return
-	}
-	human()
+// The clients every command shares, built once the flags are parsed.
+var (
+	ctx = context.Background()
+	hc  *hil.Client
+	bc  *bmi.Client
+	v1  *bolted.Client
+)
+
+// command is one row of the command table; dispatch, the arity check
+// and -h are all read from it.
+type command struct {
+	name     string // one or two words
+	args     string // argument synopsis
+	help     string
+	min, max int // how many arguments follow the name
+	// run does the command's work. It returns the value -json prints
+	// (nil: none — the human rendering then prints in both modes), the
+	// value's human rendering (nil: nothing), and the exit code.
+	run func(a []string) (any, func(), int, error)
 }
 
-func main() {
-	server := flag.String("server", "http://127.0.0.1:8080", "boltedd service-plane base URL")
-	profileName := flag.String("profile", "bob", "enclave security profile: alice, bob or charlie")
-	project := flag.String("project", "boltedctl", "enclave name on the /v1 control plane")
-	async := flag.Bool("async", false, "enclave acquire: return the operation immediately instead of waiting")
-	idemKey := flag.String("idem", "", "enclave acquire: idempotency key; a retried submission with the same key resumes the original operation instead of starting a second batch")
-	saveAs := flag.String("save", "", "enclave release: preserve the node's volume as this image")
-	interval := flag.Duration("interval", 0, "enclave guard enable: IMA check cadence (0 = server default)")
-	maxQuotes := flag.Int("max-quotes", 0, "enclave guard enable: max concurrent quotes per round (0 = server default)")
-	tolerance := flag.Int("tolerance", 0, "enclave guard enable: consecutive failed rounds before revocation (0 = server default)")
-	healImage := flag.String("heal-image", "", "enclave guard enable: self-heal with replacements booted from this image")
-	follow := flag.Bool("follow", false, "enclave events: keep streaming live events")
-	poolTarget := flag.Int("target", 0, "pool set: warm standby occupancy to maintain")
-	poolAirlocks := flag.Int("airlocks", 0, "pool set: parallel attestation airlocks (0 = server default)")
-	poolRefill := flag.Int("refill", 0, "pool set: concurrent warm boots (0 = server default)")
-	quotaWeight := flag.Int("weight", 0, "quota set: weighted-fair share of the airlocks (0 = default weight 1)")
-	quotaMaxNodes := flag.Int("max-nodes", 0, "quota set: hard cap on the tenant's total nodes (0 = unlimited)")
-	quotaInflight := flag.Int("inflight", 0, "quota set: hard cap on concurrent acquires in flight (0 = unlimited)")
-	resMaxAttempts := flag.Int("max-attempts", 0, "resilience set: per-backend-call attempt budget, 1 disables retries (0 = server default)")
-	resRetryBackoff := flag.Duration("retry-backoff", 0, "resilience set: base of the capped full-jitter retry backoff (0 = server default)")
-	resBackoffCap := flag.Duration("backoff-cap", 0, "resilience set: cap on exponential backoff growth (0 = server default)")
-	resPhaseDeadline := flag.Duration("phase-deadline", 0, "resilience set: per-lifecycle-phase deadline (0 = unbounded)")
-	resBreakerThreshold := flag.Int("breaker-threshold", 0, "resilience set: consecutive transient failures that trip a backend breaker (0 = server default)")
-	resBreakerCooldown := flag.Duration("breaker-cooldown", 0, "resilience set: how long a tripped breaker stays open before a half-open probe (0 = server default)")
-	flag.BoolVar(&jsonOut, "json", false, "emit results as JSON")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 1 && args[0] == "health" {
-		// `health` is the one bare command; pad it into the two-token
-		// dispatch below.
-		args = append(args, "show")
-	}
-	if len(args) < 2 {
-		usage()
-	}
-	c := hil.NewClient(*server)
-	v1 := bolted.NewClient(*server)
-	ctx := context.Background()
-
-	need := func(n int) {
-		if len(args) != n {
-			usage()
-		}
-	}
-	var err error
-	switch args[0] + " " + args[1] {
-	case "project create":
-		need(3)
-		err = c.CreateProject(args[2])
-	case "node list-free":
-		need(2)
-		var free []string
-		free, err = c.FreeNodes()
-		if err == nil {
-			emit(free, func() {
-				for _, n := range free {
-					fmt.Println(n)
-				}
-			})
-		}
-	case "node allocate":
-		if len(args) == 4 {
-			err = c.AllocateNode(ctx, args[2], args[3])
-			if err == nil {
-				fmt.Println(args[3])
-			}
+var commands = []command{
+	{"project create", "<name>", "create a HIL project", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(hc.CreateProject(a[0]))
+	}},
+	{"node list-free", "", "nodes in the provider's free pool", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(printLines)(hc.FreeNodes())
+	}},
+	{"node allocate", "<project> [node]", "reserve a node (any free one by default) and print its name", 1, 2, func(a []string) (any, func(), int, error) {
+		node := optional(a, 1)
+		var err error
+		if node == "" {
+			node, err = hc.AllocateAnyNode(ctx, a[0])
 		} else {
-			need(3)
-			var got string
-			got, err = c.AllocateAnyNode(ctx, args[2])
-			if err == nil {
-				fmt.Println(got)
+			err = hc.AllocateNode(ctx, a[0], node)
+		}
+		return nil, func() { fmt.Println(node) }, exitOK, err
+	}},
+	{"node free", "<project> <node>", "return a node to the free pool", 2, 2, func(a []string) (any, func(), int, error) {
+		return done(hc.FreeNode(ctx, a[0], a[1]))
+	}},
+	{"node metadata", "<node>", "provider-published node metadata", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(func(md map[string]string) {
+			for k, v := range md {
+				fmt.Printf("%s=%s\n", k, v)
 			}
+		})(hc.NodeMetadata(a[0]))
+	}},
+	{"net create", "<project> <network>", "create a tenant network", 2, 2, func(a []string) (any, func(), int, error) {
+		return done(hc.CreateNetwork(ctx, a[0], a[1]))
+	}},
+	{"net delete", "<project> <network>", "delete a tenant network", 2, 2, func(a []string) (any, func(), int, error) {
+		return done(hc.DeleteNetwork(ctx, a[0], a[1]))
+	}},
+	{"net connect", "<project> <node> <network>", "attach a node to a network", 3, 3, func(a []string) (any, func(), int, error) {
+		return done(hc.ConnectNode(ctx, a[0], a[1], a[2]))
+	}},
+	{"net detach", "<project> <node> <network>", "detach a node from a network", 3, 3, func(a []string) (any, func(), int, error) {
+		return done(hc.DetachNode(ctx, a[0], a[1], a[2]))
+	}},
+	{"power", "<on|off|cycle> <project> <node>", "switch a node's power", 3, 3, func(a []string) (any, func(), int, error) {
+		if !slices.Contains([]string{"on", "off", "cycle"}, a[0]) {
+			return nil, nil, exitUsage, nil
 		}
-	case "node free":
-		need(4)
-		err = c.FreeNode(ctx, args[2], args[3])
-	case "node metadata":
-		need(3)
-		var md map[string]string
-		md, err = c.NodeMetadata(args[2])
+		return done(hc.Power(ctx, a[1], a[2], a[0]))
+	}},
+	{"image list", "", "BMI images", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(printLines)(bc.ListImages())
+	}},
+	{"image create", "<name> <size-bytes>", "create an empty image", 2, 2, func(a []string) (any, func(), int, error) {
+		size, err := strconv.ParseInt(a[1], 10, 64)
 		if err == nil {
-			emit(md, func() {
-				for k, v := range md {
-					fmt.Printf("%s=%s\n", k, v)
-				}
-			})
+			_, err = bc.CreateImage(ctx, a[0], size)
 		}
-	case "net create":
-		need(4)
-		err = c.CreateNetwork(ctx, args[2], args[3])
-	case "net delete":
-		need(4)
-		err = c.DeleteNetwork(ctx, args[2], args[3])
-	case "net connect":
-		need(5)
-		err = c.ConnectNode(ctx, args[2], args[3], args[4])
-	case "net detach":
-		need(5)
-		err = c.DetachNode(ctx, args[2], args[3], args[4])
-	case "power on", "power off", "power cycle":
-		need(4)
-		err = c.Power(ctx, args[2], args[3], args[1])
-	case "image list":
-		need(2)
-		var imgs []string
-		imgs, err = bmiClient(*server).ListImages()
-		if err == nil {
-			emit(imgs, func() {
-				for _, i := range imgs {
-					fmt.Println(i)
-				}
-			})
+		return done(err)
+	}},
+	{"image clone", "<src> <dst>", "copy-on-write clone of an image", 2, 2, func(a []string) (any, func(), int, error) {
+		_, err := bc.CloneImage(ctx, a[0], a[1])
+		return done(err)
+	}},
+	{"image snapshot", "<src> <snap>", "snapshot an image", 2, 2, func(a []string) (any, func(), int, error) {
+		_, err := bc.SnapshotImage(ctx, a[0], a[1])
+		return done(err)
+	}},
+	{"image delete", "<name>", "delete an image", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(bc.DeleteImage(ctx, a[0]))
+	}},
+	{"image bootinfo", "<name>", "kernel, initrd and command line extracted from an image", 1, 1, func(a []string) (any, func(), int, error) {
+		bi, err := bc.ExtractBootInfo(ctx, a[0])
+		if err != nil {
+			return done(err)
 		}
-	case "image create":
-		need(4)
-		var size int64
-		size, err = strconv.ParseInt(args[3], 10, 64)
-		if err == nil {
-			_, err = bmiClient(*server).CreateImage(ctx, args[2], size)
-		}
-	case "image clone":
-		need(4)
-		_, err = bmiClient(*server).CloneImage(ctx, args[2], args[3])
-	case "image snapshot":
-		need(4)
-		_, err = bmiClient(*server).SnapshotImage(ctx, args[2], args[3])
-	case "image delete":
-		need(3)
-		err = bmiClient(*server).DeleteImage(ctx, args[2])
-	case "image bootinfo":
-		need(3)
-		var bi *bmi.BootInfo
-		bi, err = bmiClient(*server).ExtractBootInfo(ctx, args[2])
-		if err == nil {
-			emit(map[string]interface{}{
+		return map[string]any{
 				"kernel_id": bi.KernelID, "cmdline": bi.Cmdline,
 				"kernel_bytes": len(bi.Kernel), "initrd_bytes": len(bi.Initrd),
 			}, func() {
 				fmt.Printf("kernel-id: %s\ncmdline:   %s\nkernel:    %d bytes\ninitrd:    %d bytes\n",
 					bi.KernelID, bi.Cmdline, len(bi.Kernel), len(bi.Initrd))
-			})
-		}
-	case "firmware verify":
-		need(5)
-		var md map[string]string
-		md, err = c.NodeMetadata(args[2])
+			}, exitOK, nil
+	}},
+	{"firmware verify", "<node> <source-id> <source-file>", "rebuild LinuxBoot from source and compare it against the provider-published platform PCR for the node", 3, 3, func(a []string) (any, func(), int, error) {
+		md, err := hc.NodeMetadata(a[0])
 		if err != nil {
-			break
+			return done(err)
 		}
-		var source []byte
-		source, err = os.ReadFile(args[4])
-		if err != nil {
-			break
-		}
-		if err = core.VerifyPublishedFirmware(md, args[3], source); err == nil {
-			fmt.Printf("node %s: published firmware measurement matches your build of %s\n", args[2], args[3])
-		}
-	case "enclave create":
-		need(3)
-		var info *bolted.EnclaveInfo
-		info, err = v1.CreateEnclave(ctx, args[2], *profileName)
+		source, err := os.ReadFile(a[2])
 		if err == nil {
-			emit(info, func() { fmt.Printf("enclave %s created (profile %s)\n", info.Name, info.Profile) })
+			err = core.VerifyPublishedFirmware(md, a[1], source)
 		}
-	case "enclave list":
-		need(2)
-		var encls []*bolted.EnclaveInfo
-		encls, err = v1.ListEnclaves(ctx)
-		if err == nil {
-			emit(encls, func() {
-				for _, e := range encls {
-					fmt.Printf("%s\tprofile=%s\tnodes=%d\n", e.Name, e.Profile, len(e.Nodes))
-				}
-			})
-		}
-	case "enclave get":
-		need(3)
-		var info *bolted.EnclaveInfo
-		info, err = v1.GetEnclave(ctx, args[2])
-		if err == nil {
-			emit(info, func() {
-				fmt.Printf("enclave %s (profile %s)\n", info.Name, info.Profile)
-				for n, st := range info.Nodes {
-					fmt.Printf("  %s\t%s\n", n, st)
-				}
-				for _, id := range info.Incidents {
-					fmt.Printf("  open incident %s\n", id)
-				}
-			})
-			if len(info.Incidents) > 0 {
-				os.Exit(exitIncident)
+		return nil, func() {
+			fmt.Printf("node %s: published firmware measurement matches your build of %s\n", a[0], a[1])
+		}, exitOK, err
+	}},
+	{"enclave create", "<name>", "create a server-side enclave (-profile)", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(func(info *bolted.EnclaveInfo) {
+			fmt.Printf("enclave %s created (profile %s)\n", info.Name, info.Profile)
+		})(v1.CreateEnclave(ctx, a[0], *profileName))
+	}},
+	{"enclave list", "", "enclaves on the control plane", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(func(encls []*bolted.EnclaveInfo) {
+			for _, e := range encls {
+				fmt.Printf("%s\tprofile=%s\tnodes=%d\n", e.Name, e.Profile, len(e.Nodes))
 			}
-		}
-	case "enclave delete":
-		need(3)
-		err = v1.DeleteEnclave(ctx, args[2])
-	case "enclave acquire":
-		need(4)
-		var n int
-		n, err = strconv.Atoi(args[3])
-		if err == nil {
-			os.Exit(acquireV1(ctx, v1, *project, *profileName, args[2], n, *async, *idemKey))
-		}
-	case "enclave release":
-		need(3)
-		err = v1.ReleaseNode(ctx, *project, args[2], *saveAs)
-	case "enclave reclaim":
-		need(3)
-		err = v1.ReclaimNode(ctx, *project, args[2])
-		if err == nil {
-			fmt.Printf("node %s reclaimed: scrubbed and returned to the free pool\n", args[2])
-		}
-	case "enclave guard":
-		if len(args) == 3 {
-			var info *bolted.GuardInfo
-			info, err = v1.GetGuard(ctx, args[2])
-			if err == nil {
-				emit(info, func() { printGuard(info) })
-			}
-			break
-		}
-		need(4)
-		switch args[3] {
+		})(v1.ListEnclaves(ctx))
+	}},
+	{"enclave get", "<name>", "an enclave's nodes and open incidents; exit 5 while an incident is open", 1, 1, func(a []string) (any, func(), int, error) {
+		return showExit(printEnclave, func(info *bolted.EnclaveInfo) int {
+			return exitIf(len(info.Incidents) > 0, exitIncident)
+		})(v1.GetEnclave(ctx, a[0]))
+	}},
+	{"enclave delete", "<name>", "release every node and delete the enclave", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.DeleteEnclave(ctx, a[0]))
+	}},
+	{"enclave acquire", "<image> <n>", "start a batch acquisition Operation into the -project enclave and follow it to completion (-async returns at once; -idem KEY makes a retried submission resume the original operation)", 2, 2, acquire},
+	{"enclave release", "<node>", "release a node of the -project enclave (-save IMAGE keeps its volume)", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.ReleaseNode(ctx, *project, a[0], *saveAs))
+	}},
+	{"enclave reclaim", "<node>", "scrub a rejected-pool node of the -project enclave and return it to the provider's free pool after repair", 1, 1, func(a []string) (any, func(), int, error) {
+		return nil, func() {
+			fmt.Printf("node %s reclaimed: scrubbed and returned to the free pool\n", a[0])
+		}, exitOK, v1.ReclaimNode(ctx, *project, a[0])
+	}},
+	{"enclave guard", "<name> [enable|disable]", "runtime attestation guard: the bare form shows its status; enable (re)sets the policy from -interval, -max-quotes, -tolerance and -heal-image", 1, 2, func(a []string) (any, func(), int, error) {
+		switch optional(a, 1) {
+		case "":
+			return show(printGuard)(v1.GetGuard(ctx, a[0]))
 		case "enable":
-			p := bolted.GuardPolicyInfo{
-				Interval:         *interval,
-				MaxConcurrent:    *maxQuotes,
-				FailureTolerance: *tolerance,
-				SelfHeal:         *healImage != "",
-				Image:            *healImage,
-			}
-			var info *bolted.GuardInfo
-			info, err = v1.EnableGuard(ctx, args[2], p)
-			if err == nil {
-				emit(info, func() { printGuard(info) })
-			}
+			guardPolicy.SelfHeal = guardPolicy.Image != ""
+			return show(printGuard)(v1.EnableGuard(ctx, a[0], guardPolicy))
 		case "disable":
-			err = v1.DisableGuard(ctx, args[2])
-		default:
-			usage()
+			return done(v1.DisableGuard(ctx, a[0]))
 		}
-	case "enclave events":
-		need(3)
-		enc := json.NewEncoder(os.Stdout)
-		err = v1.EnclaveEvents(ctx, args[2], 0, *follow, func(ev bolted.EventInfo) error {
-			if jsonOut {
-				return enc.Encode(ev)
+		return nil, nil, exitUsage, nil
+	}},
+	{"enclave events", "<name>", "the enclave's lifecycle journal (-follow streams live)", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.EnclaveEvents(ctx, a[0], 0, *follow, printer(printEvent)))
+	}},
+	{"enclave revocations", "<name>", "the verifier's revocation feed for the enclave", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(func(revs []bolted.RevocationInfo) {
+			for _, rv := range revs {
+				fmt.Printf("%s revoked %s: %s\n", rv.At.Format("15:04:05.000"), rv.Node, rv.Reason)
 			}
-			printEvent(ev)
-			return nil
-		})
-	case "enclave revocations":
-		need(3)
-		var revs []bolted.RevocationInfo
-		revs, err = v1.Revocations(ctx, args[2], 0)
-		if err == nil {
-			emit(revs, func() {
-				for _, rv := range revs {
-					fmt.Printf("%s revoked %s: %s\n", rv.At.Format("15:04:05.000"), rv.Node, rv.Reason)
-				}
-			})
+		})(v1.Revocations(ctx, a[0], 0))
+	}},
+	{"pool set", "<enclave>", "create or update a warm pool of pre-attested standbys (-target, -airlocks, -refill; only the flags passed change)", 1, 1, func(a []string) (any, func(), int, error) {
+		var cur bolted.PoolPolicyInfo
+		if p, err := v1.GetPool(ctx, a[0]); err == nil {
+			cur = p.Policy
 		}
-	case "pool set":
-		need(3)
-		// Merge semantics: PUT replaces the whole policy, and Target 0
-		// is meaningful (drained), so start from the current policy and
-		// overlay only the flags the caller actually passed — re-running
-		// `pool set -airlocks 8` must not silently drain the pool.
-		var p bolted.PoolPolicyInfo
-		if cur, getErr := v1.GetPool(ctx, args[2]); getErr == nil {
-			p = cur.Policy
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "target":
-				p.Target = *poolTarget
-			case "airlocks":
-				p.Airlocks = *poolAirlocks
-			case "refill":
-				p.MaxRefill = *poolRefill
+		return show(printPool)(v1.ConfigurePool(ctx, a[0], overlay(&poolPolicy, cur)))
+	}},
+	{"pool get", "<enclave>", "a warm pool's policy, occupancy and hit counters", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printPool)(v1.GetPool(ctx, a[0]))
+	}},
+	{"pool list", "", "every warm pool", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(func(pools []*bolted.PoolInfo) {
+			for _, p := range pools {
+				fmt.Printf("%s\ttarget=%d warm=%d hits=%d misses=%d\n",
+					p.Enclave, p.Policy.Target, p.Warm, p.Hits, p.Misses)
 			}
-		})
-		var info *bolted.PoolInfo
-		info, err = v1.ConfigurePool(ctx, args[2], p)
-		if err == nil {
-			emit(info, func() { printPool(info) })
+		})(v1.ListPools(ctx))
+	}},
+	{"pool drain", "<enclave>", "release every standby and idle the refiller", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printPool)(v1.DrainPool(ctx, a[0]))
+	}},
+	{"pool delete", "<enclave>", "stop and remove a warm pool", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.DeletePool(ctx, a[0]))
+	}},
+	{"quota set", "<tenant>", "set a tenant's weighted-fair share and admission caps (-weight, -max-nodes, -inflight; only the flags passed change)", 1, 1, func(a []string) (any, func(), int, error) {
+		var cur bolted.TenantQuotaInfo
+		if q, err := v1.GetQuota(ctx, a[0]); err == nil {
+			cur = q.Quota
 		}
-	case "pool get":
-		need(3)
-		var info *bolted.PoolInfo
-		info, err = v1.GetPool(ctx, args[2])
-		if err == nil {
-			emit(info, func() { printPool(info) })
-		}
-	case "pool list":
-		need(2)
-		var pools []*bolted.PoolInfo
-		pools, err = v1.ListPools(ctx)
-		if err == nil {
-			emit(pools, func() {
-				for _, p := range pools {
-					fmt.Printf("%s\ttarget=%d warm=%d hits=%d misses=%d\n",
-						p.Enclave, p.Policy.Target, p.Warm, p.Hits, p.Misses)
-				}
-			})
-		}
-	case "pool drain":
-		need(3)
-		var info *bolted.PoolInfo
-		info, err = v1.DrainPool(ctx, args[2])
-		if err == nil {
-			emit(info, func() { printPool(info) })
-		}
-	case "pool delete":
-		need(3)
-		err = v1.DeletePool(ctx, args[2])
-	case "quota set":
-		need(3)
-		// Same merge semantics as `pool set`: PUT replaces the whole
-		// quota and 0 means "unlimited", so overlay only the flags the
-		// caller passed on top of the current quota.
-		var q bolted.TenantQuotaInfo
-		if cur, getErr := v1.GetQuota(ctx, args[2]); getErr == nil {
-			q = cur.Quota
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "weight":
-				q.Weight = *quotaWeight
-			case "max-nodes":
-				q.MaxNodes = *quotaMaxNodes
-			case "inflight":
-				q.MaxInFlight = *quotaInflight
+		return show(printQuota)(v1.SetQuota(ctx, a[0], overlay(&quota, cur)))
+	}},
+	{"quota get", "<tenant>", "a tenant's quota and live usage", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printQuota)(v1.GetQuota(ctx, a[0]))
+	}},
+	{"quota list", "", "every tenant quota", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(func(quotas []bolted.QuotaInfo) {
+			for _, q := range quotas {
+				fmt.Printf("%s\tweight=%d max-nodes=%d inflight=%d\tnodes=%d in-flight=%d\n",
+					q.Tenant, q.Quota.Weight, q.Quota.MaxNodes, q.Quota.MaxInFlight, q.Nodes, q.InFlight)
 			}
-		})
-		var info *bolted.QuotaInfo
-		info, err = v1.SetQuota(ctx, args[2], q)
-		if err == nil {
-			emit(info, func() { printQuota(info) })
+		})(v1.ListQuotas(ctx))
+	}},
+	{"quota delete", "<tenant>", "remove a tenant's quota", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.DeleteQuota(ctx, a[0]))
+	}},
+	{"sched stats", "", "airlock scheduler: slots, queue, grants, preemptions, per-tenant shares", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(printSched)(v1.SchedStats(ctx))
+	}},
+	{"health", "", "per-backend circuit breaker states; exit 7 while degraded", 0, 0, func(a []string) (any, func(), int, error) {
+		return showExit(printHealth, func(h *bolted.HealthInfo) int {
+			return exitIf(h.Degraded, exitDegraded)
+		})(v1.Health(ctx))
+	}},
+	{"resilience get", "[enclave]", "effective retry, breaker and deadline policy (cloud-wide without an enclave)", 0, 1, func(a []string) (any, func(), int, error) {
+		return show(printResilience(optional(a, 0)))(v1.GetResilience(ctx, optional(a, 0)))
+	}},
+	{"resilience set", "[enclave]", "update the policy (-max-attempts, -retry-backoff, -backoff-cap, -phase-deadline, -breaker-threshold, -breaker-cooldown; only the flags passed change)", 0, 1, func(a []string) (any, func(), int, error) {
+		enclave := optional(a, 0)
+		var cur bolted.ResiliencePolicyInfo
+		if p, err := v1.GetResilience(ctx, enclave); err == nil {
+			cur = *p
 		}
-	case "quota get":
-		need(3)
-		var info *bolted.QuotaInfo
-		info, err = v1.GetQuota(ctx, args[2])
-		if err == nil {
-			emit(info, func() { printQuota(info) })
-		}
-	case "quota list":
-		need(2)
-		var quotas []bolted.QuotaInfo
-		quotas, err = v1.ListQuotas(ctx)
-		if err == nil {
-			emit(quotas, func() {
-				for i := range quotas {
-					q := &quotas[i]
-					fmt.Printf("%s\tweight=%d max-nodes=%d inflight=%d\tnodes=%d in-flight=%d\n",
-						q.Tenant, q.Quota.Weight, q.Quota.MaxNodes, q.Quota.MaxInFlight, q.Nodes, q.InFlight)
-				}
-			})
-		}
-	case "quota delete":
-		need(3)
-		err = v1.DeleteQuota(ctx, args[2])
-	case "sched stats":
-		need(2)
-		var st *bolted.SchedInfo
-		st, err = v1.SchedStats(ctx)
-		if err == nil {
-			emit(st, func() {
-				fmt.Printf("airlock slots %d/%d in use, %d queued, %d grants, %d preemptions\n",
-					st.InUse, st.Slots, st.Queued, st.Grants, st.Preemptions)
-				tenants := make([]string, 0, len(st.Tenants))
-				for tenant := range st.Tenants {
-					tenants = append(tenants, tenant)
-				}
-				sort.Strings(tenants)
-				for _, tenant := range tenants {
-					ts := st.Tenants[tenant]
-					fmt.Printf("  %s\tweight=%g grants=%d queued=%d holding=%d waited=%s\n",
-						tenant, ts.Weight, ts.Grants, ts.Queued, ts.Holding, ts.Waited)
-				}
-			})
-		}
-	case "health show":
-		need(2)
-		var h *bolted.HealthInfo
-		h, err = v1.Health(ctx)
-		if err == nil {
-			emit(h, func() { printHealth(h) })
-			if h.Degraded {
-				os.Exit(exitDegraded)
+		return show(printResilience(enclave))(v1.SetResilience(ctx, enclave, overlay(&resilience, cur)))
+	}},
+	{"op list", "", "operations", 0, 0, func(a []string) (any, func(), int, error) {
+		return show(func(ops []*bolted.OperationInfo) {
+			for _, op := range ops {
+				fmt.Printf("%s\t%s\t%s\timage=%s count=%d\n", op.ID, op.Phase, op.Enclave, op.Image, op.Count)
 			}
-		}
-	case "resilience get":
-		enclave := ""
-		if len(args) == 3 {
-			enclave = args[2]
-		} else {
-			need(2)
-		}
-		var pol *bolted.ResiliencePolicyInfo
-		pol, err = v1.GetResilience(ctx, enclave)
-		if err == nil {
-			emit(pol, func() { printResilience(enclave, pol) })
-		}
-	case "resilience set":
-		enclave := ""
-		if len(args) == 3 {
-			enclave = args[2]
-		} else {
-			need(2)
-		}
-		// Merge semantics as for `pool set`: PUT replaces the whole
-		// policy and zero fields take server defaults, so start from the
-		// effective policy and overlay only the flags the caller passed —
-		// re-running `resilience set -max-attempts 6` must not silently
-		// drop a configured phase deadline back to unbounded.
-		var p bolted.ResiliencePolicyInfo
-		if cur, getErr := v1.GetResilience(ctx, enclave); getErr == nil {
-			p = *cur
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "max-attempts":
-				p.MaxAttempts = *resMaxAttempts
-			case "retry-backoff":
-				p.RetryBackoff = *resRetryBackoff
-			case "backoff-cap":
-				p.BackoffCap = *resBackoffCap
-			case "phase-deadline":
-				p.PhaseDeadline = *resPhaseDeadline
-			case "breaker-threshold":
-				p.BreakerThreshold = *resBreakerThreshold
-			case "breaker-cooldown":
-				p.BreakerCooldown = *resBreakerCooldown
+		})(v1.ListOperations(ctx))
+	}},
+	{"op get", "<id>", "an operation's phase, progress or result", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printOperation)(v1.GetOperation(ctx, a[0]))
+	}},
+	{"op wait", "<id>", "block until the operation is terminal; exit 3 partial, 4 cancelled", 1, 1, func(a []string) (any, func(), int, error) {
+		return showExit(printOperation, operationExitCode)(v1.WaitOperation(ctx, a[0]))
+	}},
+	{"op cancel", "<id>", "cancel an operation at its next phase boundary", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printOperation)(v1.CancelOperation(ctx, a[0]))
+	}},
+	{"op events", "<id>", "stream an operation's lifecycle events until it is terminal", 1, 1, func(a []string) (any, func(), int, error) {
+		return done(v1.StreamEvents(ctx, a[0], 0, printer(printEvent)))
+	}},
+	{"op trace", "<id>", "per-node phase timeline from the server's span tracer (recent operations only)", 1, 1, func(a []string) (any, func(), int, error) {
+		return show(printTrace)(v1.OperationTrace(ctx, a[0]))
+	}},
+	{"incident list", "[enclave]", "incidents, oldest first", 0, 1, func(a []string) (any, func(), int, error) {
+		return show(func(incs []*bolted.IncidentInfo) {
+			for _, inc := range incs {
+				fmt.Printf("%s\t%-10s\t%s\t%s\t%s\n", inc.ID, inc.State, inc.Enclave, inc.Node, inc.Reason)
 			}
-		})
-		var pol *bolted.ResiliencePolicyInfo
-		pol, err = v1.SetResilience(ctx, enclave, p)
-		if err == nil {
-			emit(pol, func() { printResilience(enclave, pol) })
-		}
-	case "op list":
-		need(2)
-		var ops []*bolted.OperationInfo
-		ops, err = v1.ListOperations(ctx)
-		if err == nil {
-			emit(ops, func() {
-				for _, op := range ops {
-					fmt.Printf("%s\t%s\t%s\timage=%s count=%d\n", op.ID, op.Phase, op.Enclave, op.Image, op.Count)
-				}
-			})
-		}
-	case "op get":
-		need(3)
-		var op *bolted.OperationInfo
-		op, err = v1.GetOperation(ctx, args[2])
-		if err == nil {
-			emit(op, func() { printOperation(op) })
-		}
-	case "op wait":
-		need(3)
-		var op *bolted.OperationInfo
-		op, err = v1.WaitOperation(ctx, args[2])
-		if err == nil {
-			emit(op, func() { printOperation(op) })
-			os.Exit(operationExitCode(op))
-		}
-	case "op cancel":
-		need(3)
-		var op *bolted.OperationInfo
-		op, err = v1.CancelOperation(ctx, args[2])
-		if err == nil {
-			emit(op, func() { printOperation(op) })
-		}
-	case "op trace":
-		need(3)
-		var spans []bolted.SpanData
-		spans, err = v1.OperationTrace(ctx, args[2])
-		if err == nil {
-			emit(spans, func() { printTrace(spans) })
-		}
-	case "op events":
-		need(3)
-		enc := json.NewEncoder(os.Stdout)
-		err = v1.StreamEvents(ctx, args[2], 0, func(ev bolted.EventInfo) error {
-			if jsonOut {
-				return enc.Encode(ev)
-			}
-			printEvent(ev)
-			return nil
-		})
-	case "incident list":
-		enclaveFilter := ""
-		if len(args) == 3 {
-			enclaveFilter = args[2]
-		} else {
-			need(2)
-		}
-		var incs []*bolted.IncidentInfo
-		incs, err = v1.ListIncidents(ctx, enclaveFilter)
-		if err == nil {
-			emit(incs, func() {
-				for _, inc := range incs {
-					fmt.Printf("%s\t%-10s\t%s\t%s\t%s\n", inc.ID, inc.State, inc.Enclave, inc.Node, inc.Reason)
-				}
-			})
-		}
-	case "incident get":
-		need(3)
-		var inc *bolted.IncidentInfo
-		inc, err = v1.GetIncident(ctx, args[2])
-		if err == nil {
-			emit(inc, func() { printIncident(inc) })
-			if !inc.Terminal() {
-				os.Exit(exitIncident)
-			}
-		}
-	case "incident wait":
-		need(3)
-		var inc *bolted.IncidentInfo
-		inc, err = v1.WaitIncident(ctx, args[2])
-		if err == nil {
-			emit(inc, func() { printIncident(inc) })
-			if inc.State != string(bolted.IncidentResolved) {
-				os.Exit(exitIncident)
-			}
-		}
-	case "incident stream":
-		need(2)
-		enc := json.NewEncoder(os.Stdout)
-		err = v1.StreamIncidents(ctx, 0, func(inc bolted.IncidentInfo) error {
-			if jsonOut {
-				return enc.Encode(inc)
-			}
+		})(v1.ListIncidents(ctx, optional(a, 0)))
+	}},
+	{"incident get", "<id>", "an incident and its response steps; exit 5 while the response runs", 1, 1, func(a []string) (any, func(), int, error) {
+		return showExit(printIncident, func(inc *bolted.IncidentInfo) int {
+			return exitIf(!inc.Terminal(), exitIncident)
+		})(v1.GetIncident(ctx, a[0]))
+	}},
+	{"incident wait", "<id>", "block until the incident is terminal; exit 5 unless resolved", 1, 1, func(a []string) (any, func(), int, error) {
+		return showExit(printIncident, func(inc *bolted.IncidentInfo) int {
+			return exitIf(inc.State != string(bolted.IncidentResolved), exitIncident)
+		})(v1.WaitIncident(ctx, a[0]))
+	}},
+	{"incident stream", "", "follow every incident update live", 0, 0, func(a []string) (any, func(), int, error) {
+		return done(v1.StreamIncidents(ctx, 0, printer(func(inc bolted.IncidentInfo) {
 			step := ""
 			if n := len(inc.Steps); n > 0 {
 				s := inc.Steps[n-1]
@@ -728,88 +372,196 @@ func main() {
 				}
 			}
 			fmt.Printf("%s\t%-10s\t%s\t%s\t%s\n", inc.ID, inc.State, inc.Enclave, inc.Node, step)
-			return nil
-		})
-	default:
+		})))
+	}},
+}
+
+func main() {
+	flag.Usage = usage
+	flag.Parse()
+	cmd, args := lookup(flag.Args())
+	if cmd == nil || len(args) < cmd.min || len(args) > cmd.max {
 		usage()
+		os.Exit(exitUsage)
 	}
-	if err != nil {
+	hc = hil.NewClient(*server)
+	bc = bmi.NewClient(*server + "/bmi")
+	v1 = bolted.NewClient(*server)
+	v, human, code, err := cmd.run(args)
+	switch {
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "boltedctl:", err)
-		if errors.Is(err, core.ErrOverQuota) {
-			os.Exit(exitQuota)
+		os.Exit(exitCode(err))
+	case code == exitUsage:
+		usage()
+	case *jsonOut && v != nil:
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			fmt.Fprintln(os.Stderr, "boltedctl:", err)
+			os.Exit(exitError)
 		}
-		if errors.Is(err, core.ErrDegraded) {
-			os.Exit(exitDegraded)
+	case human != nil:
+		human()
+	}
+	os.Exit(code)
+}
+
+// lookup finds the command args name and returns it with its arguments.
+func lookup(args []string) (*command, []string) {
+	for i := range commands {
+		name := strings.Fields(commands[i].name)
+		if len(args) >= len(name) && slices.Equal(args[:len(name)], name) {
+			return &commands[i], args[len(name):]
 		}
-		os.Exit(exitError)
+	}
+	return nil, nil
+}
+
+// usage prints the command table, the flags and the exit codes.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "usage: boltedctl [flags] <command> [args]   (flags precede the command)\ncommands:")
+	width := 0
+	for _, c := range commands {
+		width = max(width, len(c.name)+1+len(c.args))
+	}
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-*s  %s\n", width, strings.TrimSpace(c.name+" "+c.args), c.help)
+	}
+	fmt.Fprintln(w, "flags:")
+	flag.PrintDefaults()
+	fmt.Fprintln(w, `exit codes: 0 ok, 1 transport/API error, 2 usage,
+            3 partial batch failure, 4 operation cancelled,
+            5 incident open / degraded, 6 over quota (429),
+            7 cloud degraded (breaker open)`)
+}
+
+// done is the result of a command that prints nothing.
+func done(err error) (any, func(), int, error) { return nil, nil, exitOK, err }
+
+// show is the result of a command that prints what it fetched:
+// show(human)(fetch()) pairs the value with its human rendering.
+func show[T any](human func(T)) func(T, error) (any, func(), int, error) {
+	return showExit(human, func(T) int { return exitOK })
+}
+
+// showExit is show for a command whose exit code depends on what it
+// fetched.
+func showExit[T any](human func(T), exit func(T) int) func(T, error) (any, func(), int, error) {
+	return func(v T, err error) (any, func(), int, error) {
+		if err != nil {
+			return done(err)
+		}
+		return v, func() { human(v) }, exit(v), nil
 	}
 }
 
-// acquireV1 drives a batch acquisition through the /v1 control plane:
-// create-or-reuse the enclave, start the Operation, and either return
-// immediately (-async) or follow the event stream to the terminal
-// state. The return value is the process exit code.
-func acquireV1(ctx context.Context, v1 *bolted.Client, enclave, profile, image string, n int, async bool, idemKey string) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "boltedctl:", err)
-		if errors.Is(err, core.ErrOverQuota) {
-			// V1Client already retried with backoff; the quota is still
-			// exhausted, so give scripts a code they can branch on.
-			return exitQuota
-		}
-		if errors.Is(err, core.ErrDegraded) {
-			// A backend breaker is open and the server failed the acquire
-			// fast; `boltedctl health` shows which backend.
-			return exitDegraded
-		}
-		return exitError
+func exitIf(cond bool, code int) int {
+	if cond {
+		return code
 	}
-	if _, err := v1.CreateEnclave(ctx, enclave, profile); err != nil {
+	return exitOK
+}
+
+// printer is the one NDJSON feed printer: each item goes out as it
+// arrives, a compact JSON line under -json, else its human line.
+func printer[T any](human func(T)) func(T) error {
+	enc := json.NewEncoder(os.Stdout)
+	return func(v T) error {
+		if *jsonOut {
+			return enc.Encode(v)
+		}
+		human(v)
+		return nil
+	}
+}
+
+// overlay returns cur with the flags the caller passed applied on top.
+// A PUT replaces the whole policy, and a zero field is meaningful
+// (target 0 drains a pool, max-nodes 0 is unlimited, a zero phase
+// deadline is unbounded), so re-running `pool set -airlocks 8` must
+// change the airlocks and nothing else. The policy flags are bound into
+// *bound: resetting it to cur and setting every passed flag again
+// overlays exactly those (flags bound elsewhere are set to the value
+// they already hold).
+func overlay[P any](bound *P, cur P) P {
+	passed := map[flag.Value]string{}
+	flag.Visit(func(f *flag.Flag) { passed[f.Value] = f.Value.String() })
+	*bound = cur
+	for v, s := range passed {
+		_ = v.Set(s) // it parsed once already
+	}
+	return *bound
+}
+
+// exitCode maps a failed command onto the script-facing exit codes.
+func exitCode(err error) int {
+	switch {
+	case errors.Is(err, core.ErrOverQuota):
+		// The client already retried with backoff; the quota is still
+		// exhausted, so give scripts a code they can branch on.
+		return exitQuota
+	case errors.Is(err, core.ErrDegraded):
+		// A backend breaker is open and the server failed the call
+		// fast; `boltedctl health` shows which backend.
+		return exitDegraded
+	}
+	return exitError
+}
+
+func optional(a []string, i int) string {
+	if i < len(a) {
+		return a[i]
+	}
+	return ""
+}
+
+// acquire drives a batch acquisition through the /v1 control plane:
+// create-or-reuse the -project enclave, start the Operation, and either
+// return it at once (-async) or narrate its lifecycle journal until it
+// is terminal.
+func acquire(a []string) (any, func(), int, error) {
+	image := a[0]
+	n, err := strconv.Atoi(a[1])
+	if err != nil {
+		return done(err)
+	}
+	if _, err := v1.CreateEnclave(ctx, *project, *profileName); err != nil {
 		if !errors.Is(err, core.ErrExists) {
-			return fail(err)
+			return done(err)
 		}
 		// Reusing an existing enclave is fine — silently provisioning
 		// under a different security posture than the one asked for is
 		// not.
-		info, getErr := v1.GetEnclave(ctx, enclave)
-		if getErr != nil {
-			return fail(getErr)
+		info, err := v1.GetEnclave(ctx, *project)
+		if err != nil {
+			return done(err)
 		}
-		if info.Profile != profile {
-			return fail(fmt.Errorf("enclave %q already exists with profile %s (asked for %s); pick another -project or delete it first",
-				enclave, info.Profile, profile))
+		if info.Profile != *profileName {
+			return done(fmt.Errorf("enclave %q already exists with profile %s (asked for %s); pick another -project or delete it first",
+				*project, info.Profile, *profileName))
 		}
 	}
-	op, replayed, err := v1.AcquireIdem(ctx, enclave, image, n, idemKey)
+	op, replayed, err := v1.AcquireIdem(ctx, *project, image, n, *idemKey)
 	if err != nil {
-		return fail(err)
+		return done(err)
 	}
-	if replayed && !jsonOut {
-		fmt.Printf("idempotency key %q already committed; resuming operation %s\n", idemKey, op.ID)
+	if replayed && !*jsonOut {
+		fmt.Printf("idempotency key %q already committed; resuming operation %s\n", *idemKey, op.ID)
 	}
-	if async {
-		emit(op, func() {
-			fmt.Printf("operation %s started: %d x %s into enclave %s\n", op.ID, n, image, enclave)
+	if *async {
+		return op, func() {
+			fmt.Printf("operation %s started: %d x %s into enclave %s\n", op.ID, n, image, *project)
 			fmt.Printf("follow with: boltedctl op wait %s | op events %s | op cancel %s\n", op.ID, op.ID, op.ID)
-		})
-		return exitOK
+		}, exitOK, nil
 	}
-	// Blocking mode: narrate the lifecycle journal while the server
-	// works, then report the final state.
-	if !jsonOut {
-		if err := v1.StreamEvents(ctx, op.ID, 0, func(ev bolted.EventInfo) error {
-			printEvent(ev)
-			return nil
-		}); err != nil {
-			return fail(err)
+	if !*jsonOut {
+		if err := v1.StreamEvents(ctx, op.ID, 0, printer(printEvent)); err != nil {
+			return done(err)
 		}
 	}
-	op, err = v1.WaitOperation(ctx, op.ID)
-	if err != nil {
-		return fail(err)
-	}
-	emit(op, func() { printOperation(op) })
-	return operationExitCode(op)
+	return showExit(printOperation, operationExitCode)(v1.WaitOperation(ctx, op.ID))
 }
 
 // operationExitCode maps a terminal operation onto the script-facing
@@ -828,10 +580,28 @@ func operationExitCode(op *bolted.OperationInfo) int {
 	}
 }
 
+func printLines(lines []string) {
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+}
+
 // printEvent is the human rendering of one lifecycle journal event,
-// shared by `op events` and the blocking acquire's narration.
+// shared by `op events`, `enclave events` and the blocking acquire's
+// narration.
 func printEvent(ev bolted.EventInfo) {
 	fmt.Printf("%s %-12s %s %s\n", ev.At.Format("15:04:05.000"), ev.Kind, ev.Node, ev.Detail)
+}
+
+// printEnclave is the human rendering of an enclave resource.
+func printEnclave(info *bolted.EnclaveInfo) {
+	fmt.Printf("enclave %s (profile %s)\n", info.Name, info.Profile)
+	for n, st := range info.Nodes {
+		fmt.Printf("  %s\t%s\n", n, st)
+	}
+	for _, id := range info.Incidents {
+		fmt.Printf("  open incident %s\n", id)
+	}
 }
 
 func printOperation(op *bolted.OperationInfo) {
@@ -932,6 +702,22 @@ func printPool(p *bolted.PoolInfo) {
 	}
 }
 
+// printSched is the human rendering of the airlock scheduler snapshot.
+func printSched(st *bolted.SchedInfo) {
+	fmt.Printf("airlock slots %d/%d in use, %d queued, %d grants, %d preemptions\n",
+		st.InUse, st.Slots, st.Queued, st.Grants, st.Preemptions)
+	tenants := make([]string, 0, len(st.Tenants))
+	for tenant := range st.Tenants {
+		tenants = append(tenants, tenant)
+	}
+	sort.Strings(tenants)
+	for _, tenant := range tenants {
+		ts := st.Tenants[tenant]
+		fmt.Printf("  %s\tweight=%g grants=%d queued=%d holding=%d waited=%s\n",
+			tenant, ts.Weight, ts.Grants, ts.Queued, ts.Holding, ts.Waited)
+	}
+}
+
 // printHealth is the human rendering of the degraded-mode snapshot.
 func printHealth(h *bolted.HealthInfo) {
 	if h.Degraded {
@@ -957,22 +743,25 @@ func printHealth(h *bolted.HealthInfo) {
 	}
 }
 
-// printResilience is the human rendering of a resilience policy.
-func printResilience(enclave string, p *bolted.ResiliencePolicyInfo) {
-	scope := "cloud-wide"
-	if enclave != "" {
-		scope = "enclave " + enclave
+// printResilience returns the human rendering of a resilience policy
+// scoped to an enclave (cloud-wide for "").
+func printResilience(enclave string) func(*bolted.ResiliencePolicyInfo) {
+	return func(p *bolted.ResiliencePolicyInfo) {
+		scope := "cloud-wide"
+		if enclave != "" {
+			scope = "enclave " + enclave
+		}
+		deadline := "unbounded"
+		if p.PhaseDeadline > 0 {
+			deadline = p.PhaseDeadline.String()
+		}
+		fmt.Printf("resilience (%s): max-attempts=%d retry-backoff=%v backoff-cap=%v phase-deadline=%s\n",
+			scope, p.MaxAttempts, p.RetryBackoff, p.BackoffCap, deadline)
+		fmt.Printf("breaker: threshold=%d cooldown=%v\n", p.BreakerThreshold, p.BreakerCooldown)
 	}
-	deadline := "unbounded"
-	if p.PhaseDeadline > 0 {
-		deadline = p.PhaseDeadline.String()
-	}
-	fmt.Printf("resilience (%s): max-attempts=%d retry-backoff=%v backoff-cap=%v phase-deadline=%s\n",
-		scope, p.MaxAttempts, p.RetryBackoff, p.BackoffCap, deadline)
-	fmt.Printf("breaker: threshold=%d cooldown=%v\n", p.BreakerThreshold, p.BreakerCooldown)
 }
 
-// printIncident is the human rendering of an incident resource.
+// printQuota is the human rendering of a tenant quota with its usage.
 func printQuota(q *bolted.QuotaInfo) {
 	fmt.Printf("quota %s: weight=%d", q.Tenant, q.Quota.Weight)
 	if q.Quota.MaxNodes > 0 {
@@ -984,6 +773,7 @@ func printQuota(q *bolted.QuotaInfo) {
 	fmt.Printf(" (using %d nodes, %d acquires in flight)\n", q.Nodes, q.InFlight)
 }
 
+// printIncident is the human rendering of an incident resource.
 func printIncident(inc *bolted.IncidentInfo) {
 	fmt.Printf("incident %s: %s (enclave %s, node %s)\nreason: %s\n",
 		inc.ID, inc.State, inc.Enclave, inc.Node, inc.Reason)
@@ -994,9 +784,4 @@ func printIncident(inc *bolted.IncidentInfo) {
 		}
 		fmt.Printf("  %s %-16s %s\n", s.At.Format("15:04:05.000"), s.Name, s.Detail)
 	}
-}
-
-// bmiClient returns a BMI client for the boltedd server's /bmi prefix.
-func bmiClient(server string) *bmi.Client {
-	return bmi.NewClient(server + "/bmi")
 }

@@ -94,38 +94,26 @@ type schedArbiter interface {
 }
 
 // fifoArbiter replays the seed's behavior: one flat FIFO queue,
-// oblivious to tenant and class.
+// oblivious to tenant and class — a sim.Resource, plus the deepest
+// queue it saw.
 type fifoArbiter struct {
-	s     *sim.Sim
-	slots int
-	inUse int
-	q     []*sim.Gate
+	slots *sim.Resource
+	n     int
 	maxQ  int
 }
 
-func (a *fifoArbiter) acquire(p *sim.Proc, _ string, _ core.SchedClass) {
-	if a.inUse < a.slots && len(a.q) == 0 {
-		a.inUse++
-		return
-	}
-	g := a.s.NewGate()
-	a.q = append(a.q, g)
-	if len(a.q) > a.maxQ {
-		a.maxQ = len(a.q)
-	}
-	p.Wait(g)
+func newFIFOArbiter(s *sim.Sim, slots int) *fifoArbiter {
+	return &fifoArbiter{slots: s.NewResource("airlock", slots), n: slots}
 }
 
-func (a *fifoArbiter) release() {
-	if len(a.q) > 0 {
-		g := a.q[0]
-		copy(a.q, a.q[1:])
-		a.q = a.q[:len(a.q)-1]
-		g.Open() // slot hands off directly; inUse unchanged
-		return
+func (a *fifoArbiter) acquire(p *sim.Proc, _ string, _ core.SchedClass) {
+	if a.slots.InUse() >= a.n || a.slots.Queued() > 0 {
+		a.maxQ = max(a.maxQ, a.slots.Queued()+1) // this caller queues
 	}
-	a.inUse--
+	p.Acquire(a.slots)
 }
+
+func (a *fifoArbiter) release() { a.slots.Release() }
 
 func (a *fifoArbiter) maxQueue() int { return a.maxQ }
 
@@ -492,7 +480,7 @@ func figSched(bool) {
 	}
 	runs := []schedRunReport{
 		runChurn(func(s *sim.Sim, n int) schedArbiter { return newWFQArbiter(s, n) }, schedUncontended, nil).report("uncontended"),
-		runChurn(func(s *sim.Sim, n int) schedArbiter { return &fifoArbiter{s: s, slots: n} }, schedSlots, nil).report("fifo"),
+		runChurn(func(s *sim.Sim, n int) schedArbiter { return newFIFOArbiter(s, n) }, schedSlots, nil).report("fifo"),
 		runChurn(func(s *sim.Sim, n int) schedArbiter { return newWFQArbiter(s, n) }, schedSlots, reg).report("wfq"),
 	}
 	unc, fifo, wfq := runs[0], runs[1], runs[2]

@@ -391,9 +391,7 @@ func (c *Cloud) MarkRejected(project, node, reason string) {
 // and freed from the rejected project back into the free pool. Returns
 // the recorded rejection reason for the journal.
 func (c *Cloud) ReclaimRejected(ctx context.Context, node string) (string, error) {
-	c.rejMu.Lock()
-	reason, ok := c.rejected[node]
-	c.rejMu.Unlock()
+	reason, ok := c.rejectedReason(node)
 	if !ok {
 		return "", fmt.Errorf("%w: node %q is not in the rejected pool", ErrNotFound, node)
 	}
@@ -408,6 +406,14 @@ func (c *Cloud) ReclaimRejected(ctx context.Context, node string) (string, error
 	delete(c.rejected, node)
 	c.rejMu.Unlock()
 	return reason, nil
+}
+
+// rejectedReason reports why a node is in the rejected pool, if it is.
+func (c *Cloud) rejectedReason(node string) (string, bool) {
+	c.rejMu.Lock()
+	defer c.rejMu.Unlock()
+	reason, ok := c.rejected[node]
+	return reason, ok
 }
 
 // Rejected returns the rejected pool: node -> reason.

@@ -188,12 +188,21 @@ func (e *Enclave) ReclaimRejected(ctx context.Context, name string) error {
 	if st := e.lc.state(name); st != StateRejected {
 		return fmt.Errorf("%w: node %q is %s, not %s", ErrConflict, name, st, StateRejected)
 	}
-	reason, err := e.cloud.ReclaimRejected(ctx, name)
-	if err != nil {
+	reason, ok := e.cloud.rejectedReason(name)
+	if !ok {
+		return fmt.Errorf("%w: node %q is not in the rejected pool", ErrNotFound, name)
+	}
+	// The life cycle lets go before the provider frees the node, as in
+	// ReleaseNode; a provider that cannot free it leaves it rejected.
+	e.journal.record(EvReclaimed, name, "was: "+reason)
+	if err := e.lc.to(name, StateFree, "reclaimed"); err != nil {
 		return err
 	}
-	e.journal.record(EvReclaimed, name, "was: "+reason)
-	return e.lc.to(name, StateFree, "reclaimed")
+	if _, err := e.cloud.ReclaimRejected(ctx, name); err != nil {
+		_ = e.lc.to(name, StateRejected, "reclaim failed: "+err.Error())
+		return err
+	}
+	return nil
 }
 
 // IMAWhitelist returns the tenant runtime whitelist (nil unless the
@@ -713,10 +722,14 @@ func (e *Enclave) ReleaseNode(name, saveAs string) error {
 	if err := c.BMI.DeleteImage(ctx, n.volName); err != nil {
 		return err
 	}
+	// The life cycle lets go before the provider does: once the node is
+	// free, a reservation in this enclave may claim it, and must find it
+	// Free here.
+	lcErr := e.lc.to(name, StateFree, "")
 	if err := c.HIL.FreeNode(ctx, e.Project, name); err != nil {
 		return err
 	}
-	return e.lc.to(name, StateFree, "")
+	return lcErr
 }
 
 // Destroy releases every node and deletes the enclave's project. The

@@ -71,7 +71,7 @@ type Journal struct {
 	lines    [][]byte // len <= len(events); nil where no reader has asked yet
 	seq      uint64   // last assigned sequence number
 	watchers map[int]func(Event)
-	watchSeq int
+	watchSeq int // next watcher id: ids key an in-process map, so none outlives a restart
 	persist  func(Event) error
 	sync     func() error // makes everything persist staged durable
 	fail     error        // sticky persist failure
@@ -117,10 +117,9 @@ func (j *Journal) Err() error {
 	return j.fail
 }
 
-// restore reloads a recovered journal: the persisted events verbatim, the
-// sequence counters they left off at, and the watcher-id seed (persisted so
-// watcher ids handed out before a restart never collide after recovery).
-func (j *Journal) restore(events []Event, watchSeq int) {
+// restore reloads a recovered journal: the persisted events verbatim and
+// the sequence number they left off at.
+func (j *Journal) restore(events []Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.events = append([]Event(nil), events...)
@@ -129,16 +128,6 @@ func (j *Journal) restore(events []Event, watchSeq int) {
 	if n := len(events); n > 0 {
 		j.seq = events[n-1].Seq
 	}
-	if watchSeq > j.watchSeq {
-		j.watchSeq = watchSeq
-	}
-}
-
-// seqs returns (last event seq, watcher-id seed) for checkpointing.
-func (j *Journal) seqs() (uint64, int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq, j.watchSeq
 }
 
 // Record appends an event to the journal. Subsystems layered above the

@@ -69,7 +69,8 @@ type Manager struct {
 	opSeq    int
 	// idem maps a client Idempotency-Key to the operation it started, so
 	// a retried acquire (including across a restart) returns the
-	// existing operation instead of starting a duplicate batch.
+	// existing operation instead of starting a duplicate batch. A key
+	// lives exactly as long as its operation: forgetOpsLocked drops both.
 	idem map[string]string
 	// guardPolicies holds the raw policy JSON of attached (or recovered,
 	// not-yet-reattached) guards, keyed by enclave.
@@ -243,27 +244,22 @@ func (m *Manager) pruneOpsLocked(enclave string) {
 		i++
 	}
 	if i > 0 {
-		dropped := ops[:i]
-		m.forgetOpsLocked(dropped)
+		m.forgetOpsLocked(ops[:i])
 		m.byencl[enclave] = append([]*Operation(nil), ops[i:]...)
-		// Idempotency keys die with their operations; a retry under a
-		// pruned key reports the operation unretained rather than
-		// silently starting a second batch under a "retried" key.
-		for k, id := range m.idem {
-			if slices.ContainsFunc(dropped, func(op *Operation) bool { return op.ID == id }) {
-				delete(m.idem, k)
-			}
-		}
 	}
 }
 
 // forgetOpsLocked drops operations from the ID index and from the creation
-// order, which keeps its order. opOrder ascends by seq, so each is found by
-// bisection: StartAcquireIdem prunes under m.mu and must not walk every
-// operation the manager holds. Callers hold m.mu.
+// order, which keeps its order, and their idempotency keys with them: a
+// retry under a forgotten key starts a new operation. opOrder ascends by
+// seq, so each is found by bisection: StartAcquireIdem prunes under m.mu
+// and must not walk every operation the manager holds. Callers hold m.mu.
 func (m *Manager) forgetOpsLocked(ops []*Operation) {
 	for _, op := range ops {
 		delete(m.ops, op.ID)
+		if op.idemKey != "" && m.idem[op.idemKey] == op.ID {
+			delete(m.idem, op.idemKey)
+		}
 		i, found := slices.BinarySearchFunc(m.opOrder, op.seq, func(o *Operation, seq int) int { return cmp.Compare(o.seq, seq) })
 		if found {
 			m.opOrder = slices.Delete(m.opOrder, i, i+1)
@@ -292,7 +288,10 @@ func (m *Manager) StartAcquire(enclave, image string, n int) (*Operation, error)
 // the original operation (replayed=true) instead of starting a duplicate
 // batch. A retried operation that the restart interrupted comes back with
 // phase OpInterrupted, so the client sees the interruption explicitly and
-// re-submits under a fresh key.
+// re-submits under a fresh key. A key lives exactly as long as its
+// operation: once the operation is forgotten (beyond MaxRetainedOps of its
+// enclave, or with its deleted enclave), a retry under the key starts a new
+// one.
 func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string) (op *Operation, replayed bool, err error) {
 	if n < 1 {
 		return nil, false, fmt.Errorf("core: batch size must be at least 1")
@@ -308,16 +307,11 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 		cancel()
 		return nil, false, fmt.Errorf("%w: enclave %q", ErrNotFound, enclave)
 	}
-	if idemKey != "" {
-		if id, ok := m.idem[idemKey]; ok {
-			prev, tracked := m.ops[id]
-			m.mu.Unlock()
-			cancel()
-			if !tracked {
-				return nil, false, fmt.Errorf("%w: operation %s for idempotency key no longer retained", ErrNotFound, id)
-			}
-			return prev, true, nil
-		}
+	if id, ok := m.idem[idemKey]; ok {
+		prev := m.ops[id]
+		m.mu.Unlock()
+		cancel()
+		return prev, true, nil
 	}
 	for _, prev := range m.byencl[enclave] {
 		if !prev.Phase().Terminal() {
@@ -346,6 +340,7 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 	m.opSeq++
 	op = newOperation(fmt.Sprintf(opIDPrefix+"%04d", m.opSeq), enclave, image, n, cancel)
 	op.seq = m.opSeq
+	op.idemKey = idemKey
 	op.journal = e.Journal()
 	// Commit before acknowledge: the operation record (with its
 	// idempotency key) must be durable before the tenant learns the op

@@ -51,7 +51,8 @@ type Operation struct {
 	Count   int
 	Created time.Time
 
-	seq     int // manager-assigned creation order
+	seq     int    // manager-assigned creation order
+	idemKey string // the Idempotency-Key it was started under; the key lives exactly as long as the operation
 	cancel  context.CancelFunc
 	done    chan struct{}
 	journal *Journal // the enclave journal observe is fed from; nil when restored

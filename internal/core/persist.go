@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,12 +109,11 @@ type revocationRecord struct {
 // restart replays only the WAL tail written since.
 
 type enclaveSnapshot struct {
-	Name     string          `json:"name"`
-	Profile  Profile         `json:"profile"`
-	Events   []eventRecord   `json:"events,omitempty"`
-	WatchSeq int             `json:"watch_seq,omitempty"`
-	Pool     *PoolPolicy     `json:"pool,omitempty"`
-	Guard    json.RawMessage `json:"guard,omitempty"`
+	Name    string          `json:"name"`
+	Profile Profile         `json:"profile"`
+	Events  []eventRecord   `json:"events,omitempty"`
+	Pool    *PoolPolicy     `json:"pool,omitempty"`
+	Guard   json.RawMessage `json:"guard,omitempty"`
 }
 
 type opSnapshot struct {
@@ -236,7 +236,6 @@ type replayEnclave struct {
 	name      string
 	profile   Profile
 	events    []Event
-	watchSeq  int
 	pool      *PoolPolicy
 	guard     json.RawMessage
 	nodes     map[string]*replayNode
@@ -291,13 +290,17 @@ func (re *replayEnclave) applyEvent(ev Event) {
 	}
 }
 
-// replayState is the full control plane as derived from snapshot+WAL.
+// replayState is the full control plane as derived from snapshot+WAL. The
+// fold keeps what the live manager keeps: an enclave's operations (and
+// their idempotency keys) go with it, and operations and incidents beyond
+// their retention bounds are forgotten as they would have been live.
 type replayState struct {
 	order    []string // enclave creation order
 	enclaves map[string]*replayEnclave
 	quotas   map[string]TenantQuota
-	ops      []*opSnapshot
+	ops      []*opSnapshot // creation order
 	opByID   map[string]*opSnapshot
+	byencl   map[string][]*opSnapshot // enclave -> its operations, creation order
 	opSeq    int
 	idem     map[string]string
 	incident map[string]IncidentStatus // latest status per incident
@@ -313,6 +316,7 @@ func newReplayState() *replayState {
 		enclaves: make(map[string]*replayEnclave),
 		quotas:   make(map[string]TenantQuota),
 		opByID:   make(map[string]*opSnapshot),
+		byencl:   make(map[string][]*opSnapshot),
 		idem:     make(map[string]string),
 		incident: make(map[string]IncidentStatus),
 		revFeeds: make(map[string]*revFeedSnapshot),
@@ -337,6 +341,65 @@ func (rs *replayState) dropEnclave(name string) {
 			break
 		}
 	}
+	rs.forgetOps(rs.byencl[name])
+	delete(rs.byencl, name)
+}
+
+// addOp records a started operation, then forgets the oldest terminal
+// operations of its enclave beyond MaxRetainedOps, as
+// Manager.pruneOpsLocked does live.
+func (rs *replayState) addOp(os *opSnapshot) {
+	rs.ops = append(rs.ops, os)
+	rs.opByID[os.ID] = os
+	if os.IdemKey != "" {
+		rs.idem[os.IdemKey] = os.ID
+	}
+	ops := append(rs.byencl[os.Enclave], os)
+	i := 0
+	for len(ops)-i > MaxRetainedOps && ops[i].Terminal {
+		i++
+	}
+	rs.forgetOps(ops[:i])
+	rs.byencl[os.Enclave] = ops[i:]
+}
+
+// forgetOps drops operations and their idempotency keys, as
+// Manager.forgetOpsLocked does live.
+func (rs *replayState) forgetOps(ops []*opSnapshot) {
+	if len(ops) == 0 {
+		return
+	}
+	for _, os := range ops {
+		delete(rs.opByID, os.ID)
+		if os.IdemKey != "" && rs.idem[os.IdemKey] == os.ID {
+			delete(rs.idem, os.IdemKey)
+		}
+	}
+	rs.ops = slices.DeleteFunc(rs.ops, func(os *opSnapshot) bool { return rs.opByID[os.ID] != os })
+}
+
+// addIncidentUpdate folds one incident status: a new incident joins the
+// creation order, and the oldest terminal incidents beyond
+// MaxRetainedIncidents are forgotten, as Manager.OpenIncident does live.
+func (rs *replayState) addIncidentUpdate(st IncidentStatus) {
+	_, known := rs.incident[st.ID]
+	rs.incident[st.ID] = st
+	rs.incFeed = append(rs.incFeed, st)
+	if known {
+		return
+	}
+	rs.incOrder = append(rs.incOrder, st.ID)
+	over := len(rs.incOrder) - MaxRetainedIncidents
+	keep := rs.incOrder[:0]
+	for _, id := range rs.incOrder {
+		if over > 0 && rs.incident[id].State.Terminal() {
+			delete(rs.incident, id)
+			over--
+			continue
+		}
+		keep = append(keep, id)
+	}
+	rs.incOrder = keep
 }
 
 func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
@@ -347,7 +410,6 @@ func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
 	for _, es := range snap.Enclaves {
 		re := rs.enclave(es.Name)
 		re.profile = es.Profile
-		re.watchSeq = es.WatchSeq
 		re.pool = es.Pool
 		re.guard = es.Guard
 		for _, er := range es.Events {
@@ -357,6 +419,10 @@ func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
 	for t, q := range snap.Quotas {
 		rs.quotas[t] = q
 	}
+	keyOf := make(map[string]string, len(snap.Idem)) // op ID -> its idempotency key
+	for k, id := range snap.Idem {
+		keyOf[id] = k
+	}
 	for _, os := range snap.Ops {
 		cp := os
 		seq, err := idSeq(cp.ID, opIDPrefix)
@@ -364,19 +430,15 @@ func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
 			return err
 		}
 		cp.seq = seq
-		rs.ops = append(rs.ops, &cp)
-		rs.opByID[cp.ID] = &cp
-		if cp.IdemKey != "" {
-			rs.idem[cp.IdemKey] = cp.ID
+		if k, ok := keyOf[cp.ID]; ok {
+			cp.IdemKey = k
 		}
+		rs.addOp(&cp)
 		if re, ok := rs.enclaves[cp.Enclave]; ok && cp.Image != "" {
 			re.lastImage = cp.Image
 		}
 	}
 	rs.opSeq = snap.OpSeq
-	for k, id := range snap.Idem {
-		rs.idem[k] = id
-	}
 	for _, st := range snap.Incidents {
 		rs.incident[st.ID] = st
 		rs.incOrder = append(rs.incOrder, st.ID)
@@ -486,11 +548,7 @@ func decodeRecord(rec store.Record) (foldFunc, error) {
 			return nil, err
 		}
 		return func(rs *replayState) {
-			rs.ops = append(rs.ops, &os)
-			rs.opByID[os.ID] = &os
-			if os.IdemKey != "" {
-				rs.idem[os.IdemKey] = os.ID
-			}
+			rs.addOp(&os)
 			rs.opSeq = max(rs.opSeq, os.seq)
 			if re, ok := rs.enclaves[os.Enclave]; ok && os.Image != "" {
 				re.lastImage = os.Image
@@ -515,11 +573,7 @@ func decodeRecord(rec store.Record) (foldFunc, error) {
 			return nil, err
 		}
 		return func(rs *replayState) {
-			if _, ok := rs.incident[st.ID]; !ok {
-				rs.incOrder = append(rs.incOrder, st.ID)
-			}
-			rs.incident[st.ID] = st
-			rs.incFeed = append(rs.incFeed, st)
+			rs.addIncidentUpdate(st)
 			rs.incSeq = max(rs.incSeq, seq)
 		}, nil
 	case store.KindRevocation:
@@ -601,6 +655,7 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 		}
 		op := newRestoredOperation(os.ID, os.Enclave, os.Image, os.Count, os.Created, phase, errMsg, finished)
 		op.seq = os.seq
+		op.idemKey = os.IdemKey
 		m.ops[op.ID] = op
 		m.opOrder = append(m.opOrder, op)
 		m.byencl[os.Enclave] = append(m.byencl[os.Enclave], op)
@@ -683,23 +738,15 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 }
 
 // restoreEnclave re-creates one recorded enclave over the fresh cloud:
-// project, network, verifier, restored journal (events, seqs, watcher-id
-// seed) with the persist hook re-attached, warm pool from its persisted
-// policy, and the recovered guard policy parked for RecoveredGuardPolicies.
+// project, network, verifier, restored journal (events and their seqs)
+// with the persist hook re-attached, warm pool from its persisted policy,
+// and the recovered guard policy parked for RecoveredGuardPolicies.
 func (m *Manager) restoreEnclave(name string, re *replayEnclave) (*Enclave, error) {
 	e, err := NewEnclave(m.cloud, name, re.profile)
 	if err != nil {
 		return nil, err
 	}
-	// Watcher-id seed: at least the checkpointed value, floored at the
-	// event count — registrations never outnumber events, so an id handed
-	// out before the crash can never be reissued even when only the WAL
-	// tail (no checkpoint) survived.
-	watchSeq := re.watchSeq
-	if n := len(re.events); n > watchSeq {
-		watchSeq = n
-	}
-	e.journal.restore(re.events, watchSeq)
+	e.journal.restore(re.events)
 	m.attachJournalPersist(name, e)
 	m.mu.Lock()
 	m.enclaves[name] = e
@@ -890,7 +937,6 @@ func (m *Manager) Checkpoint() error {
 		for _, ev := range e.journal.Events() {
 			es.Events = append(es.Events, toEventRecord(ev))
 		}
-		_, es.WatchSeq = e.journal.seqs()
 		if st, ok := e.PoolStats(); ok {
 			p := st.Policy
 			es.Pool = &p

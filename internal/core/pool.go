@@ -131,6 +131,10 @@ type WarmPool struct {
 	// otherwise the refiller would race re-adoption for the very nodes
 	// the WAL says belong in this pool. resumePool releases it.
 	recovering bool
+	// reserving counts acquisitions between take and reserved: the
+	// refiller holds off while they reserve their cold remainder, or it
+	// would claim the free nodes they are about to reserve.
+	reserving int
 	// failStreak counts consecutive failed refill attempts; the run
 	// loop's retry timer backs off exponentially (with jitter) on it,
 	// so a dead HIL never sees a synchronized fixed-rate retry storm.
@@ -285,8 +289,8 @@ func (p *WarmPool) poke() {
 }
 
 // take pops up to n warm nodes for an acquisition, counting the
-// shortfall as cold-path misses. It wakes the refiller to replace what
-// it handed out.
+// shortfall as cold-path misses, and holds the refiller until the
+// acquisition calls reserved.
 func (p *WarmPool) take(n int) []*nodeWork {
 	p.mu.Lock()
 	k := n
@@ -300,9 +304,19 @@ func (p *WarmPool) take(n int) []*nodeWork {
 	p.metrics.hits.Add(float64(k))
 	p.metrics.misses.Add(float64(n - k))
 	p.syncWarmLocked()
+	p.reserving++
+	p.mu.Unlock()
+	return out
+}
+
+// reserved releases take's hold once the acquisition holds its cold
+// remainder (or gave up on it), and wakes the refiller to replace what
+// take handed out.
+func (p *WarmPool) reserved() {
+	p.mu.Lock()
+	p.reserving--
 	p.mu.Unlock()
 	p.poke()
-	return out
 }
 
 // putBack rolls an acquisition's take back (a failed batch
@@ -409,9 +423,10 @@ func (p *WarmPool) run() {
 	defer timer.Stop()
 	for {
 		p.mu.Lock()
-		if p.recovering {
-			// Held by crash recovery: neither refill nor shed until the
-			// recorded standbys are parked back.
+		if p.recovering || p.reserving > 0 {
+			// Held by crash recovery (neither refill nor shed until the
+			// recorded standbys are parked back) or by acquisitions still
+			// reserving their cold remainder.
 			p.mu.Unlock()
 			select {
 			case <-p.ctx.Done():
@@ -592,22 +607,24 @@ func (p *WarmPool) retryDelayLocked() time.Duration {
 }
 
 // releaseWarmNode returns a healthy parked node to the provider's free
-// pool: stop its agent, unwire its airlock, free it. The ban check
-// runs after the release, pairing with quarantineWarm's state check on
-// the other side of the race so a revocation landing mid-release is
-// contained whichever side loses.
+// pool: stop its agent, free it, unwire its airlock. The life cycle
+// lets go first — once the node is free, a reservation in this enclave
+// may claim it, and must find it Free here — and the ban check runs
+// after that, pairing with quarantineWarm's state check on the other
+// side of the race so a revocation landing mid-release is contained
+// whichever side loses. A banned standby never reaches the free pool:
+// it goes straight to the provider's rejected project.
 func (e *Enclave) releaseWarmNode(name, detail string) {
 	ctx := context.Background()
 	_ = e.cloud.Driver.StopAgent(ctx, name)
-	_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
-	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
 	_ = e.lc.to(name, StateFree, detail)
 	if reason, ok := e.bannedReason(name); ok {
-		// A revocation raced this release: the node must not sit in
-		// the free pool where a batch could claim it.
 		e.cloud.MarkRejected(e.Project, name, reason)
 		e.journal.record(EvQuarantined, name, "banned during release: "+reason)
+	} else {
+		_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
 	}
+	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
 }
 
 // quarantineWarm is QuarantineNode's branch for a warm standby: the

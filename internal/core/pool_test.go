@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"bolted/internal/firmware"
 )
 
 // poolEnclave builds an enclave with a warm pool at the given target
@@ -408,5 +412,160 @@ func TestWarmBanMidAcquisition(t *testing.T) {
 		}
 	} else if len(res.Nodes) != 1 {
 		t.Fatalf("batch produced neither a member nor a failure: %+v", res)
+	}
+}
+
+// TestReleaseHandsBackAfterLifecycle: every path that hands a node back
+// to the provider lets go of it in the enclave's life cycle first, so an
+// acquisition in the same enclave that claims the node the moment HIL
+// frees it — here from inside FreeNode, on a one-node cloud — walks it
+// like any free node instead of rejecting a healthy one.
+func TestReleaseHandsBackAfterLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, c *Cloud, e *Enclave) func() error
+	}{
+		{"release", func(t *testing.T, c *Cloud, e *Enclave) func() error {
+			n, err := e.AcquireNode(context.Background(), "fedora28")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return e.ReleaseNode(n.Name, "") }
+		}},
+		{"reclaim", func(t *testing.T, c *Cloud, e *Enclave) func() error {
+			m, err := c.Machine("node00")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.ReflashFirmware(firmware.NewLinuxBoot(firmware.BuildLinuxBoot("heads-v1.0", []byte("implanted heads")), "m620"))
+			if res, err := e.AcquireNodes(context.Background(), "fedora28", 1); err != nil || len(res.Failed) != 1 {
+				t.Fatalf("setup: implanted node not rejected: %v", err)
+			}
+			m.ReflashFirmware(firmware.NewLinuxBoot(c.Heads, "m620")) // repaired
+			return func() error { return e.ReclaimRejected(context.Background(), "node00") }
+		}},
+		{"drain", func(t *testing.T, c *Cloud, e *Enclave) func() error {
+			pol := DefaultPoolPolicy()
+			pol.Target = 1
+			if err := e.ConfigurePool(pol); err != nil {
+				t.Fatal(err)
+			}
+			waitWarm(t, e, 1)
+			return func() error { _, err := e.DrainPool(); return err }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCloud(t, 1, FirmwareLinuxBoot)
+			var (
+				armed atomic.Bool
+				e     *Enclave
+				res   *BatchResult
+				err   error
+			)
+			c.Intercept(func(ctx context.Context, call Call, next func(context.Context) error) error {
+				ferr := next(ctx)
+				if call.Backend == BackendHIL && call.Method == "FreeNode" && ferr == nil && armed.CompareAndSwap(true, false) {
+					res, err = e.AcquireNodes(context.Background(), "fedora28", 1)
+				}
+				return ferr
+			})
+			e, nerr := NewEnclave(c, "t", ProfileBob)
+			if nerr != nil {
+				t.Fatal(nerr)
+			}
+			defer e.Destroy()
+			release := tc.setup(t, c, e)
+			armed.Store(true)
+			if rerr := release(); rerr != nil {
+				t.Fatal(rerr)
+			}
+			if armed.Load() {
+				t.Fatal("the node never reached hil.FreeNode")
+			}
+			if err != nil || len(res.Nodes) != 1 || len(res.Failed) != 0 {
+				t.Fatalf("acquire inside the hand-back window: %v, failed %v", err, res.Failed)
+			}
+			if rej := c.Rejected(); len(rej) != 0 {
+				t.Fatalf("healthy node rejected: %v", rej)
+			}
+			if st := e.NodeState(res.Nodes[0].Name); st != StateAllocated {
+				t.Fatalf("%s is %s, want %s", res.Nodes[0].Name, st, StateAllocated)
+			}
+		})
+	}
+}
+
+// TestBannedStandbyNeverFreed: a standby banned while it sits in the pool
+// and then drained goes straight to the provider's rejected project; it
+// never passes through the free pool, where any batch could claim it.
+func TestBannedStandbyNeverFreed(t *testing.T) {
+	c := testCloud(t, 2, FirmwareLinuxBoot)
+	var (
+		mu    sync.Mutex
+		freed []string
+	)
+	c.Intercept(func(ctx context.Context, call Call, next func(context.Context) error) error {
+		if call.Backend == BackendHIL && call.Method == "FreeNode" {
+			mu.Lock()
+			freed = append(freed, call.Key)
+			mu.Unlock()
+		}
+		return next(ctx)
+	})
+	e := poolEnclave(t, c, ProfileBob, 1)
+	defer e.Destroy()
+	st, _ := e.PoolStats()
+	victim := st.WarmNodes[0]
+	e.banNode(victim, "revoked while parked")
+	if _, err := e.DrainPool(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if slices.Contains(freed, victim) {
+		t.Fatalf("banned standby %s was handed to hil.FreeNode", victim)
+	}
+	if _, ok := c.Rejected()[victim]; !ok {
+		t.Fatalf("banned standby %s is not in the rejected pool", victim)
+	}
+	free, _ := c.HIL.FreeNodes()
+	if slices.Contains(free, victim) {
+		t.Fatalf("banned standby %s is in the free pool", victim)
+	}
+}
+
+// TestRefillYieldsToColdReservation: an acquisition that takes standbys
+// and reserves the rest cold holds the refiller off until it has
+// reserved, so the refill that replaces the standbys cannot claim the
+// free node the batch needs. The batch's reservation waits (briefly) for
+// a competing refill reservation to go first; none may come.
+func TestRefillYieldsToColdReservation(t *testing.T) {
+	c := testCloud(t, 2, FirmwareLinuxBoot)
+	var armed atomic.Bool
+	refilled := make(chan struct{}, 1)
+	c.Intercept(func(ctx context.Context, call Call, next func(context.Context) error) error {
+		if call.Backend != BackendHIL || call.Method != "AllocateAnyNode" || !armed.Load() {
+			return next(ctx)
+		}
+		if class, _ := schedRequest(ctx); class == ClassBackground {
+			err := next(ctx)
+			select {
+			case refilled <- struct{}{}:
+			default:
+			}
+			return err
+		}
+		select {
+		case <-refilled:
+		case <-time.After(200 * time.Millisecond):
+		}
+		return next(ctx)
+	})
+	e := poolEnclave(t, c, ProfileBob, 1)
+	defer e.Destroy()
+	armed.Store(true)
+	res, err := e.AcquireNodes(context.Background(), "fedora28", 2)
+	if err != nil || len(res.Nodes) != 2 {
+		t.Fatalf("1 warm + 1 cold on a two-node cloud: %v", err)
 	}
 }

@@ -103,11 +103,15 @@ func (e *Enclave) AcquireNodes(ctx context.Context, image string, n int) (*Batch
 			}
 			if pool != nil {
 				pool.putBack(warm, n-len(warm))
+				pool.reserved()
 			}
 			return nil, fmt.Errorf("core: reserved %d of %d nodes (%d warm): %w", len(names)+len(warm), n, len(warm), err)
 		}
 		e.journal.record(EvAllocated, name, "image="+image)
 		names = append(names, name)
+	}
+	if pool != nil {
+		pool.reserved()
 	}
 
 	type batchJob struct {
@@ -334,16 +338,22 @@ func (e *Enclave) evict(name string, to NodeState, reason, detail string) error 
 	_ = e.cloud.Driver.StopAgent(ctx, name)
 	_ = e.cloud.BMI.Unexport(ctx, name, "")
 	_ = e.cloud.BMI.DeleteImage(ctx, e.volName(name))
-	if to == StateFree {
-		_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
-	} else {
+	if to != StateFree {
 		e.cloud.MarkRejected(e.Project, name, reason)
+		_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
+		return e.lc.to(name, to, detail)
 	}
-	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
-	if to == StateFree && e.lc.state(name) == StateFree {
+	// An abort. The life cycle lets go before the provider does: once the
+	// node is free, a reservation in this enclave may claim it, and must
+	// find it Free here.
+	var err error
+	if e.lc.state(name) == StateFree {
 		// Reserved but never airlocked: journal the return directly.
 		e.journal.record(EvReleased, name, detail)
-		return nil
+	} else {
+		err = e.lc.to(name, StateFree, detail)
 	}
-	return e.lc.to(name, to, detail)
+	_ = e.cloud.HIL.FreeNode(ctx, e.Project, name)
+	_ = e.cloud.HIL.DeleteNetwork(ctx, e.Project, airlockNet(name))
+	return err
 }

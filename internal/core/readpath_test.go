@@ -24,7 +24,7 @@ func TestReadPathEventLineGolden(t *testing.T) {
 	j.restore([]Event{
 		{Seq: 1, At: at, Kind: EvJoined, Node: "node01"},
 		{Seq: 2, At: at, Kind: EvHealed, Node: "node02", Detail: `a<b & "c" é`},
-	}, 0)
+	})
 	lines, err := j.LinesSince(0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -210,15 +213,22 @@ func TestRecoverInterruptedAcquire(t *testing.T) {
 
 	// Crash the instant the first node starts attesting. The journal
 	// persist hook commits before fan-out, so when this fires the event
-	// is already on disk.
-	attesting := make(chan struct{})
-	var once sync.Once
+	// is already on disk. The watcher then holds the journal — no event
+	// can be recorded while it runs — so the batch stays parked in its
+	// attest phase until the store has been copied.
+	attesting, copied := make(chan struct{}), make(chan struct{})
+	var once, unpark sync.Once
 	cancel := e1.Journal().Watch(func(ev Event) {
 		if ev.Kind == EvAttesting {
-			once.Do(func() { close(attesting) })
+			once.Do(func() {
+				close(attesting)
+				<-copied
+			})
 		}
 	})
 	defer cancel()
+	release := func() { unpark.Do(func() { close(copied) }) }
+	defer release()
 
 	op1, replayed, err := mgr1.StartAcquireIdem("dur", "fedora28", 3, "retry-key-1")
 	if err != nil || replayed {
@@ -230,6 +240,7 @@ func TestRecoverInterruptedAcquire(t *testing.T) {
 		t.Fatal("batch never reached attestation")
 	}
 	dir2 := copyStoreDir(t, dir)
+	release()
 
 	st, err := store.Open(dir2)
 	if err != nil {
@@ -531,6 +542,109 @@ func TestRecoverInterruptedRefill(t *testing.T) {
 	for n, s := range states {
 		if s != StateWarm {
 			t.Fatalf("node %s recovered into %s, want only warm standbys: %v", n, s, states)
+		}
+	}
+}
+
+// TestRecoverKeepsWhatLiveKeeps: a restart, from the WAL alone or from a
+// checkpoint, keeps exactly the operations, idempotency keys and incidents
+// the live manager kept: a deleted enclave's operations go with it, both
+// retention bounds hold, and a key lives exactly as long as its operation.
+func TestRecoverKeepsWhatLiveKeeps(t *testing.T) {
+	ctx := context.Background()
+	st := store.NewMemory()
+	live := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), st)
+	acquire := func(m *Manager, enclave, key string) bool {
+		t.Helper()
+		op, replayed, err := m.StartAcquireIdem(enclave, "fedora28", 1, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := op.Wait(ctx)
+		if err != nil || len(res.Nodes) != 1 {
+			t.Fatalf("acquire under %s: %v", key, err)
+		}
+		e, _ := m.Enclave(enclave)
+		if err := e.ReleaseNode(res.Nodes[0].Name, ""); err != nil {
+			t.Fatal(err)
+		}
+		return replayed
+	}
+	for _, name := range []string{"gone", "kept"} {
+		if _, err := live.CreateEnclave(name, ProfileAlice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire(live, "gone", "gone-key")
+	if err := live.DeleteEnclave("gone"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= MaxRetainedOps; i++ {
+		acquire(live, "kept", fmt.Sprintf("key-%d", i))
+	}
+	for i := 0; i <= MaxRetainedIncidents; i++ {
+		live.OpenIncident("kept", "node00", "drill").Close(IncidentResolved, "drill over")
+	}
+
+	type kept struct{ ops, keys, incidents []string }
+	keptBy := func(m *Manager) kept {
+		var k kept
+		for _, op := range m.ListOperations() {
+			k.ops = append(k.ops, op.ID)
+		}
+		m.mu.Lock()
+		for key := range m.idem {
+			k.keys = append(k.keys, key)
+		}
+		m.mu.Unlock()
+		slices.Sort(k.keys)
+		for _, inc := range m.ListIncidents("") {
+			k.incidents = append(k.incidents, inc.ID)
+		}
+		return k
+	}
+	want := keptBy(live)
+	if len(want.ops) != MaxRetainedOps || len(want.keys) != MaxRetainedOps || len(want.incidents) != MaxRetainedIncidents {
+		t.Fatalf("live manager kept %d ops, %d keys, %d incidents", len(want.ops), len(want.keys), len(want.incidents))
+	}
+	for _, checkpoint := range []bool{false, true} {
+		if checkpoint {
+			if err := live.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Recover from a copy: the recovered manager appends records too.
+		snap, recs, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := store.NewMemory()
+		if snap != nil {
+			if err := cp.Compact(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rec := range recs {
+			if err := cp.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), cp)
+		if _, err := rec.Recover(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := keptBy(rec); !reflect.DeepEqual(got, want) {
+			t.Errorf("checkpoint=%v: recovered %d ops %v, %d keys, %d incidents; live kept %d ops %v, %d keys, %d incidents",
+				checkpoint, len(got.ops), got.ops, len(got.keys), len(got.incidents),
+				len(want.ops), want.ops, len(want.keys), len(want.incidents))
+		}
+		// The first key went with its operation: a retry starts a new one.
+		// The newest is still bound to its operation.
+		if acquire(rec, "kept", "key-0") {
+			t.Errorf("checkpoint=%v: a retry under a forgotten key replayed an operation", checkpoint)
+		}
+		if op, replayed, err := rec.StartAcquireIdem("kept", "fedora28", 1, fmt.Sprintf("key-%d", MaxRetainedOps)); err != nil || !replayed || op.ID != want.ops[len(want.ops)-1] {
+			t.Errorf("checkpoint=%v: retry under the newest key: replayed=%v err=%v", checkpoint, replayed, err)
 		}
 	}
 }

@@ -85,7 +85,9 @@ func TestReplayMatchesSequentialFold(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("concurrent-decode replay and one-at-a-time replay disagree")
 	}
-	if len(got.ops) != 400 || got.opSeq != 400 || len(got.enclaves["a"].nodes) == 0 || got.incSeq != 397 {
+	// 400 operations over two enclaves, each keeping its newest
+	// MaxRetainedOps as the live manager would.
+	if len(got.ops) != 2*MaxRetainedOps || got.opSeq != 400 || len(got.enclaves["a"].nodes) == 0 || got.incSeq != 397 {
 		t.Fatalf("replayed state is not the log's: %d ops, opSeq %d, incSeq %d", len(got.ops), got.opSeq, got.incSeq)
 	}
 }
