@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"bolted/internal/flatjson"
 	"bolted/internal/keylime"
 	"bolted/internal/obs"
 	"bolted/internal/store"
@@ -57,6 +58,72 @@ func (r eventRecord) event() Event {
 type journalEventRecord struct {
 	Enclave string `json:"enclave"`
 	eventRecord
+}
+
+// A journal event is nearly every frame of a long log, so its payload has a
+// codec written for its fixed shape: appendJournalEvent writes and
+// readJournalEvent reads exactly the bytes json.Marshal writes for a
+// journalEventRecord. Anything else — a string json.Marshal escapes, a time
+// AppendText refuses, bytes laid out any other way — goes through
+// encoding/json, as every other record kind does.
+
+func encodeJournalEvent(r journalEventRecord) ([]byte, error) {
+	if b, ok := appendJournalEvent(make([]byte, 0, 128+len(r.Detail)), r); ok {
+		return b, nil
+	}
+	return json.Marshal(r)
+}
+
+func decodeJournalEvent(data []byte) (journalEventRecord, error) {
+	if r, ok := readJournalEvent(data); ok {
+		return r, nil
+	}
+	var r journalEventRecord
+	err := json.Unmarshal(data, &r)
+	return r, err
+}
+
+func appendJournalEvent(dst []byte, r journalEventRecord) ([]byte, bool) {
+	w := flatjson.NewWriter(dst)
+	w.Literal(`{"enclave":`)
+	w.String(r.Enclave)
+	w.Literal(`,"seq":`)
+	w.Uint(r.Seq)
+	w.Literal(`,"at":`)
+	w.Time(r.At)
+	w.Literal(`,"kind":`)
+	w.String(string(r.Kind))
+	if r.Node != "" {
+		w.Literal(`,"node":`)
+		w.String(r.Node)
+	}
+	if r.Detail != "" {
+		w.Literal(`,"detail":`)
+		w.String(r.Detail)
+	}
+	w.Literal(`}`)
+	return w.Bytes()
+}
+
+func readJournalEvent(p []byte) (journalEventRecord, bool) {
+	var r journalEventRecord
+	rd := flatjson.NewReader(p)
+	rd.Literal(`{"enclave":`)
+	r.Enclave = rd.String()
+	rd.Literal(`,"seq":`)
+	r.Seq = rd.Uint()
+	rd.Literal(`,"at":`)
+	r.At = rd.Time()
+	rd.Literal(`,"kind":`)
+	r.Kind = EventKind(rd.String())
+	if rd.Optional(`,"node":`) {
+		r.Node = rd.String()
+	}
+	if rd.Optional(`,"detail":`) {
+		r.Detail = rd.String()
+	}
+	rd.Literal(`}`)
+	return r, rd.End()
 }
 
 type quotaRecord struct {
@@ -191,7 +258,7 @@ func (m *Manager) appendRecord(kind store.Kind, payload any) error {
 // reads (and every cursor it hands back) names durable history.
 func (m *Manager) attachJournalPersist(name string, e *Enclave) {
 	e.journal.setPersist(func(ev Event) error {
-		data, err := json.Marshal(journalEventRecord{Enclave: name, eventRecord: toEventRecord(ev)})
+		data, err := encodeJournalEvent(journalEventRecord{Enclave: name, eventRecord: toEventRecord(ev)})
 		if err != nil {
 			return fmt.Errorf("core: encode %s record: %w", store.KindJournalEvent, err)
 		}
@@ -501,11 +568,15 @@ func decodeRecord(rec store.Record) (foldFunc, error) {
 			delete(rs.revFeeds, r.Enclave)
 		})
 	case store.KindJournalEvent:
-		return decodeAs(rec.Data, func(rs *replayState, r journalEventRecord) {
+		r, err := decodeJournalEvent(rec.Data)
+		if err != nil {
+			return nil, err
+		}
+		return func(rs *replayState) {
 			if re, ok := rs.enclaves[r.Enclave]; ok {
 				re.applyEvent(r.event())
 			}
-		})
+		}, nil
 	case store.KindQuotaSet:
 		return decodeAs(rec.Data, func(rs *replayState, r quotaRecord) {
 			rs.quotas[r.Tenant] = r.Quota

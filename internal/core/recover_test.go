@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -646,5 +647,75 @@ func TestRecoverKeepsWhatLiveKeeps(t *testing.T) {
 		if op, replayed, err := rec.StartAcquireIdem("kept", "fedora28", 1, fmt.Sprintf("key-%d", MaxRetainedOps)); err != nil || !replayed || op.ID != want.ops[len(want.ops)-1] {
 			t.Errorf("checkpoint=%v: retry under the newest key: replayed=%v err=%v", checkpoint, replayed, err)
 		}
+	}
+}
+
+// TestRecoverEscapedJournal: journal details json.Marshal must escape — a
+// quote, HTML characters, a newline, non-ASCII — leave the fixed-shape
+// codec for encoding/json on both sides of a WAL-only restart, and the
+// recovered journal is the live one. The detail comes from where such text
+// really enters a journal: a backend's error, as the reason a node was
+// rejected.
+func TestRecoverEscapedJournal(t *testing.T) {
+	const nodes = 3
+	cause := "pxe: \"boot\" <refused> & retried\nnœud injoignable  "
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud := testCloud(t, nodes, FirmwareLinuxBoot)
+	var failed atomic.Bool
+	cloud.Intercept(func(ctx context.Context, call Call, next func(context.Context) error) error {
+		if call.Method == "Boot" && !failed.Swap(true) {
+			return errors.New(cause)
+		}
+		return next(ctx)
+	})
+	mgr := NewManagerWithStore(cloud, st)
+	if _, err := mgr.CreateEnclave("esc", ProfileBob); err != nil {
+		t.Fatal(err)
+	}
+	op, err := mgr.StartAcquire("esc", "fedora28", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := op.Wait(context.Background()); res == nil || len(res.Nodes) != 1 {
+		t.Fatalf("acquire: %+v, want one member and one rejection", res)
+	}
+	e1, _ := mgr.Enclave("esc")
+	e1.Journal().Record(EvDegraded, "", "guard: <quote> \"stale\" \x01 über")
+
+	pre := e1.Journal().Events()
+	escaped := 0
+	for _, ev := range pre {
+		if _, ok := appendJournalEvent(nil, journalEventRecord{Enclave: "esc", eventRecord: toEventRecord(ev)}); !ok {
+			escaped++
+		}
+	}
+	if escaped < 2 {
+		t.Fatalf("%d of %d live events need escaping, want the rejection and the guard's event:\n%v", escaped, len(pre), pre)
+	}
+
+	mgr2, _ := recoverFrom(t, dir, nodes)
+	e2, err := mgr2.Enclave("esc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := e2.Journal().Events()
+	if len(post) < len(pre) {
+		t.Fatalf("recovered %d events, %d were live", len(post), len(pre))
+	}
+	// A restart keeps an event's instant, not its monotonic reading or its
+	// *Location: compare times in UTC.
+	utc := func(evs []Event) []Event {
+		out := slices.Clone(evs)
+		for i := range out {
+			out[i].At = out[i].At.UTC()
+		}
+		return out
+	}
+	if got, want := utc(post[:len(pre)]), utc(pre); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered journal:\n%q\nlive journal:\n%q", got, want)
 	}
 }

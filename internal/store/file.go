@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"bolted/internal/flatjson"
 	"bolted/internal/obs"
 )
 
@@ -163,9 +164,30 @@ func decodeWAL(log []byte) ([]Record, int64) {
 	}
 	recs := make([]Record, len(bounds)-1)
 	good, _ := Parallel(len(recs), func(i int) error {
-		return json.Unmarshal(log[bounds[i]+frameHeader:bounds[i+1]], &recs[i])
+		return decodeFrame(log[bounds[i]+frameHeader:bounds[i+1]], &recs[i])
 	})
 	return recs[:good:good], int64(bounds[good])
+}
+
+// decodeFrame decodes one frame's payload into rec, which must be zero. The
+// envelope json.Marshal writes for a Record with data takes a fixed-shape
+// path whose Data aliases p (capped, so an append to it copies); any other
+// bytes go to json.Unmarshal, which also decides what a frame that is not
+// quite that envelope means.
+func decodeFrame(p []byte, rec *Record) error {
+	r := flatjson.NewReader(p)
+	r.Literal(`{"kind":`)
+	kind := Kind(r.String())
+	r.Literal(`,"at":`)
+	at := r.Time()
+	r.Literal(`,"data":`)
+	data := r.RawLast()
+	r.Literal(`}`)
+	if !r.End() {
+		return json.Unmarshal(p, rec)
+	}
+	*rec = Record{Kind: kind, At: at, Data: data}
+	return nil
 }
 
 // minPerWorker is the fewest items worth a goroutine of their own in

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -130,10 +131,30 @@ func checkAgainstReference(t *testing.T, name string, log []byte) {
 	}
 }
 
+// offPathFrames are whole, checksummed frames that are not the envelope
+// json.Marshal writes, each with whether json.Unmarshal reads it as a record.
+// The fixed-shape path must refuse every one and leave it to json.Unmarshal.
+var offPathFrames = []struct {
+	name    string
+	payload string
+	record  bool
+}{
+	{"escaped at", `{"kind":"quota-set","at":"2026-01-02T03:04:05\u005a","data":{}}`, false},
+	{"data omitted", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z"}`, true},
+	{"keys out of order", `{"at":"2026-01-02T03:04:05Z","data":{"i":1},"kind":"quota-set"}`, true},
+	{"white space between keys", `{"kind": "quota-set", "at":"2026-01-02T03:04:05Z",` + "\n" + `"data": {"i":1} }`, true},
+	{"white space before data", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data": {"i":1}}`, true},
+	{"white space after data", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data":{"i":1} }`, true},
+	{"trailing white space", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data":{"i":1}}` + "\n", true},
+	{"trailing bytes", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data":{"i":1}}x`, false},
+	{"data not JSON", `{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data":{]}`, false},
+}
+
 // TestScannerMatchesReference damages a mixed-kind log every way a crash or a
 // bad disk can — a cut at every byte of the last three frames; a flipped bit
 // in the length, the CRC and the payload of a middle frame; a frame whose CRC
-// is right and whose JSON is not — and holds the scanner to the reference.
+// is right and whose JSON is not — and splices in frames another encoder
+// could have written, and holds the scanner to the reference.
 func TestScannerMatchesReference(t *testing.T) {
 	const frames = 3 * minPerWorker // enough for the decode to fan out
 	log, starts := mixedWAL(t, frames)
@@ -181,6 +202,45 @@ func TestScannerMatchesReference(t *testing.T) {
 		if recs, _ := referenceScan(damaged); len(recs) != at[0] {
 			t.Fatalf("undecodable frames %v: reference kept %d records, want %d", at, len(recs), at[0])
 		}
+	}
+
+	// Frames off the fixed-shape path, in place of a middle frame: a record
+	// leaves every frame in place, anything else cuts the log there.
+	for _, f := range offPathFrames {
+		spliced := slices.Concat(log[:mid], frame([]byte(f.payload)), log[starts[frames/2+1]:])
+		checkAgainstReference(t, f.name, spliced)
+		recs, end := referenceScan(spliced)
+		if kept := len(recs) == frames && end == int64(len(spliced)); kept != f.record {
+			t.Fatalf("%s: reference kept %d of %d records; want a record: %v", f.name, len(recs), frames, f.record)
+		}
+	}
+}
+
+// TestLoadedDataAliasesTheLog: a record's Data is a slice of the log buffer,
+// not a copy, and its capacity ends with it, so appending to one record's
+// Data cannot write over the next record's bytes.
+func TestLoadedDataAliasesTheLog(t *testing.T) {
+	log, _ := mixedWAL(t, 50)
+	orig := bytes.Clone(log)
+	recs, _ := decodeWAL(log)
+	want, _ := referenceScan(orig)
+	for i, rec := range recs {
+		if len(rec.Data) == 0 {
+			continue
+		}
+		rec.Data[0] ^= 0xff
+		aliased := !bytes.Equal(log, orig)
+		rec.Data[0] ^= 0xff
+		if !aliased {
+			t.Fatalf("record %d: Data is a copy, not a slice of the log", i)
+		}
+		_ = append(rec.Data, `,"appended":true}`...)
+	}
+	if !bytes.Equal(log, orig) {
+		t.Fatal("appending to a loaded record's Data wrote into the log buffer")
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatal("records changed after appending to their neighbours' Data")
 	}
 }
 
@@ -335,6 +395,10 @@ func FuzzOpenWAL(f *testing.F) {
 	f.Add(frame([]byte(`{}`)))
 	f.Add(frame([]byte(`{"kind":1}`)))
 	f.Add(append(frame([]byte(`{"kind":"quota-set","at":"2026-01-02T03:04:05Z","data":[1,2]}`)), 0xff, 0xff, 0xff, 0x00))
+	f.Add(frame([]byte(`{"kind":"quota-set","at":"2026-01-02T03:04:05+01:00","data":null}`)))
+	for _, fr := range offPathFrames {
+		f.Add(slices.Concat(log[:starts[6]], frame([]byte(fr.payload)), log[starts[7]:]))
+	}
 	if golden, err := os.ReadFile(filepath.Join("testdata", "golden", walName)); err == nil {
 		f.Add(golden[:4096])
 	}
