@@ -65,8 +65,8 @@ type Incident struct {
 	Reason  string
 	Opened  time.Time
 
-	onUpdate func(*Incident)
-	done     chan struct{}
+	m    *Manager // commits every update and folds it in
+	done chan struct{}
 
 	mu     sync.Mutex
 	state  IncidentState
@@ -111,46 +111,44 @@ func (i *Incident) Status() IncidentStatus {
 
 // Step records a completed response action.
 func (i *Incident) Step(name, detail string) {
-	i.mu.Lock()
-	if i.state == IncidentDetected {
-		i.state = IncidentResponding
-	}
-	i.steps = append(i.steps, IncidentStep{At: time.Now(), Name: name, Detail: detail})
-	i.mu.Unlock()
-	i.notifyUpdate()
+	i.m.noteIncidentUpdate(i, func(st *IncidentStatus) {
+		st.State = IncidentResponding
+		st.Steps = append(st.Steps, IncidentStep{At: time.Now(), Name: name, Detail: detail})
+	})
 }
 
 // StepError records a response action that failed.
 func (i *Incident) StepError(name string, err error) {
-	i.mu.Lock()
-	if i.state == IncidentDetected {
-		i.state = IncidentResponding
-	}
-	i.steps = append(i.steps, IncidentStep{At: time.Now(), Name: name, Error: err.Error()})
-	i.mu.Unlock()
-	i.notifyUpdate()
+	i.m.noteIncidentUpdate(i, func(st *IncidentStatus) {
+		st.State = IncidentResponding
+		st.Steps = append(st.Steps, IncidentStep{At: time.Now(), Name: name, Error: err.Error()})
+	})
 }
 
 // Close moves the incident to a terminal state (recording a final step
-// when detail is non-empty). Closing an already-terminal incident is a
-// no-op.
+// when detail is non-empty). A terminal incident takes no further update,
+// so closing one again is a no-op.
 func (i *Incident) Close(state IncidentState, detail string) {
 	if !state.Terminal() {
 		panic("core: Incident.Close needs a terminal state, got " + string(state))
 	}
+	i.m.noteIncidentUpdate(i, func(st *IncidentStatus) {
+		st.State = state
+		st.Closed = time.Now()
+		if detail != "" {
+			st.Steps = append(st.Steps, IncidentStep{At: st.Closed, Name: string(state), Detail: detail})
+		}
+	})
+}
+
+// set makes a committed status the incident's own.
+func (i *Incident) set(st IncidentStatus) {
 	i.mu.Lock()
-	if i.state.Terminal() {
-		i.mu.Unlock()
-		return
+	defer i.mu.Unlock()
+	if st.State.Terminal() && !i.state.Terminal() {
+		close(i.done)
 	}
-	i.state = state
-	i.closed = time.Now()
-	if detail != "" {
-		i.steps = append(i.steps, IncidentStep{At: i.closed, Name: string(state), Detail: detail})
-	}
-	i.mu.Unlock()
-	close(i.done)
-	i.notifyUpdate()
+	i.state, i.steps, i.closed = st.State, st.Steps, st.Closed
 }
 
 // Done returns a channel closed when the incident reaches a terminal
@@ -165,12 +163,6 @@ func (i *Incident) Wait(ctx context.Context) (IncidentStatus, error) {
 		return i.Status(), nil
 	case <-ctx.Done():
 		return IncidentStatus{}, ctx.Err()
-	}
-}
-
-func (i *Incident) notifyUpdate() {
-	if i.onUpdate != nil {
-		i.onUpdate(i)
 	}
 }
 
@@ -219,10 +211,10 @@ type revFeed struct {
 // its policy (PolicyReporter) has it committed to the store, so Recover
 // can hand it back for re-enabling after a restart.
 func (m *Manager) AttachGuard(enclave string, g GuardController) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.enclaves[enclave]; !ok || m.deleting[enclave] {
-		return fmt.Errorf("%w: enclave %q", ErrNotFound, enclave)
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	if _, err := m.enclaveLocked(enclave); err != nil {
+		return err
 	}
 	if _, ok := m.guards[enclave]; ok {
 		return fmt.Errorf("%w: enclave %q already has a guard", ErrExists, enclave)
@@ -235,14 +227,25 @@ func (m *Manager) AttachGuard(enclave string, g GuardController) error {
 		}
 		policy = raw
 	}
-	if err := m.appendRecord(store.KindGuardEnabled, guardRecord{Enclave: enclave, Policy: policy}); err != nil {
+	apply := func() {
+		m.applyGuard(enclave, policy)
+		m.guards[enclave] = g
+	}
+	if err := m.commit(store.KindGuardEnabled, guardRecord{Enclave: enclave, Policy: policy}, apply); err != nil {
 		return fmt.Errorf("core: persist guard policy: %w", err)
 	}
-	m.guards[enclave] = g
-	if policy != nil {
-		m.guardPolicies[enclave] = policy
-	}
 	return nil
+}
+
+// applyGuard folds a guard-enabled (a nil policy is one the guard did not
+// report) or guard-detached (nil) record: the policy a restart re-enables
+// the enclave's guard under. Callers hold m.mu.
+func (m *Manager) applyGuard(enclave string, policy json.RawMessage) {
+	if policy == nil {
+		delete(m.guardPolicies, enclave)
+		return
+	}
+	m.guardPolicies[enclave] = append(json.RawMessage(nil), policy...)
 }
 
 // NoteGuardPolicy commits an attached guard's updated policy to the
@@ -250,15 +253,14 @@ func (m *Manager) AttachGuard(enclave string, g GuardController) error {
 // guard under the policy the tenant last set, not the one it attached
 // with.
 func (m *Manager) NoteGuardPolicy(enclave string, policy json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	if _, ok := m.guards[enclave]; !ok {
 		return fmt.Errorf("%w: enclave %q has no guard", ErrNotFound, enclave)
 	}
-	if err := m.appendRecord(store.KindGuardEnabled, guardRecord{Enclave: enclave, Policy: policy}); err != nil {
+	if err := m.commit(store.KindGuardEnabled, guardRecord{Enclave: enclave, Policy: policy}, func() { m.applyGuard(enclave, policy) }); err != nil {
 		return fmt.Errorf("core: persist guard policy: %w", err)
 	}
-	m.guardPolicies[enclave] = append(json.RawMessage(nil), policy...)
 	return nil
 }
 
@@ -273,17 +275,21 @@ func (m *Manager) Guard(enclave string) (GuardController, bool) {
 // DetachGuard unregisters and stops an enclave's guard. It reports
 // whether a guard was attached.
 func (m *Manager) DetachGuard(enclave string) bool {
-	m.mu.Lock()
+	m.commitMu.Lock()
 	g, ok := m.guards[enclave]
-	delete(m.guards, enclave)
-	delete(m.guardPolicies, enclave)
-	m.mu.Unlock()
-	if ok {
-		g.Stop()
+	if _, recorded := m.guardPolicies[enclave]; ok || recorded {
 		// Best-effort: a lost detach record means a restart re-enables a
 		// guard the tenant turned off — safe (over-guarding), and the
-		// tenant's detach is replayable.
+		// tenant's detach is replayable. The guard goes either way.
 		_ = m.appendRecord(store.KindGuardDetached, enclaveNameRecord{Enclave: enclave})
+	}
+	m.mu.Lock()
+	m.applyGuard(enclave, nil)
+	delete(m.guards, enclave)
+	m.mu.Unlock()
+	m.commitMu.Unlock()
+	if ok {
+		g.Stop()
 	}
 	return ok
 }
@@ -292,40 +298,80 @@ func (m *Manager) DetachGuard(enclave string) bool {
 // it. The guard opens one per revocation; revocations on unguarded
 // enclaves are recorded as unhandled incidents automatically.
 func (m *Manager) OpenIncident(enclave, node, reason string) *Incident {
-	m.mu.Lock()
-	m.incSeq++
-	inc := &Incident{
-		ID:       fmt.Sprintf(incIDPrefix+"%04d", m.incSeq),
-		Enclave:  enclave,
-		Node:     node,
-		Reason:   reason,
-		Opened:   time.Now(),
-		onUpdate: m.noteIncidentUpdate,
-		done:     make(chan struct{}),
-		state:    IncidentDetected,
-	}
-	m.incidents[inc.ID] = inc
-	m.incOrder = append(m.incOrder, inc)
-	m.pruneIncidentsLocked()
-	m.mu.Unlock()
-	m.noteIncidentUpdate(inc)
-	return inc
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	return m.commitIncident(IncidentStatus{
+		ID:      fmt.Sprintf(incIDPrefix+"%04d", m.incSeq+1),
+		Enclave: enclave,
+		Node:    node,
+		Reason:  reason,
+		State:   IncidentDetected,
+		Opened:  time.Now(),
+	})
 }
 
-// pruneIncidentsLocked forgets the oldest terminal incidents beyond
-// the retention bound. Callers hold m.mu.
-func (m *Manager) pruneIncidentsLocked() {
-	keep := m.incOrder[:0]
-	over := len(m.incOrder) - MaxRetainedIncidents
-	for _, inc := range m.incOrder {
-		if over > 0 && inc.State().Terminal() {
-			delete(m.incidents, inc.ID)
-			over--
-			continue
-		}
-		keep = append(keep, inc)
+// noteIncidentUpdate commits one change to an incident and folds it in.
+// change edits the incident's next status; a terminal incident takes no
+// further change. The update is one mutation, so the replayable feed
+// follows the log.
+func (m *Manager) noteIncidentUpdate(inc *Incident, change func(*IncidentStatus)) {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	st := inc.Status()
+	if st.State.Terminal() {
+		return
 	}
-	m.incOrder = keep
+	change(&st)
+	m.commitIncident(st)
+}
+
+// commitIncident commits an incident status, then applies it. A status
+// that cannot commit is applied all the same: an incident update is a
+// security signal, and availability wins over durability for it. Callers
+// hold m.commitMu.
+func (m *Manager) commitIncident(st IncidentStatus) *Incident {
+	_ = m.appendRecord(store.KindIncidentUpdate, st)
+	m.cloud.metrics.observeIncident(st)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applyIncidentUpdate(st)
+}
+
+// applyIncidentUpdate folds an incident-update record: a new incident
+// joins the registry, and the oldest terminal incidents beyond
+// MaxRetainedIncidents are forgotten; the status becomes the incident's
+// own and the next entry of the replayable feed, which keeps its newest
+// maxIncidentFeed entries. Every update wakes the feed's streamers. The
+// record's id parses (replay checks it when decoding). Callers hold m.mu.
+func (m *Manager) applyIncidentUpdate(st IncidentStatus) *Incident {
+	inc, known := m.incidents[st.ID]
+	if !known {
+		seq, _ := idSeq(st.ID, incIDPrefix)
+		m.incSeq = max(m.incSeq, seq)
+		inc = &Incident{ID: st.ID, Enclave: st.Enclave, Node: st.Node, Reason: st.Reason, Opened: st.Opened, m: m, done: make(chan struct{})}
+		m.incidents[st.ID] = inc
+		m.incOrder = append(m.incOrder, inc)
+		keep := m.incOrder[:0]
+		over := len(m.incOrder) - MaxRetainedIncidents
+		for _, old := range m.incOrder {
+			if over > 0 && old.State().Terminal() {
+				delete(m.incidents, old.ID)
+				over--
+				continue
+			}
+			keep = append(keep, old)
+		}
+		m.incOrder = keep
+	}
+	inc.set(st)
+	m.incFeed = append(m.incFeed, st)
+	if over := len(m.incFeed) - maxIncidentFeed; over > 0 {
+		m.incFeed = append([]IncidentStatus(nil), m.incFeed[over:]...)
+		m.incFeedBase += over
+	}
+	close(m.incNotify)
+	m.incNotify = make(chan struct{})
+	return inc
 }
 
 // Incident returns a tracked incident by ID.
@@ -370,27 +416,6 @@ func (m *Manager) OpenIncidentIDs(enclave string) []string {
 	return out
 }
 
-// noteIncidentUpdate appends a snapshot to the replayable incident
-// feed and wakes streamers. It is the Incident.onUpdate callback.
-func (m *Manager) noteIncidentUpdate(inc *Incident) {
-	st := inc.Status()
-	m.cloud.metrics.observeIncident(st)
-	// Commit the update before serving it on the replayable feed, so a
-	// cursor handed to a streamer always points at surviving history.
-	// Persist failures do not block the feed: an incident update is a
-	// security signal, and availability wins over durability for it.
-	_ = m.appendRecord(store.KindIncidentUpdate, st)
-	m.mu.Lock()
-	m.incFeed = append(m.incFeed, st)
-	if over := len(m.incFeed) - maxIncidentFeed; over > 0 {
-		m.incFeed = append([]IncidentStatus(nil), m.incFeed[over:]...)
-		m.incFeedBase += over
-	}
-	close(m.incNotify)
-	m.incNotify = make(chan struct{})
-	m.mu.Unlock()
-}
-
 // IncidentUpdatesSince returns incident-status updates past the
 // absolute cursor, a channel that closes on the next update, and the
 // cursor to resume from. A streamer loops: emit, advance, wait.
@@ -412,25 +437,16 @@ func (m *Manager) IncidentUpdatesSince(cursor int) ([]IncidentStatus, <-chan str
 // route to the enclave's guard — or record an unhandled incident when
 // no guard is enabled, so a remote tenant still finds out.
 func (m *Manager) noteRevocation(enclave string, ev keylime.RevocationEvent) {
+	m.commitMu.Lock()
 	// Same durability stance as incident updates: commit first so the
 	// replayable feed survives a crash, but never let a full disk stop a
 	// revocation from reaching the guard.
 	_ = m.appendRecord(store.KindRevocation, revocationRecord{Enclave: enclave, UUID: ev.UUID, Reason: ev.Reason, At: ev.At})
 	m.mu.Lock()
-	f := m.revFeeds[enclave]
-	if f == nil {
-		f = &revFeed{notify: make(chan struct{})}
-		m.revFeeds[enclave] = f
-	}
-	f.events = append(f.events, ev)
-	if over := len(f.events) - maxRevFeed; over > 0 {
-		f.events = append([]keylime.RevocationEvent(nil), f.events[over:]...)
-		f.base += over
-	}
-	close(f.notify)
-	f.notify = make(chan struct{})
-	g := m.guards[enclave]
+	m.applyRevocation(enclave, ev)
 	m.mu.Unlock()
+	g := m.guards[enclave]
+	m.commitMu.Unlock()
 
 	if g != nil {
 		g.HandleRevocation(ev)
@@ -438,6 +454,31 @@ func (m *Manager) noteRevocation(enclave string, ev keylime.RevocationEvent) {
 	}
 	inc := m.OpenIncident(enclave, ev.UUID, ev.Reason)
 	inc.Close(IncidentUnhandled, "no guard enabled; no automated response")
+}
+
+// applyRevocation folds a revocation record: the event joins its enclave's
+// replayable feed, which keeps its newest maxRevFeed events, and wakes the
+// feed's streamers. Callers hold m.mu.
+func (m *Manager) applyRevocation(enclave string, ev keylime.RevocationEvent) {
+	f := m.revFeed(enclave)
+	f.events = append(f.events, ev)
+	if over := len(f.events) - maxRevFeed; over > 0 {
+		f.events = append([]keylime.RevocationEvent(nil), f.events[over:]...)
+		f.base += over
+	}
+	close(f.notify)
+	f.notify = make(chan struct{})
+}
+
+// revFeed returns an enclave's revocation feed, creating it empty.
+// Callers hold m.mu.
+func (m *Manager) revFeed(enclave string) *revFeed {
+	f := m.revFeeds[enclave]
+	if f == nil {
+		f = &revFeed{notify: make(chan struct{})}
+		m.revFeeds[enclave] = f
+	}
+	return f
 }
 
 // RevocationsSince returns an enclave's revocation events past the
@@ -451,11 +492,7 @@ func (m *Manager) RevocationsSince(enclave string, cursor int) ([]keylime.Revoca
 	if _, ok := m.enclaves[enclave]; !ok || m.deleting[enclave] {
 		return nil, nil, 0, fmt.Errorf("%w: enclave %q", ErrNotFound, enclave)
 	}
-	f := m.revFeeds[enclave]
-	if f == nil {
-		f = &revFeed{notify: make(chan struct{})}
-		m.revFeeds[enclave] = f
-	}
+	f := m.revFeed(enclave)
 	if cursor < f.base {
 		cursor = f.base
 	}

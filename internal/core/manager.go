@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"bolted/internal/keylime"
 	"bolted/internal/obs"
@@ -60,6 +61,17 @@ type Manager struct {
 	// retention mirroring MaxRetainedOps. Always non-nil.
 	tracer *obs.Tracer
 
+	// commitMu runs mutations one at a time: a mutation takes it, checks,
+	// commits its record and applies it (commit), so the log order is the
+	// apply order. Every write to the fields below holds commitMu and mu,
+	// so a mutation reads them under commitMu alone, and a reader under mu
+	// alone — readers never wait on a commit's fsync. (revFeeds is the
+	// exception: a reader may add an empty feed under mu.) An acquisition's
+	// completion is the one mutation that takes commitMu for reading, so
+	// the completions of acquisitions in different enclaves share a group
+	// commit: each touches only its own operation, which nothing reads
+	// while its enclave's acquisition is in flight, so they commute.
+	commitMu sync.RWMutex
 	mu       sync.Mutex
 	enclaves map[string]*Enclave
 	deleting map[string]bool // enclaves mid-Destroy; refuse new work
@@ -75,6 +87,9 @@ type Manager struct {
 	// guardPolicies holds the raw policy JSON of attached (or recovered,
 	// not-yet-reattached) guards, keyed by enclave.
 	guardPolicies map[string]json.RawMessage
+	// poolPolicies holds each enclave's committed warm-pool policy; the
+	// enclave's running pool follows it.
+	poolPolicies map[string]PoolPolicy
 
 	// Tenant QoS state (sched.go): per-tenant quotas and the global
 	// queue-depth admission bound. Violations surface as ErrOverQuota,
@@ -108,6 +123,7 @@ func NewManager(c *Cloud) *Manager {
 		byencl:        make(map[string][]*Operation),
 		idem:          make(map[string]string),
 		guardPolicies: make(map[string]json.RawMessage),
+		poolPolicies:  make(map[string]PoolPolicy),
 		quotas:        make(map[string]TenantQuota),
 		maxSchedQueue: DefaultMaxSchedQueue,
 		guards:        make(map[string]GuardController),
@@ -123,8 +139,8 @@ func (m *Manager) CreateEnclave(name string, p Profile) (*Enclave, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: enclave needs a name")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	if _, ok := m.enclaves[name]; ok {
 		return nil, fmt.Errorf("%w: enclave %q", ErrExists, name)
 	}
@@ -132,25 +148,46 @@ func (m *Manager) CreateEnclave(name string, p Profile) (*Enclave, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Commit before acknowledge: if the record cannot be made durable the
-	// enclave must not exist — tear the just-created project back down
-	// and refuse the mutation.
-	if err := m.appendRecord(store.KindEnclaveCreated, enclaveRecord{Name: name, Profile: p}); err != nil {
+	// If the record cannot be made durable the enclave must not exist —
+	// tear the just-created project back down and refuse the mutation.
+	if err := m.commit(store.KindEnclaveCreated, enclaveRecord{Name: name, Profile: p}, func() { m.addEnclave(name, e) }); err != nil {
 		_ = e.Destroy()
 		return nil, fmt.Errorf("core: persist enclave %q: %w", name, err)
 	}
+	return e, nil
+}
+
+// addEnclave registers a created (or, at recovery, rebuilt) enclave: its
+// journal commits through the store, and the verifier's in-process
+// revocation fan-out is mirrored into the manager so it reaches the wire —
+// the /v1 revocation stream, the incident registry, and (when enabled) the
+// runtime guard. A remote tenant would otherwise never learn a node was
+// revoked. Callers hold m.mu.
+func (m *Manager) addEnclave(name string, e *Enclave) {
 	m.attachJournalPersist(name, e)
 	m.enclaves[name] = e
 	if v := e.Verifier(); v != nil {
-		// Mirror the verifier's in-process revocation fan-out into the
-		// manager so it reaches the wire: the /v1 revocation stream, the
-		// incident registry, and (when enabled) the runtime guard. A
-		// remote tenant would otherwise never learn a node was revoked.
 		m.revUnsubs[name] = v.Subscribe(func(ev keylime.RevocationEvent) {
 			m.noteRevocation(name, ev)
 		})
 	}
-	return e, nil
+}
+
+// applyEnclaveDeleted folds an enclave-deleted record: the enclave leaves
+// the registry, and its operations (all terminal) with their keys, its
+// revocation feed and its pool and guard policies go with it. Callers hold
+// m.mu.
+func (m *Manager) applyEnclaveDeleted(name string) {
+	delete(m.enclaves, name)
+	m.forgetOpsLocked(m.byencl[name])
+	delete(m.byencl, name)
+	if unsub := m.revUnsubs[name]; unsub != nil {
+		delete(m.revUnsubs, name)
+		unsub()
+	}
+	delete(m.revFeeds, name)
+	delete(m.guardPolicies, name)
+	delete(m.poolPolicies, name)
 }
 
 // Enclave returns a named enclave. An enclave mid-delete is already
@@ -158,6 +195,11 @@ func (m *Manager) CreateEnclave(name string, p Profile) (*Enclave, error) {
 func (m *Manager) Enclave(name string) (*Enclave, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.enclaveLocked(name)
+}
+
+// enclaveLocked is Enclave for callers holding m.commitMu or m.mu.
+func (m *Manager) enclaveLocked(name string) (*Enclave, error) {
 	e, ok := m.enclaves[name]
 	if !ok || m.deleting[name] {
 		return nil, fmt.Errorf("%w: enclave %q", ErrNotFound, name)
@@ -183,69 +225,79 @@ func (m *Manager) ListEnclaves() []string {
 // is marked deleting before the lock drops, so a concurrent
 // StartAcquire cannot begin a batch that races the destroy.
 func (m *Manager) DeleteEnclave(name string) error {
-	m.mu.Lock()
-	e, ok := m.enclaves[name]
-	if !ok || m.deleting[name] {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: enclave %q", ErrNotFound, name)
+	m.commitMu.Lock()
+	e, err := m.enclaveLocked(name)
+	if err != nil {
+		m.commitMu.Unlock()
+		return err
 	}
 	for _, op := range m.byencl[name] {
 		if !op.Phase().Terminal() {
-			m.mu.Unlock()
+			m.commitMu.Unlock()
 			return fmt.Errorf("%w: enclave %q has running operation %s", ErrConflict, name, op.ID)
 		}
 	}
+	m.mu.Lock()
 	m.deleting[name] = true
 	guard := m.guards[name]
 	delete(m.guards, name)
 	m.mu.Unlock()
+	m.commitMu.Unlock()
 
 	// The guard goes first: its monitoring rounds and incident
 	// responses must not race the teardown of the enclave they drive.
 	if guard != nil {
 		guard.Stop()
 	}
-	err := e.Destroy()
+	err = e.Destroy()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.deleting, name)
-	if err == nil {
-		delete(m.enclaves, name)
-		// The enclave's operations (all terminal — checked above) go
-		// with it; retaining them forever would leak on busy servers.
-		m.forgetOpsLocked(m.byencl[name])
-		delete(m.byencl, name)
-		if unsub := m.revUnsubs[name]; unsub != nil {
-			delete(m.revUnsubs, name)
-			defer unsub()
-		}
-		delete(m.revFeeds, name)
-		delete(m.guardPolicies, name)
+	if err != nil {
+		// The enclave lives on, but its guard stays detached (and
+		// stopped): the tenant re-enables explicitly.
+		return err
 	}
-	// When Destroy fails the enclave lives on, but its guard stays
-	// detached (and stopped): the tenant re-enables explicitly.
-	m.mu.Unlock()
-	if err == nil {
-		// Destroy first, then commit: a crash in between replays an
-		// enclave whose journal already released every node — it comes
-		// back empty, never as orphaned hardware.
-		if perr := m.appendRecord(store.KindEnclaveDeleted, enclaveNameRecord{Enclave: name}); perr != nil {
-			return fmt.Errorf("core: enclave %q deleted but not committed: %w", name, perr)
-		}
+	// Destroy first, then commit: a crash in between replays an enclave
+	// whose journal already released every node — it comes back empty,
+	// never as orphaned hardware. Its hardware is gone either way, so the
+	// deletion applies even when the record cannot commit.
+	perr := m.appendRecord(store.KindEnclaveDeleted, enclaveNameRecord{Enclave: name})
+	m.applyEnclaveDeleted(name)
+	if perr != nil {
+		return fmt.Errorf("core: enclave %q deleted but not committed: %w", name, perr)
 	}
-	return err
+	return nil
 }
 
-// pruneOpsLocked forgets the oldest terminal operations of an enclave
-// beyond the retention bound. Callers hold m.mu.
-func (m *Manager) pruneOpsLocked(enclave string) {
-	ops := m.byencl[enclave]
+// applyOpStarted folds an op-started record: the operation joins the
+// registry, under its idempotency key if it has one, and the oldest
+// terminal operations of its enclave beyond MaxRetainedOps are forgotten.
+// Callers hold m.mu.
+func (m *Manager) applyOpStarted(op *Operation) {
+	m.opSeq = max(m.opSeq, op.seq)
+	m.ops[op.ID] = op
+	m.opOrder = append(m.opOrder, op)
+	if op.idemKey != "" {
+		m.idem[op.idemKey] = op.ID
+	}
+	ops := append(m.byencl[op.Enclave], op)
 	i := 0
 	for len(ops)-i > MaxRetainedOps && ops[i].Phase().Terminal() {
 		i++
 	}
-	if i > 0 {
-		m.forgetOpsLocked(ops[:i])
-		m.byencl[enclave] = append([]*Operation(nil), ops[i:]...)
+	m.forgetOpsLocked(ops[:i])
+	m.byencl[op.Enclave] = ops[i:]
+}
+
+// applyOpFinished folds an op-finished record into its operation, if the
+// manager still holds it. Live, the worker hands in the batch result and
+// the run's own error; replay has only the error's text.
+func (m *Manager) applyOpFinished(r opFinishedRecord, res *BatchResult, err error) {
+	if op, ok := m.ops[r.ID]; ok {
+		op.finish(r.Phase, res, err, r.Finished)
 	}
 }
 
@@ -297,25 +349,22 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 		return nil, false, fmt.Errorf("core: batch size must be at least 1")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	// Lookup and registration are one critical section: once the
-	// operation is in byencl, DeleteEnclave cannot pass its in-flight
-	// check and destroy the enclave under the batch.
-	m.mu.Lock()
-	e, ok := m.enclaves[enclave]
-	if !ok || m.deleting[enclave] {
-		m.mu.Unlock()
+	// Lookup and registration are one mutation: once the operation is in
+	// byencl, DeleteEnclave cannot pass its in-flight check and destroy
+	// the enclave under the batch.
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	e, err := m.enclaveLocked(enclave)
+	if err != nil {
 		cancel()
-		return nil, false, fmt.Errorf("%w: enclave %q", ErrNotFound, enclave)
+		return nil, false, err
 	}
 	if id, ok := m.idem[idemKey]; ok {
-		prev := m.ops[id]
-		m.mu.Unlock()
 		cancel()
-		return prev, true, nil
+		return m.ops[id], true, nil
 	}
 	for _, prev := range m.byencl[enclave] {
 		if !prev.Phase().Terminal() {
-			m.mu.Unlock()
 			cancel()
 			return nil, false, fmt.Errorf("%w: enclave %q already has operation %s in flight", ErrConflict, enclave, prev.ID)
 		}
@@ -325,41 +374,26 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 	// the rejected pool. The typed error carries a Retry-After hint; the
 	// /v1 surface maps it to 503.
 	if err := m.cloud.CheckDegraded(); err != nil {
-		m.mu.Unlock()
 		cancel()
 		return nil, false, err
 	}
 	if err := m.admitAcquireLocked(enclave, e, n); err != nil {
-		m.mu.Unlock()
 		cancel()
 		if errors.Is(err, ErrOverQuota) {
 			m.cloud.metrics.quotaRejections.With(enclave).Inc()
 		}
 		return nil, false, err
 	}
-	m.opSeq++
-	op = newOperation(fmt.Sprintf(opIDPrefix+"%04d", m.opSeq), enclave, image, n, cancel)
-	op.seq = m.opSeq
-	op.idemKey = idemKey
+	// The operation record (with its idempotency key) must be durable
+	// before the tenant learns the op ID, or a crash could orphan a batch
+	// no retry can find.
+	rec := opStartedRecord{ID: fmt.Sprintf(opIDPrefix+"%04d", m.opSeq+1), Enclave: enclave, Image: image, Count: n, Created: time.Now(), IdemKey: idemKey}
+	op = newOperation(rec, m.opSeq+1, cancel)
 	op.journal = e.Journal()
-	// Commit before acknowledge: the operation record (with its
-	// idempotency key) must be durable before the tenant learns the op
-	// ID, or a crash could orphan a batch no retry can find.
-	rec := opStartedRecord{ID: op.ID, Enclave: enclave, Image: image, Count: n, Created: op.Created, IdemKey: idemKey}
-	if err := m.appendRecord(store.KindOpStarted, rec); err != nil {
-		m.opSeq--
-		m.mu.Unlock()
+	if err := m.commit(store.KindOpStarted, rec, func() { m.applyOpStarted(op) }); err != nil {
 		cancel()
 		return nil, false, fmt.Errorf("core: persist operation: %w", err)
 	}
-	m.ops[op.ID] = op
-	m.opOrder = append(m.opOrder, op)
-	m.byencl[enclave] = append(m.byencl[enclave], op)
-	if idemKey != "" {
-		m.idem[idemKey] = op.ID
-	}
-	m.pruneOpsLocked(enclave)
-	m.mu.Unlock()
 
 	// The trace shares the operation's ID and lifetime: one root span
 	// for the whole acquisition, node×phase children emitted by the
@@ -376,23 +410,34 @@ func (m *Manager) StartAcquireIdem(enclave, image string, n int, idemKey string)
 		// The manager owns ctx, so a context.Canceled outcome can only
 		// mean the tenant's cancel — the operation's own terminal state,
 		// not a failure.
-		op.finish(res, err, errors.Is(err, context.Canceled))
-		// Best-effort terminal record: if it cannot commit, the next
-		// recovery replays the op as interrupted — indistinguishable from
-		// crashing here, which is the semantics we want.
-		st := op.Status()
-		fin := opFinishedRecord{ID: op.ID, Phase: st.Phase, Finished: st.Finished}
-		if st.Err != nil {
-			fin.Error = st.Err.Error()
+		fin := opFinishedRecord{ID: op.ID, Phase: OpDone, Finished: time.Now()}
+		if errors.Is(err, context.Canceled) {
+			fin.Phase = OpCancelled
 		}
-		_ = m.appendRecord(store.KindOpFinished, fin)
+		if err != nil {
+			fin.Error = err.Error()
+		}
+		// The outcome commits before any waiter hears it; the commit also
+		// makes the batch's staged journal events durable. An outcome
+		// that cannot commit is reported as a restart would report it —
+		// interrupted, with the commit error. The members stay in the
+		// enclave; a restart re-adopts those whose journal reached the log.
+		m.commitMu.RLock()
+		if cerr := m.appendRecord(store.KindOpFinished, fin); cerr != nil {
+			fin.Phase = OpInterrupted
+			err = fmt.Errorf("core: operation outcome not committed: %w", cerr)
+		}
+		m.mu.Lock()
+		m.applyOpFinished(fin, res, err)
+		m.mu.Unlock()
+		m.commitMu.RUnlock()
 	}()
 	return op, false, nil
 }
 
 // admitAcquireLocked is the /v1 admission gate: global queue-depth
 // backpressure first, then the tenant's own in-flight and footprint
-// caps. Callers hold m.mu. Rejections are QuotaErrors, so they cross
+// caps. Callers hold m.commitMu. Rejections are QuotaErrors, so they cross
 // the wire as 429 + Retry-After and match ErrOverQuota.
 func (m *Manager) admitAcquireLocked(tenant string, e *Enclave, n int) error {
 	if lim := m.maxSchedQueue; lim > 0 {
@@ -431,7 +476,7 @@ func (m *Manager) admitAcquireLocked(tenant string, e *Enclave, n int) error {
 
 // inflightLocked counts the tenant's nodes mid-acquisition (requested
 // by operations that have not reached a terminal phase). Callers hold
-// m.mu.
+// m.commitMu or m.mu.
 func (m *Manager) inflightLocked(tenant string) int {
 	n := 0
 	for _, op := range m.byencl[tenant] {
@@ -445,9 +490,11 @@ func (m *Manager) inflightLocked(tenant string) int {
 // SetBackpressureLimit replaces the global admission bound on the
 // airlock queue depth (0 disables backpressure).
 func (m *Manager) SetBackpressureLimit(n int) {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.maxSchedQueue = n
-	m.mu.Unlock()
 }
 
 // SetQuota creates or replaces a tenant's quota and applies its
@@ -461,22 +508,27 @@ func (m *Manager) SetQuota(tenant string, q TenantQuota) (QuotaStatus, bool, err
 	if err := q.Validate(); err != nil {
 		return QuotaStatus{}, false, err
 	}
-	m.mu.Lock()
-	prev, had := m.quotas[tenant]
-	m.quotas[tenant] = q
-	if err := m.appendRecord(store.KindQuotaSet, quotaRecord{Tenant: tenant, Quota: q}); err != nil {
-		if had {
-			m.quotas[tenant] = prev
-		} else {
-			delete(m.quotas, tenant)
-		}
-		m.mu.Unlock()
+	m.commitMu.Lock()
+	_, had := m.quotas[tenant]
+	err := m.commit(store.KindQuotaSet, quotaRecord{Tenant: tenant, Quota: q}, func() { m.applyQuota(tenant, &q) })
+	m.commitMu.Unlock()
+	if err != nil {
 		return QuotaStatus{}, false, fmt.Errorf("core: persist quota: %w", err)
 	}
-	m.mu.Unlock()
-	m.cloud.Scheduler().SetWeight(tenant, q.weight())
 	st, err := m.Quota(tenant)
 	return st, !had, err
+}
+
+// applyQuota folds a quota-set (q non-nil) or quota-deleted record; the
+// tenant's airlock-scheduler weight follows it. Callers hold m.mu.
+func (m *Manager) applyQuota(tenant string, q *TenantQuota) {
+	if q == nil {
+		delete(m.quotas, tenant)
+		m.cloud.Scheduler().SetWeight(tenant, 1)
+		return
+	}
+	m.quotas[tenant] = *q
+	m.cloud.Scheduler().SetWeight(tenant, q.weight())
 }
 
 // Quota returns a tenant's quota with live usage (ErrNotFound when no
@@ -518,20 +570,14 @@ func (m *Manager) ListQuotas() []QuotaStatus {
 // DeleteQuota removes a tenant's quota, resetting its scheduler
 // weight to the default.
 func (m *Manager) DeleteQuota(tenant string) error {
-	m.mu.Lock()
-	prev, ok := m.quotas[tenant]
-	if !ok {
-		m.mu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	if _, ok := m.quotas[tenant]; !ok {
 		return fmt.Errorf("%w: tenant %q has no quota", ErrNotFound, tenant)
 	}
-	delete(m.quotas, tenant)
-	if err := m.appendRecord(store.KindQuotaDeleted, tenantRecord{Tenant: tenant}); err != nil {
-		m.quotas[tenant] = prev
-		m.mu.Unlock()
+	if err := m.commit(store.KindQuotaDeleted, tenantRecord{Tenant: tenant}, func() { m.applyQuota(tenant, nil) }); err != nil {
 		return fmt.Errorf("core: persist quota delete: %w", err)
 	}
-	m.mu.Unlock()
-	m.cloud.Scheduler().SetWeight(tenant, 1)
 	return nil
 }
 
@@ -544,30 +590,39 @@ func (m *Manager) SchedStats() SchedStats {
 // returns its stats. created reports whether this call attached a new
 // pool rather than updating an existing one's policy.
 func (m *Manager) ConfigurePool(enclave string, p PoolPolicy) (PoolStats, bool, error) {
-	e, err := m.Enclave(enclave)
+	if err := p.Validate(); err != nil {
+		return PoolStats{}, false, err
+	}
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	e, err := m.enclaveLocked(enclave)
 	if err != nil {
 		return PoolStats{}, false, err
 	}
-	prev, had := e.PoolStats()
-	// A new pool starts held: its refiller must not allocate (and journal)
-	// for a policy the log does not hold yet, or a crash in between leaves
-	// a refill in the log with no pool to own it.
-	if err := e.configurePool(p, true); err != nil {
-		return PoolStats{}, false, err
-	}
-	defer e.resumePool()
-	if err := m.appendRecord(store.KindPoolConfigured, poolRecord{Enclave: enclave, Policy: p}); err != nil {
-		// Roll the live pool back to its committed policy (or detach a
-		// pool that never committed) so state and log agree.
-		if had {
-			_ = e.ConfigurePool(prev.Policy)
-		} else {
-			e.ClosePool()
-		}
+	_, had := m.poolPolicies[enclave]
+	if err := m.commit(store.KindPoolConfigured, poolRecord{Enclave: enclave, Policy: p}, func() { m.applyPool(enclave, &p) }); err != nil {
 		return PoolStats{}, false, fmt.Errorf("core: persist pool policy: %w", err)
 	}
 	st, _ := e.PoolStats()
 	return st, !had, nil
+}
+
+// applyPool folds a pool-configured (p non-nil, validated) or pool-detached
+// record; the enclave's running pool, if the enclave is running, follows
+// it. Callers hold m.mu.
+func (m *Manager) applyPool(enclave string, p *PoolPolicy) {
+	e := m.enclaves[enclave]
+	if p == nil {
+		delete(m.poolPolicies, enclave)
+		if e != nil {
+			e.ClosePool()
+		}
+		return
+	}
+	m.poolPolicies[enclave] = p.withDefaults()
+	if e != nil {
+		_ = e.configurePool(*p, false)
+	}
 }
 
 // PoolStats returns an enclave's warm-pool stats (ErrNotFound when the
@@ -603,37 +658,42 @@ func (m *Manager) ListPools() []PoolStats {
 // DrainPool empties an enclave's warm pool back into the provider's
 // free pool and idles the refiller (Target drops to 0).
 func (m *Manager) DrainPool(enclave string) (PoolStats, error) {
-	e, err := m.Enclave(enclave)
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	e, err := m.enclaveLocked(enclave)
 	if err != nil {
 		return PoolStats{}, err
 	}
-	st, err := e.DrainPool()
-	if err != nil {
-		return st, err
+	p, ok := m.poolPolicies[enclave]
+	if !ok {
+		return PoolStats{}, fmt.Errorf("%w: enclave %q has no warm pool", ErrNotFound, enclave)
 	}
 	// A drain is a policy change (Target=0): commit it so a restart does
 	// not refill a pool the tenant emptied.
-	if perr := m.appendRecord(store.KindPoolConfigured, poolRecord{Enclave: enclave, Policy: st.Policy}); perr != nil {
-		return st, fmt.Errorf("core: persist pool drain: %w", perr)
+	p.Target = 0
+	if err := m.commit(store.KindPoolConfigured, poolRecord{Enclave: enclave, Policy: p}, func() { m.applyPool(enclave, &p) }); err != nil {
+		return PoolStats{}, fmt.Errorf("core: persist pool drain: %w", err)
 	}
-	return st, nil
+	pool := e.warmPool()
+	pool.drain("pool drained")
+	return pool.stats(), nil
 }
 
 // DetachPool stops and removes an enclave's warm pool entirely; its
 // standbys return to the free pool. It reports whether a pool existed.
 func (m *Manager) DetachPool(enclave string) (bool, error) {
-	e, err := m.Enclave(enclave)
-	if err != nil {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	if _, err := m.enclaveLocked(enclave); err != nil {
 		return false, err
 	}
-	_, had := e.PoolStats()
-	e.ClosePool()
-	if had {
-		if err := m.appendRecord(store.KindPoolDetached, enclaveNameRecord{Enclave: enclave}); err != nil {
-			return had, fmt.Errorf("core: pool detached but not committed: %w", err)
-		}
+	if _, had := m.poolPolicies[enclave]; !had {
+		return false, nil
 	}
-	return had, nil
+	if err := m.commit(store.KindPoolDetached, enclaveNameRecord{Enclave: enclave}, func() { m.applyPool(enclave, nil) }); err != nil {
+		return true, fmt.Errorf("core: persist pool detach: %w", err)
+	}
+	return true, nil
 }
 
 // Health returns the cloud's degraded-mode snapshot: per-backend

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -67,46 +66,26 @@ type Operation struct {
 	progress map[string]EventKind
 }
 
-func newOperation(id, enclave, image string, n int, cancel context.CancelFunc) *Operation {
+// newOperation builds an operation from its op-started record: live, with
+// the cancel func of the run it tracks; in replay, with none.
+func newOperation(r opStartedRecord, seq int, cancel context.CancelFunc) *Operation {
+	if cancel == nil {
+		cancel = func() {}
+	}
 	return &Operation{
-		ID:       id,
-		Enclave:  enclave,
-		Image:    image,
-		Count:    n,
-		Created:  time.Now(),
+		ID:       r.ID,
+		Enclave:  r.Enclave,
+		Image:    r.Image,
+		Count:    r.Count,
+		Created:  r.Created,
+		seq:      seq,
+		idemKey:  r.IdemKey,
 		cancel:   cancel,
 		done:     make(chan struct{}),
 		phase:    OpPending,
 		notify:   make(chan struct{}),
 		progress: make(map[string]EventKind),
 	}
-}
-
-// newRestoredOperation rebuilds an operation from the durable log during
-// recovery. Terminal phases come back with their recorded outcome; an
-// operation that was in flight at the crash comes back OpInterrupted with
-// err explaining why.
-func newRestoredOperation(id, enclave, image string, n int, created time.Time, phase OpPhase, errMsg string, finished time.Time) *Operation {
-	op := &Operation{
-		ID:       id,
-		Enclave:  enclave,
-		Image:    image,
-		Count:    n,
-		Created:  created,
-		cancel:   func() {},
-		done:     make(chan struct{}),
-		phase:    phase,
-		finished: finished,
-		notify:   make(chan struct{}),
-		progress: make(map[string]EventKind),
-	}
-	if errMsg != "" {
-		op.err = errors.New(errMsg)
-	}
-	if phase.Terminal() {
-		close(op.done)
-	}
-	return op
 }
 
 // observe is the journal watcher: record the event, track the node's
@@ -136,20 +115,16 @@ func (o *Operation) setRunning() {
 	o.wake()
 }
 
-// finish records the batch outcome and moves the operation to its
-// terminal phase: Cancelled when the error is the run's own
-// cancellation, Done otherwise. The done channel closes exactly once.
-func (o *Operation) finish(res *BatchResult, err error, cancelled bool) {
+// finish moves the operation to its terminal phase with its outcome and
+// wakes every waiter; the done channel closes exactly once, and a terminal
+// operation takes no second outcome.
+func (o *Operation) finish(phase OpPhase, res *BatchResult, err error, finished time.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.result = res
-	o.err = err
-	o.finished = time.Now()
-	if cancelled {
-		o.phase = OpCancelled
-	} else {
-		o.phase = OpDone
+	if o.phase.Terminal() {
+		return
 	}
+	o.phase, o.result, o.err, o.finished = phase, res, err, finished
 	o.wake()
 	close(o.done)
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -22,6 +24,15 @@ import (
 // operation begin/end, incident updates, revocations, and every lifecycle
 // journal event — commits to a store.Store before it is acknowledged, and
 // Recover rebuilds a Manager from the snapshot+WAL after a restart.
+//
+// The manager's state is one fold over its records. Each record kind has
+// one apply (applyOpStarted, applyIncidentUpdate, ...), next to the live
+// mutation that writes it: live, the record commits, then the apply runs,
+// then the caller is answered. Mutations run one at a time under
+// m.commitMu, so the log order is the fold order; an apply runs under m.mu,
+// which readers take, after the record's fsync. Replay runs the same
+// applies on the snapshot and on each record. Every retention rule lives in
+// an apply, so it exists once.
 //
 // Recovery follows the paper's §5/§7.4 primitive: a node's trustworthiness
 // is re-established by a fresh attestation quote, never by trusting
@@ -189,8 +200,6 @@ type opSnapshot struct {
 	Phase    OpPhase   `json:"phase,omitempty"`
 	Error    string    `json:"error,omitempty"`
 	Finished time.Time `json:"finished,omitzero"`
-
-	seq int // parsed from ID at replay; not part of the schema
 }
 
 type revFeedSnapshot struct {
@@ -245,6 +254,19 @@ func (m *Manager) appendRecord(kind store.Kind, payload any) error {
 		return fmt.Errorf("core: encode %s record: %w", kind, err)
 	}
 	return m.store.Append(store.Record{Kind: kind, At: time.Now(), Data: data})
+}
+
+// commit commits one record and, once it is durable, applies it under
+// m.mu. Callers hold m.commitMu, so the log order is the apply order. A
+// record that does not commit is not applied.
+func (m *Manager) commit(kind store.Kind, payload any, apply func()) error {
+	if err := m.appendRecord(kind, payload); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	apply()
+	return nil
 }
 
 // attachJournalPersist routes an enclave's journal through the store:
@@ -303,8 +325,6 @@ type replayEnclave struct {
 	name      string
 	profile   Profile
 	events    []Event
-	pool      *PoolPolicy
-	guard     json.RawMessage
 	nodes     map[string]*replayNode
 	lastImage string // image of the most recent acquisition, WAL order
 }
@@ -357,167 +377,94 @@ func (re *replayEnclave) applyEvent(ev Event) {
 	}
 }
 
-// replayState is the full control plane as derived from snapshot+WAL. The
-// fold keeps what the live manager keeps: an enclave's operations (and
-// their idempotency keys) go with it, and operations and incidents beyond
-// their retention bounds are forgotten as they would have been live.
-type replayState struct {
-	order    []string // enclave creation order
+// replay is what a recovery folds beside the manager's own state: the
+// recorded enclave set, in creation order, each enclave with its journal
+// and the node states it derives. The enclaves themselves are rebuilt from
+// it once the fold is done.
+type replay struct {
+	m        *Manager
+	order    []string
 	enclaves map[string]*replayEnclave
-	quotas   map[string]TenantQuota
-	ops      []*opSnapshot // creation order
-	opByID   map[string]*opSnapshot
-	byencl   map[string][]*opSnapshot // enclave -> its operations, creation order
-	opSeq    int
-	idem     map[string]string
-	incident map[string]IncidentStatus // latest status per incident
-	incOrder []string
-	incSeq   int
-	incFeed  []IncidentStatus
-	incBase  int
-	revFeeds map[string]*revFeedSnapshot
 }
 
-func newReplayState() *replayState {
-	return &replayState{
-		enclaves: make(map[string]*replayEnclave),
-		quotas:   make(map[string]TenantQuota),
-		opByID:   make(map[string]*opSnapshot),
-		byencl:   make(map[string][]*opSnapshot),
-		idem:     make(map[string]string),
-		incident: make(map[string]IncidentStatus),
-		revFeeds: make(map[string]*revFeedSnapshot),
-	}
-}
-
-func (rs *replayState) enclave(name string) *replayEnclave {
-	re, ok := rs.enclaves[name]
+func (rp *replay) enclave(name string) *replayEnclave {
+	re, ok := rp.enclaves[name]
 	if !ok {
 		re = &replayEnclave{name: name}
-		rs.enclaves[name] = re
-		rs.order = append(rs.order, name)
+		rp.enclaves[name] = re
+		rp.order = append(rp.order, name)
 	}
 	return re
 }
 
-func (rs *replayState) dropEnclave(name string) {
-	delete(rs.enclaves, name)
-	for i, n := range rs.order {
-		if n == name {
-			rs.order = append(rs.order[:i:i], rs.order[i+1:]...)
-			break
-		}
-	}
-	rs.forgetOps(rs.byencl[name])
-	delete(rs.byencl, name)
-}
-
-// addOp records a started operation, then forgets the oldest terminal
-// operations of its enclave beyond MaxRetainedOps, as
-// Manager.pruneOpsLocked does live.
-func (rs *replayState) addOp(os *opSnapshot) {
-	rs.ops = append(rs.ops, os)
-	rs.opByID[os.ID] = os
-	if os.IdemKey != "" {
-		rs.idem[os.IdemKey] = os.ID
-	}
-	ops := append(rs.byencl[os.Enclave], os)
-	i := 0
-	for len(ops)-i > MaxRetainedOps && ops[i].Terminal {
-		i++
-	}
-	rs.forgetOps(ops[:i])
-	rs.byencl[os.Enclave] = ops[i:]
-}
-
-// forgetOps drops operations and their idempotency keys, as
-// Manager.forgetOpsLocked does live.
-func (rs *replayState) forgetOps(ops []*opSnapshot) {
-	if len(ops) == 0 {
-		return
-	}
-	for _, os := range ops {
-		delete(rs.opByID, os.ID)
-		if os.IdemKey != "" && rs.idem[os.IdemKey] == os.ID {
-			delete(rs.idem, os.IdemKey)
-		}
-	}
-	rs.ops = slices.DeleteFunc(rs.ops, func(os *opSnapshot) bool { return rs.opByID[os.ID] != os })
-}
-
-// addIncidentUpdate folds one incident status: a new incident joins the
-// creation order, and the oldest terminal incidents beyond
-// MaxRetainedIncidents are forgotten, as Manager.OpenIncident does live.
-func (rs *replayState) addIncidentUpdate(st IncidentStatus) {
-	_, known := rs.incident[st.ID]
-	rs.incident[st.ID] = st
-	rs.incFeed = append(rs.incFeed, st)
-	if known {
-		return
-	}
-	rs.incOrder = append(rs.incOrder, st.ID)
-	over := len(rs.incOrder) - MaxRetainedIncidents
-	keep := rs.incOrder[:0]
-	for _, id := range rs.incOrder {
-		if over > 0 && rs.incident[id].State.Terminal() {
-			delete(rs.incident, id)
-			over--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	rs.incOrder = keep
-}
-
-func (rs *replayState) loadSnapshot(raw json.RawMessage) error {
+// loadSnapshot folds a checkpoint through the same applies as the records.
+func (rp *replay) loadSnapshot(raw json.RawMessage) error {
 	var snap managerSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("core: decode snapshot: %w", err)
 	}
+	m := rp.m
 	for _, es := range snap.Enclaves {
-		re := rs.enclave(es.Name)
+		re := rp.enclave(es.Name)
 		re.profile = es.Profile
-		re.pool = es.Pool
-		re.guard = es.Guard
 		for _, er := range es.Events {
 			re.applyEvent(er.event())
 		}
+		m.applyPool(es.Name, es.Pool)
+		m.applyGuard(es.Name, es.Guard)
 	}
 	for t, q := range snap.Quotas {
-		rs.quotas[t] = q
+		m.applyQuota(t, &q)
 	}
 	keyOf := make(map[string]string, len(snap.Idem)) // op ID -> its idempotency key
 	for k, id := range snap.Idem {
 		keyOf[id] = k
 	}
 	for _, os := range snap.Ops {
-		cp := os
-		seq, err := idSeq(cp.ID, opIDPrefix)
+		seq, err := idSeq(os.ID, opIDPrefix)
 		if err != nil {
 			return err
 		}
-		cp.seq = seq
-		if k, ok := keyOf[cp.ID]; ok {
-			cp.IdemKey = k
+		if k, ok := keyOf[os.ID]; ok {
+			os.IdemKey = k
 		}
-		rs.addOp(&cp)
-		if re, ok := rs.enclaves[cp.Enclave]; ok && cp.Image != "" {
-			re.lastImage = cp.Image
+		rp.opStarted(os.opStartedRecord, seq)
+		if os.Terminal {
+			m.applyOpFinished(opFinishedRecord{ID: os.ID, Phase: os.Phase, Error: os.Error, Finished: os.Finished}, nil, errorOf(os.Error))
 		}
 	}
-	rs.opSeq = snap.OpSeq
+	m.opSeq = max(m.opSeq, snap.OpSeq)
 	for _, st := range snap.Incidents {
-		rs.incident[st.ID] = st
-		rs.incOrder = append(rs.incOrder, st.ID)
+		if _, err := idSeq(st.ID, incIDPrefix); err != nil {
+			return err
+		}
+		m.applyIncidentUpdate(st)
 	}
-	rs.incSeq = snap.IncSeq
-	rs.incFeed = append(rs.incFeed, snap.IncFeed...)
-	rs.incBase = snap.IncFeedBase
+	m.incSeq = max(m.incSeq, snap.IncSeq)
+	// The feeds are state of their own: the incidents' applies rebuilt
+	// the registry, and the feed comes back as it was checkpointed.
+	m.incFeed, m.incFeedBase = snap.IncFeed, snap.IncFeedBase
 	for name, f := range snap.RevFeeds {
-		cp := f
-		rs.revFeeds[name] = &cp
+		m.revFeeds[name] = &revFeed{events: f.Events, base: f.Base, notify: make(chan struct{})}
 	}
 	return nil
+}
+
+// opStarted folds an op-started record: the manager's apply, and the
+// image a member whose journal names none was acquired with.
+func (rp *replay) opStarted(r opStartedRecord, seq int) {
+	rp.m.applyOpStarted(newOperation(r, seq, nil))
+	if re, ok := rp.enclaves[r.Enclave]; ok && r.Image != "" {
+		re.lastImage = r.Image
+	}
+}
+
+// errorOf rebuilds a recorded error from its text.
+func errorOf(msg string) error {
+	if msg == "" {
+		return nil
+	}
+	return errors.New(msg)
 }
 
 // Generated ids are a prefix and a zero-padded sequence number.
@@ -539,19 +486,19 @@ func idSeq(id, prefix string) (int, error) {
 	return n, nil
 }
 
-// A foldFunc applies one decoded record to the replay state. Replay is two
-// stages: decodeRecord is pure — it touches nothing but its record, so every
-// record of the log decodes concurrently — and the foldFuncs it returns run
-// one after another in log order.
-type foldFunc func(*replayState)
+// A foldFunc applies one decoded record. Replay is two stages: decodeRecord
+// is pure — it touches nothing but its record, so every record of the log
+// decodes concurrently — and the foldFuncs it returns run one after another
+// in log order.
+type foldFunc func(*replay)
 
 // decodeAs unmarshals a record payload as a T and binds it to its fold step.
-func decodeAs[T any](data json.RawMessage, fold func(*replayState, T)) (foldFunc, error) {
+func decodeAs[T any](data json.RawMessage, fold func(*replay, T)) (foldFunc, error) {
 	var r T
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	return func(rs *replayState) { fold(rs, r) }, nil
+	return func(rp *replay) { fold(rp, r) }, nil
 }
 
 // decodeRecord parses one WAL record into its fold step (nil for a kind this
@@ -559,208 +506,129 @@ func decodeAs[T any](data json.RawMessage, fold func(*replayState, T)) (foldFunc
 func decodeRecord(rec store.Record) (foldFunc, error) {
 	switch rec.Kind {
 	case store.KindEnclaveCreated:
-		return decodeAs(rec.Data, func(rs *replayState, r enclaveRecord) {
-			rs.enclave(r.Name).profile = r.Profile
+		return decodeAs(rec.Data, func(rp *replay, r enclaveRecord) {
+			rp.enclave(r.Name).profile = r.Profile
 		})
 	case store.KindEnclaveDeleted:
-		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
-			rs.dropEnclave(r.Enclave)
-			delete(rs.revFeeds, r.Enclave)
+		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) {
+			delete(rp.enclaves, r.Enclave)
+			rp.order = slices.DeleteFunc(rp.order, func(n string) bool { return n == r.Enclave })
+			rp.m.applyEnclaveDeleted(r.Enclave)
 		})
 	case store.KindJournalEvent:
 		r, err := decodeJournalEvent(rec.Data)
 		if err != nil {
 			return nil, err
 		}
-		return func(rs *replayState) {
-			if re, ok := rs.enclaves[r.Enclave]; ok {
+		return func(rp *replay) {
+			if re, ok := rp.enclaves[r.Enclave]; ok {
 				re.applyEvent(r.event())
 			}
 		}, nil
 	case store.KindQuotaSet:
-		return decodeAs(rec.Data, func(rs *replayState, r quotaRecord) {
-			rs.quotas[r.Tenant] = r.Quota
-		})
+		return decodeAs(rec.Data, func(rp *replay, r quotaRecord) { rp.m.applyQuota(r.Tenant, &r.Quota) })
 	case store.KindQuotaDeleted:
-		return decodeAs(rec.Data, func(rs *replayState, r tenantRecord) {
-			delete(rs.quotas, r.Tenant)
-		})
+		return decodeAs(rec.Data, func(rp *replay, r tenantRecord) { rp.m.applyQuota(r.Tenant, nil) })
 	case store.KindPoolConfigured:
-		return decodeAs(rec.Data, func(rs *replayState, r poolRecord) {
-			if re, ok := rs.enclaves[r.Enclave]; ok {
-				re.pool = &r.Policy
-			}
-		})
+		return decodeAs(rec.Data, func(rp *replay, r poolRecord) { rp.m.applyPool(r.Enclave, &r.Policy) })
 	case store.KindPoolDetached:
-		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
-			if re, ok := rs.enclaves[r.Enclave]; ok {
-				re.pool = nil
-			}
-		})
+		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) { rp.m.applyPool(r.Enclave, nil) })
 	case store.KindGuardEnabled:
-		return decodeAs(rec.Data, func(rs *replayState, r guardRecord) {
-			if re, ok := rs.enclaves[r.Enclave]; ok {
-				re.guard = r.Policy
-			}
-		})
+		return decodeAs(rec.Data, func(rp *replay, r guardRecord) { rp.m.applyGuard(r.Enclave, r.Policy) })
 	case store.KindGuardDetached:
-		return decodeAs(rec.Data, func(rs *replayState, r enclaveNameRecord) {
-			if re, ok := rs.enclaves[r.Enclave]; ok {
-				re.guard = nil
-			}
-		})
+		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) { rp.m.applyGuard(r.Enclave, nil) })
 	case store.KindOpStarted:
-		var os opSnapshot
-		if err := json.Unmarshal(rec.Data, &os.opStartedRecord); err != nil {
+		var r opStartedRecord
+		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return nil, err
 		}
-		var err error
-		if os.seq, err = idSeq(os.ID, opIDPrefix); err != nil {
+		seq, err := idSeq(r.ID, opIDPrefix)
+		if err != nil {
 			return nil, err
 		}
-		return func(rs *replayState) {
-			rs.addOp(&os)
-			rs.opSeq = max(rs.opSeq, os.seq)
-			if re, ok := rs.enclaves[os.Enclave]; ok && os.Image != "" {
-				re.lastImage = os.Image
-			}
-		}, nil
+		return func(rp *replay) { rp.opStarted(r, seq) }, nil
 	case store.KindOpFinished:
-		return decodeAs(rec.Data, func(rs *replayState, r opFinishedRecord) {
-			if os, ok := rs.opByID[r.ID]; ok {
-				os.Terminal = true
-				os.Phase = r.Phase
-				os.Error = r.Error
-				os.Finished = r.Finished
-			}
-		})
+		return decodeAs(rec.Data, func(rp *replay, r opFinishedRecord) { rp.m.applyOpFinished(r, nil, errorOf(r.Error)) })
 	case store.KindIncidentUpdate:
 		var st IncidentStatus
 		if err := json.Unmarshal(rec.Data, &st); err != nil {
 			return nil, err
 		}
-		seq, err := idSeq(st.ID, incIDPrefix)
-		if err != nil {
+		if _, err := idSeq(st.ID, incIDPrefix); err != nil {
 			return nil, err
 		}
-		return func(rs *replayState) {
-			rs.addIncidentUpdate(st)
-			rs.incSeq = max(rs.incSeq, seq)
-		}, nil
+		return func(rp *replay) { rp.m.applyIncidentUpdate(st) }, nil
 	case store.KindRevocation:
-		return decodeAs(rec.Data, func(rs *replayState, r revocationRecord) {
-			f, ok := rs.revFeeds[r.Enclave]
-			if !ok {
-				f = &revFeedSnapshot{}
-				rs.revFeeds[r.Enclave] = f
-			}
-			f.Events = append(f.Events, keylime.RevocationEvent{UUID: r.UUID, Reason: r.Reason, At: r.At})
+		return decodeAs(rec.Data, func(rp *replay, r revocationRecord) {
+			rp.m.applyRevocation(r.Enclave, keylime.RevocationEvent{UUID: r.UUID, Reason: r.Reason, At: r.At})
 		})
 	}
 	return nil, nil
 }
 
-// replay folds the WAL records onto the state, in log order. A record that
-// does not decode fails the whole replay, named by the first such record.
-func (rs *replayState) replay(recs []store.Record) error {
+// decodeAll decodes the records on every CPU into their fold steps, in log
+// order. A record that does not decode fails the whole replay, named by the
+// first such record.
+func decodeAll(recs []store.Record) ([]foldFunc, error) {
 	folds := make([]foldFunc, len(recs))
-	if _, err := store.Parallel(len(recs), func(i int) (err error) {
+	_, err := store.Parallel(len(recs), func(i int) (err error) {
 		if folds[i], err = decodeRecord(recs[i]); err != nil {
 			return fmt.Errorf("core: replay %s record: %w", recs[i].Kind, err)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	for _, fold := range folds {
-		if fold != nil {
-			fold(rs)
-		}
-	}
-	return nil
+	})
+	return folds, err
 }
 
-// Recover rebuilds the control plane from the store: load snapshot+WAL,
-// re-create every recorded enclave over the (fresh) cloud, restore journals
-// with their sequence numbers so feed cursors survive, restore quotas,
-// operations (in-flight ones become OpInterrupted), incidents and
-// revocation feeds, restart warm pools from their persisted policies — and
-// then re-adopt recorded nodes by re-quoting them into their recorded
-// states. It must run before the manager serves traffic.
-func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
-	t0 := time.Now()
+// fold folds the store's snapshot and log into the manager through the
+// applies the live path runs, and returns the recorded enclave set.
+func (m *Manager) fold() (*replay, error) {
 	snap, recs, err := m.store.Load()
 	if err != nil {
 		return nil, fmt.Errorf("core: load store: %w", err)
 	}
-	rs := newReplayState()
-	if snap != nil {
-		if err := rs.loadSnapshot(snap.State); err != nil {
-			return nil, err
-		}
-	}
-	if err := rs.replay(recs); err != nil {
+	folds, err := decodeAll(recs)
+	if err != nil {
 		return nil, err
 	}
-
-	rep := &RecoverReport{}
-
-	// Control-plane scalars and registries first, under one lock.
+	rp := &replay{m: m, enclaves: make(map[string]*replayEnclave)}
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	m.mu.Lock()
-	for t, q := range rs.quotas {
-		m.quotas[t] = q
-	}
-	if rs.opSeq > m.opSeq {
-		m.opSeq = rs.opSeq
-	}
-	for k, id := range rs.idem {
-		m.idem[k] = id
-	}
-	for _, os := range rs.ops {
-		phase, errMsg, finished := os.Phase, os.Error, os.Finished
-		if !os.Terminal {
-			phase = OpInterrupted
-			errMsg = "operation interrupted by control-plane restart; partially-held nodes were released"
-			finished = time.Now()
-			rep.Interrupted = append(rep.Interrupted, os.ID)
-		}
-		op := newRestoredOperation(os.ID, os.Enclave, os.Image, os.Count, os.Created, phase, errMsg, finished)
-		op.seq = os.seq
-		op.idemKey = os.IdemKey
-		m.ops[op.ID] = op
-		m.opOrder = append(m.opOrder, op)
-		m.byencl[os.Enclave] = append(m.byencl[os.Enclave], op)
-	}
-	for _, id := range rs.incOrder {
-		inc, err := restoreIncident(rs.incident[id], m.noteIncidentUpdate)
-		if err != nil {
-			m.mu.Unlock()
+	defer m.mu.Unlock()
+	if snap != nil {
+		if err := rp.loadSnapshot(snap.State); err != nil {
 			return nil, err
 		}
-		m.incidents[id] = inc
-		m.incOrder = append(m.incOrder, inc)
 	}
-	if rs.incSeq > m.incSeq {
-		m.incSeq = rs.incSeq
-	}
-	m.incFeed = append(m.incFeed, rs.incFeed...)
-	m.incFeedBase = rs.incBase
-	if over := len(m.incFeed) - maxIncidentFeed; over > 0 {
-		m.incFeed = append([]IncidentStatus(nil), m.incFeed[over:]...)
-		m.incFeedBase += over
-	}
-	for name, f := range rs.revFeeds {
-		m.revFeeds[name] = &revFeed{
-			events: append([]keylime.RevocationEvent(nil), f.Events...),
-			base:   f.Base,
-			notify: make(chan struct{}),
-		}
-		if over := len(m.revFeeds[name].events) - maxRevFeed; over > 0 {
-			m.revFeeds[name].events = append([]keylime.RevocationEvent(nil), m.revFeeds[name].events[over:]...)
-			m.revFeeds[name].base += over
+	for _, fold := range folds {
+		if fold != nil {
+			fold(rp)
 		}
 	}
-	m.mu.Unlock()
+	return rp, nil
+}
+
+// Recover rebuilds the control plane from the store: fold snapshot+WAL
+// into the manager, end the operations the crash interrupted and the
+// incident responses it orphaned, re-create every recorded enclave over
+// the (fresh) cloud with its journal and its sequence numbers, so feed
+// cursors survive, restart warm pools from their committed policies — and
+// then re-adopt recorded nodes by re-quoting them into their recorded
+// states. It must run before the manager serves traffic.
+func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
+	t0 := time.Now()
+	rp, err := m.fold()
+	if err != nil {
+		return nil, err
+	}
+	rep := &RecoverReport{}
+	for _, op := range m.ListOperations() {
+		if !op.Phase().Terminal() {
+			op.finish(OpInterrupted, nil, errors.New("operation interrupted by control-plane restart; partially-held nodes were released"), time.Now())
+			rep.Interrupted = append(rep.Interrupted, op.ID)
+		}
+	}
 
 	// An incident whose response was in flight at the crash has lost its
 	// responder (the guard restarts from policy, but its queued work died
@@ -777,9 +645,9 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 
 	// Rebuild enclaves in creation order, then re-adopt their nodes, every
 	// enclave's at once.
-	restored := make([]*Enclave, len(rs.order))
-	for i, name := range rs.order {
-		e, err := m.restoreEnclave(name, rs.enclaves[name])
+	restored := make([]*Enclave, len(rp.order))
+	for i, name := range rp.order {
+		e, err := m.restoreEnclave(name, rp.enclaves[name])
 		if err != nil {
 			return nil, fmt.Errorf("core: restore enclave %q: %w", name, err)
 		}
@@ -788,7 +656,7 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 	rep.Enclaves = len(restored)
 	ro := &readoption{rep: rep, sem: make(chan struct{}, DefaultBatchParallelism)}
 	for i, e := range restored {
-		m.readoptNodes(ctx, e, rs.enclaves[rs.order[i]], ro)
+		m.readoptNodes(ctx, e, rp.enclaves[rp.order[i]], ro)
 	}
 	ro.requotes.Wait()
 	// Re-adoption done (recorded standbys parked): let the refillers top up
@@ -810,31 +678,25 @@ func (m *Manager) Recover(ctx context.Context) (*RecoverReport, error) {
 
 // restoreEnclave re-creates one recorded enclave over the fresh cloud:
 // project, network, verifier, restored journal (events and their seqs)
-// with the persist hook re-attached, warm pool from its persisted policy,
-// and the recovered guard policy parked for RecoveredGuardPolicies.
+// with the persist hook re-attached, and its warm pool from the committed
+// policy.
 func (m *Manager) restoreEnclave(name string, re *replayEnclave) (*Enclave, error) {
 	e, err := NewEnclave(m.cloud, name, re.profile)
 	if err != nil {
 		return nil, err
 	}
 	e.journal.restore(re.events)
-	m.attachJournalPersist(name, e)
+	m.commitMu.Lock()
 	m.mu.Lock()
-	m.enclaves[name] = e
-	if v := e.Verifier(); v != nil {
-		m.revUnsubs[name] = v.Subscribe(func(ev keylime.RevocationEvent) {
-			m.noteRevocation(name, ev)
-		})
-	}
-	if re.guard != nil {
-		m.guardPolicies[name] = append(json.RawMessage(nil), re.guard...)
-	}
+	m.addEnclave(name, e)
+	pool, ok := m.poolPolicies[name]
 	m.mu.Unlock()
-	if re.pool != nil {
+	m.commitMu.Unlock()
+	if ok {
 		// Start the pool held: its refiller must not race readoptNodes for
 		// the very nodes the WAL records as this pool's standbys. Recover
 		// resumes it once re-adoption has parked them.
-		if err := e.configurePool(*re.pool, true); err != nil {
+		if err := e.configurePool(pool, true); err != nil {
 			return nil, err
 		}
 	}
@@ -948,31 +810,6 @@ func readopt(ctx context.Context, e *Enclave, name string, rn *replayNode, rep *
 	return &rep.Readopted
 }
 
-// restoreIncident rebuilds an Incident from its last recorded status.
-func restoreIncident(st IncidentStatus, onUpdate func(*Incident)) (*Incident, error) {
-	// An ID that does not parse fails recovery: the next incident's ID is
-	// derived from the ones restored.
-	if _, err := idSeq(st.ID, incIDPrefix); err != nil {
-		return nil, err
-	}
-	inc := &Incident{
-		ID:       st.ID,
-		Enclave:  st.Enclave,
-		Node:     st.Node,
-		Reason:   st.Reason,
-		Opened:   st.Opened,
-		onUpdate: onUpdate,
-		done:     make(chan struct{}),
-		state:    st.State,
-		steps:    append([]IncidentStep(nil), st.Steps...),
-		closed:   st.Closed,
-	}
-	if st.State.Terminal() {
-		close(inc.done)
-	}
-	return inc, nil
-}
-
 // RecoveredGuardPolicies returns the raw guard policies recovered from the
 // store for enclaves that do not currently have a guard attached. The
 // guard package (which core cannot import) uses this to re-enable guards
@@ -989,59 +826,41 @@ func (m *Manager) RecoveredGuardPolicies() map[string]json.RawMessage {
 	return out
 }
 
-// Checkpoint writes a compacting snapshot of the full control-plane state
-// and truncates the WAL. boltedd calls it on graceful shutdown so the next
-// start replays a short tail instead of the full history.
+// Checkpoint writes the folded state as a compacting snapshot and
+// truncates the WAL. Nothing commits while it runs: from the first read to
+// the truncation it holds m.commitMu, under which every manager record
+// commits, and each enclave's journal lock, under which every journal
+// event commits, so the snapshot holds exactly what the log it replaces
+// held. boltedd calls it on graceful shutdown so the next start replays a
+// short tail instead of the full history.
 func (m *Manager) Checkpoint() error {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	m.mu.Lock()
 	snap := managerSnapshot{
-		Quotas:   make(map[string]TenantQuota),
-		Idem:     make(map[string]string),
-		RevFeeds: make(map[string]revFeedSnapshot),
+		Quotas:      m.quotas,
+		OpSeq:       m.opSeq,
+		Idem:        m.idem,
+		IncSeq:      m.incSeq,
+		IncFeed:     m.incFeed,
+		IncFeedBase: m.incFeedBase,
+		RevFeeds:    make(map[string]revFeedSnapshot, len(m.revFeeds)),
 	}
-
-	for _, name := range m.ListEnclaves() {
-		e, err := m.Enclave(name)
-		if err != nil {
-			continue
-		}
-		es := enclaveSnapshot{Name: name, Profile: e.Profile}
-		for _, ev := range e.journal.Events() {
+	names := slices.Sorted(maps.Keys(m.enclaves))
+	for _, name := range names {
+		e := m.enclaves[name]
+		e.journal.mu.Lock()
+		defer e.journal.mu.Unlock()
+		es := enclaveSnapshot{Name: name, Profile: e.Profile, Guard: m.guardPolicies[name]}
+		for _, ev := range e.journal.events {
 			es.Events = append(es.Events, toEventRecord(ev))
 		}
-		if st, ok := e.PoolStats(); ok {
-			p := st.Policy
+		if p, ok := m.poolPolicies[name]; ok {
 			es.Pool = &p
 		}
-		m.mu.Lock()
-		if g, ok := m.guardPolicies[name]; ok {
-			es.Guard = append(json.RawMessage(nil), g...)
-		}
-		m.mu.Unlock()
 		snap.Enclaves = append(snap.Enclaves, es)
 	}
-
-	m.mu.Lock()
-	for t, q := range m.quotas {
-		snap.Quotas[t] = q
-	}
-	snap.OpSeq = m.opSeq
-	for k, id := range m.idem {
-		snap.Idem[k] = id
-	}
-	ops := append([]*Operation(nil), m.opOrder...)
-	snap.IncSeq = m.incSeq
-	snap.IncFeed = append([]IncidentStatus(nil), m.incFeed...)
-	snap.IncFeedBase = m.incFeedBase
-	incs := append([]*Incident(nil), m.incOrder...)
-	for name, f := range m.revFeeds {
-		snap.RevFeeds[name] = revFeedSnapshot{
-			Base:   f.base,
-			Events: append([]keylime.RevocationEvent(nil), f.events...),
-		}
-	}
-	m.mu.Unlock()
-
-	for _, op := range ops {
+	for _, op := range m.opOrder {
 		st := op.Status()
 		os := opSnapshot{opStartedRecord: opStartedRecord{
 			ID: op.ID, Enclave: op.Enclave, Image: op.Image, Count: op.Count, Created: op.Created,
@@ -1056,11 +875,14 @@ func (m *Manager) Checkpoint() error {
 		}
 		snap.Ops = append(snap.Ops, os)
 	}
-	for _, inc := range incs {
+	for _, inc := range m.incOrder {
 		snap.Incidents = append(snap.Incidents, inc.Status())
 	}
-
+	for name, f := range m.revFeeds {
+		snap.RevFeeds[name] = revFeedSnapshot{Base: f.base, Events: f.events}
+	}
 	raw, err := json.Marshal(snap)
+	m.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
 	}

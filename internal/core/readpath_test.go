@@ -235,7 +235,8 @@ func TestReadPathOperationLines(t *testing.T) {
 		}
 	}
 	// A restored operation observed nothing and has no journal to ask.
-	restored := newRestoredOperation("op-0009", "tenant", "fedora28", 1, time.Now(), OpInterrupted, "restart", time.Now())
+	restored := newOperation(opStartedRecord{ID: "op-0009", Enclave: "tenant", Image: "fedora28", Count: 1, Created: time.Now()}, 9, nil)
+	restored.finish(OpInterrupted, nil, errors.New("restart"), time.Now())
 	if got, _, terminal, err := restored.LinesSince(0); got != nil || !terminal || err != nil {
 		t.Fatalf("restored operation feed = %d lines, terminal %v, %v", len(got), terminal, err)
 	}

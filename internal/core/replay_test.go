@@ -70,25 +70,34 @@ func TestReplayMatchesSequentialFold(t *testing.T) {
 	if len(recs) < 2048 {
 		t.Fatalf("synthetic log has %d records: too short for replay to fan out", len(recs))
 	}
-	want := newReplayState()
+	seq := &replay{m: NewManager(testCloud(t, 1, FirmwareLinuxBoot)), enclaves: map[string]*replayEnclave{}}
+	seq.m.mu.Lock()
 	for i, rec := range recs {
 		fold, err := decodeRecord(rec)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		fold(want)
+		fold(seq)
 	}
-	got := newReplayState()
-	if err := got.replay(recs); err != nil {
+	seq.m.mu.Unlock()
+	st := store.NewMemory()
+	for _, rec := range recs {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), st)
+	got, err := m.fold()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(stateOf(m, got), stateOf(seq.m, seq)) || !reflect.DeepEqual(got.enclaves, seq.enclaves) {
 		t.Fatal("concurrent-decode replay and one-at-a-time replay disagree")
 	}
 	// 400 operations over two enclaves, each keeping its newest
 	// MaxRetainedOps as the live manager would.
-	if len(got.ops) != 2*MaxRetainedOps || got.opSeq != 400 || len(got.enclaves["a"].nodes) == 0 || got.incSeq != 397 {
-		t.Fatalf("replayed state is not the log's: %d ops, opSeq %d, incSeq %d", len(got.ops), got.opSeq, got.incSeq)
+	if len(m.opOrder) != 2*MaxRetainedOps || m.opSeq != 400 || len(got.enclaves["a"].nodes) == 0 || m.incSeq != 397 {
+		t.Fatalf("replayed state is not the log's: %d ops, opSeq %d, incSeq %d", len(m.opOrder), m.opSeq, m.incSeq)
 	}
 }
 
@@ -100,7 +109,7 @@ func TestReplayNamesFirstBadRecord(t *testing.T) {
 	early, late := len(recs)/4, 3*len(recs)/4
 	recs[early] = store.Record{Kind: store.KindQuotaSet, Data: json.RawMessage(`{"tenant":7}`)}
 	recs[late] = store.Record{Kind: store.KindOpFinished, Data: json.RawMessage(`[`)}
-	err := newReplayState().replay(recs)
+	_, err := decodeAll(recs)
 	if err == nil || !strings.Contains(err.Error(), string(store.KindQuotaSet)) {
 		t.Fatalf("replay error = %v, want the %s record at %d", err, store.KindQuotaSet, early)
 	}
