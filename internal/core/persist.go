@@ -405,13 +405,27 @@ func (rp *replay) loadSnapshot(raw json.RawMessage) error {
 	}
 	m := rp.m
 	for _, es := range snap.Enclaves {
-		re := rp.enclave(es.Name)
-		re.profile = es.Profile
-		for _, er := range es.Events {
-			re.applyEvent(er.event())
-		}
+		rp.enclave(es.Name).profile = es.Profile
 		m.applyPool(es.Name, es.Pool)
 		m.applyGuard(es.Name, es.Guard)
+	}
+	// Operations and journal events fold interleaved by timestamp: each
+	// operation folds after the events stamped before its Created and
+	// before the rest, so a member that joined from the warm pool takes
+	// its image from the acquisition it joined. The snapshot keeps no
+	// log positions, so this is the log's order only approximately: an
+	// event stamped between an operation's Created and its record's
+	// commit, or across a backward clock step, folds on the other side
+	// of that operation, and a warm join there can take a different
+	// acquisition's image than a WAL-only replay gives it.
+	next := make([]int, len(snap.Enclaves)) // per enclave: first unfolded event
+	foldEvents := func(before time.Time, all bool) {
+		for i, es := range snap.Enclaves {
+			re := rp.enclaves[es.Name]
+			for ; next[i] < len(es.Events) && (all || es.Events[next[i]].At.Before(before)); next[i]++ {
+				re.applyEvent(es.Events[next[i]].event())
+			}
+		}
 	}
 	for t, q := range snap.Quotas {
 		m.applyQuota(t, &q)
@@ -428,11 +442,13 @@ func (rp *replay) loadSnapshot(raw json.RawMessage) error {
 		if k, ok := keyOf[os.ID]; ok {
 			os.IdemKey = k
 		}
+		foldEvents(os.Created, false)
 		rp.opStarted(os.opStartedRecord, seq)
 		if os.Terminal {
 			m.applyOpFinished(opFinishedRecord{ID: os.ID, Phase: os.Phase, Error: os.Error, Finished: os.Finished}, nil, errorOf(os.Error))
 		}
 	}
+	foldEvents(time.Time{}, true)
 	m.opSeq = max(m.opSeq, snap.OpSeq)
 	for _, st := range snap.Incidents {
 		if _, err := idSeq(st.ID, incIDPrefix); err != nil {

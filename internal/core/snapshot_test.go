@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
+
+	"bolted/internal/bmi"
+	"bolted/internal/store"
 )
 
 // goldenSnapshotDir holds a snapshot and the WAL tail written after it, both
@@ -103,7 +109,9 @@ func summarizeRecovered(t *testing.T, mgr *Manager, report *RecoverReport, recor
 // commit wrote and holds the outcome to what that commit's own Recover made
 // of it: enclaves with their journals, pool and guard policies, operations
 // and their idempotency keys, incidents, the incident feed and the
-// revocation feeds, each compared field by field.
+// revocation feeds, each compared field by field. The one departure is the
+// warm-joined alpha/node00, re-adopted now that a snapshot folds in log
+// order (testdata/golden-snapshot/README.md).
 func TestRecoverGoldenSnapshot(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden-snapshot-recovered.json"))
 	if err != nil {
@@ -149,6 +157,86 @@ func TestRecoverGoldenSnapshot(t *testing.T) {
 		}
 		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
 			t.Errorf("%s:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+}
+
+// TestSnapshotWarmJoinsKeepTheirImages: two acquisitions with different
+// images each take a member from the warm pool, whose allocation names
+// no image, and the manager checkpoints. Recovery from the snapshot alone
+// must re-adopt both members, each with the image of the acquisition it
+// joined — which only holds if the snapshot's operations and events fold
+// in the order the log had them.
+func TestSnapshotWarmJoinsKeepTheirImages(t *testing.T) {
+	const nodes = 8
+	addImage := func(c *Cloud) {
+		t.Helper()
+		if _, err := c.BMI.CreateOSImage("centos7", bmi.OSImageSpec{
+			KernelID: "centos7-3.10",
+			Kernel:   []byte("vmlinuz-3.10"),
+			Initrd:   []byte("initramfs-3.10"),
+			Cmdline:  "root=iscsi",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr1, dir := durableManager(t, nodes)
+	addImage(mgr1.cloud)
+	if _, err := mgr1.CreateEnclave("w", ProfileBob); err != nil {
+		t.Fatal(err)
+	}
+	pol := DefaultPoolPolicy()
+	pol.Target = 1
+	if _, _, err := mgr1.ConfigurePool("w", pol); err != nil {
+		t.Fatal(err)
+	}
+	e1, _ := mgr1.Enclave("w")
+	imageOf := map[string]string{} // member -> image of the acquisition it joined
+	for _, image := range []string{"fedora28", "centos7"} {
+		waitWarm(t, e1, 1)
+		ps, _ := e1.PoolStats()
+		op, err := mgr1.StartAcquire("w", image, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := op.Wait(context.Background())
+		if err != nil || len(res.Nodes) != 1 || !slices.Contains(ps.WarmNodes, res.Nodes[0].Name) {
+			t.Fatalf("acquire %s did not take the warm standby %v: %v %+v", image, ps.WarmNodes, err, res)
+		}
+		imageOf[res.Nodes[0].Name] = image
+	}
+	waitWarm(t, e1, 1) // no refill in flight at the checkpoint
+	if err := mgr1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(copyStoreDir(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud := testCloud(t, nodes, FirmwareLinuxBoot)
+	addImage(cloud)
+	mgr2 := NewManagerWithStore(cloud, st)
+	report, err := mgr2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for member := range imageOf {
+		if !slices.Contains(report.Readopted, "w/"+member) {
+			t.Fatalf("re-adopted %v, released %v; want both warm-joined members re-adopted", report.Readopted, report.Released)
+		}
+	}
+	e2, err := mgr2.Enclave("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range e2.Journal().Events() {
+		image, member := imageOf[ev.Node]
+		if ev.Kind != EvRecovered || !member {
+			continue // the warm standby is re-adopted as one
+		}
+		if got, _ := strings.CutPrefix(ev.Detail, "readopted member image="); got != image {
+			t.Errorf("%s re-adopted as %q, joined an acquisition of %s", ev.Node, ev.Detail, image)
 		}
 	}
 }

@@ -406,13 +406,23 @@ func (g *Guard) setPaused(paused bool) {
 // already revoked the node inside CheckIMA; this path catches the
 // quieter failure mode — a member whose agent stopped answering, which
 // after FailureTolerance rounds is indistinguishable from a compromise
-// that severed the agent.
+// that severed the agent. A check that failed because a provider
+// service failed (core.ErrDegraded, or a transient fault of the kind
+// that trips the breaker) leaves the count alone, as a paused round
+// does: a round can start before the registrar's breaker trips (or be
+// mid-flight when it does), and the service failing is no evidence
+// against the member. A registrar answer about the node itself —
+// unknown or not activated — is not a service fault and still counts.
 func (g *Guard) noteCheck(node string, p Policy, err error) {
 	g.metrics.checks.Inc()
 	g.mu.Lock()
 	g.checks++
 	if err == nil {
 		delete(g.failures, node)
+		g.mu.Unlock()
+		return
+	}
+	if errors.Is(err, core.ErrDegraded) || core.TransientError(err) {
 		g.mu.Unlock()
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"bolted/internal/core"
 	"bolted/internal/fault"
 	"bolted/internal/ima"
+	"bolted/internal/keylime"
 	"bolted/internal/tpm"
 )
 
@@ -610,5 +611,105 @@ func TestRegistrarOutagePausesGuard(t *testing.T) {
 	}
 	if paused != 1 || resumed != 1 {
 		t.Fatalf("journal pause/resume transitions = %d/%d, want exactly one each", paused, resumed)
+	}
+}
+
+// TestRegistrarFailureNeverCountsAgainstMember is the window the pause
+// gate cannot close: a round that starts while the registrar's breaker
+// is still closed but the registrar is already failing. With one quote
+// at a time, the first two members' lookups fail at the transport and
+// trip the breaker, the third fails fast with ErrDegraded. None of that
+// is the members' doing: at FailureTolerance 1 nothing is revoked and
+// no member's failure counter moves.
+func TestRegistrarFailureNeverCountsAgainstMember(t *testing.T) {
+	cloud, mgr := newRig(t, 4)
+	inj := fault.New(12)
+	defer inj.Close()
+	cloud.Intercept(inj.Intercept)
+	if err := cloud.EnableResilience(core.ResiliencePolicy{
+		MaxAttempts:      1,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := newCharlie(t, mgr, "c", 3)
+	g, err := Enable(mgr, "c", Policy{
+		Interval:         time.Hour, // rounds run only when the test calls them
+		MaxConcurrent:    1,
+		FailureTolerance: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	inj.Set("registrar", fault.Profile{ErrorRate: 1})
+	g.runRound()
+	if !mgr.Health().BackendOpen(core.BackendRegistrar) {
+		t.Fatal("registrar breaker did not trip inside the round")
+	}
+	if st := g.Status(); st.Checks != 3 || st.Revocations != 0 {
+		t.Fatalf("round during the outage: %d checks, %d revocations; want 3 checks, 0 revocations", st.Checks, st.Revocations)
+	}
+	g.mu.Lock()
+	counted := len(g.failures)
+	g.mu.Unlock()
+	if counted != 0 {
+		t.Fatalf("%d members carry a failure count from the registrar outage", counted)
+	}
+	for node, st := range e.NodeStates() {
+		if st != core.StateAllocated {
+			t.Fatalf("member %s state = %s after a registrar outage", node, st)
+		}
+		if vs, err := e.Verifier().Status(node); err != nil || vs == keylime.StatusRevoked {
+			t.Fatalf("member %s verifier status = %s, %v after a registrar outage", node, vs, err)
+		}
+	}
+}
+
+// TestReRegisteredMemberStillRevoked: the registrar answering about the
+// node itself is no service fault. A member that re-registers (which
+// leaves its entry not activated, so every AIK lookup fails) fails its
+// checks like any unreachable member and is revoked at
+// FailureTolerance; it cannot leave continuous attestation by
+// re-enrolling.
+func TestReRegisteredMemberStillRevoked(t *testing.T) {
+	cloud, mgr := newRig(t, 3)
+	e, res := newCharlie(t, mgr, "c", 2)
+	g, err := Enable(mgr, "c", Policy{
+		Interval:         time.Hour, // rounds run only when the test calls them
+		FailureTolerance: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	victim := res.Nodes[0].Name
+	m, err := cloud.Machine(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cloud.Registrar.Register(victim, m.TPM().EKPublic(), m.TPM().AIKPublic()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cloud.Registrar.AIK(victim); err == nil {
+		t.Fatal("re-registered entry still certifies its AIK")
+	}
+	g.runRound()
+	if vs, _ := e.Verifier().Status(victim); vs == keylime.StatusRevoked {
+		t.Fatal("revoked after one failed round, want FailureTolerance 2")
+	}
+	g.runRound()
+	if vs, err := e.Verifier().Status(victim); err != nil || vs != keylime.StatusRevoked {
+		t.Fatalf("re-registered member verifier status = %s, %v after %d failed rounds; want revoked", vs, err, 2)
+	}
+	if vs, err := e.Verifier().Status(res.Nodes[1].Name); err != nil || vs == keylime.StatusRevoked {
+		t.Fatalf("untouched member verifier status = %s, %v; want not revoked", vs, err)
+	}
+	if st := waitIncidents(t, mgr, "c", 1)[0].Status(); st.Node != victim {
+		t.Fatalf("incident names %s, want %s", st.Node, victim)
 	}
 }

@@ -16,6 +16,7 @@ package xts
 
 import (
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 )
@@ -65,38 +66,16 @@ func NewCipher(mkBlock func(key []byte) (cipher.Block, error), key []byte) (*Cip
 	return c, nil
 }
 
-// mulAlpha multiplies the tweak by alpha in GF(2^128) using the XTS
-// little-endian convention, operating on two 64-bit halves.
-func mulAlpha(t *[blockSize]byte) {
-	lo := binary.LittleEndian.Uint64(t[:8])
-	hi := binary.LittleEndian.Uint64(t[8:])
-	carry := hi >> 63
-	hi = hi<<1 | lo>>63
-	lo <<= 1
-	lo ^= carry * 0x87
-	binary.LittleEndian.PutUint64(t[:8], lo)
-	binary.LittleEndian.PutUint64(t[8:], hi)
-}
-
-// initialTweak computes E_K2(sectorNum) with the sector number encoded
-// little-endian in the low 8 bytes ("plain64").
-func (c *Cipher) initialTweak(sectorNum uint64) [blockSize]byte {
-	var t [blockSize]byte
-	binary.LittleEndian.PutUint64(t[:8], sectorNum)
-	c.tweak.Encrypt(t[:], t[:])
-	return t
-}
-
 // EncryptSector encrypts plaintext into dst for the given sector number.
 // dst and plaintext must have equal length, a positive multiple of 16
 // bytes. dst may alias plaintext.
 func (c *Cipher) EncryptSector(dst, plaintext []byte, sectorNum uint64) error {
-	return c.process(dst, plaintext, sectorNum, c.data.Encrypt)
+	return c.processSectors(dst, plaintext, len(plaintext), sectorNum, true)
 }
 
 // DecryptSector decrypts ciphertext into dst for the given sector number.
 func (c *Cipher) DecryptSector(dst, ciphertext []byte, sectorNum uint64) error {
-	return c.process(dst, ciphertext, sectorNum, c.data.Decrypt)
+	return c.processSectors(dst, ciphertext, len(ciphertext), sectorNum, false)
 }
 
 // tweakChunkBlocks bounds the per-chunk tweak scratch: 256 blocks covers
@@ -107,9 +86,7 @@ const tweakChunkBlocks = 256
 // EncryptSectors encrypts a span of consecutive sectors in one call:
 // len(src) must be a positive multiple of sectorSize (itself a positive
 // multiple of 16), and sector numbers run firstSector, firstSector+1, …
-// Tweak derivation and bounds checks are hoisted out of the block loop,
-// and ciphers implementing BlockProcessor are handed whole chunks, so
-// this is the fast path large sealed I/O should take. dst may alias src.
+// dst may alias src.
 func (c *Cipher) EncryptSectors(dst, src []byte, sectorSize int, firstSector uint64) error {
 	return c.processSectors(dst, src, sectorSize, firstSector, true)
 }
@@ -119,6 +96,12 @@ func (c *Cipher) DecryptSectors(dst, src []byte, sectorSize int, firstSector uin
 	return c.processSectors(dst, src, sectorSize, firstSector, false)
 }
 
+// processSectors is the one XTS loop. Per chunk of up to
+// tweakChunkBlocks blocks it writes the tweak run into stack scratch —
+// the tweak lives in two registers and is multiplied by alpha in
+// GF(2^128) (little-endian convention) between blocks — then whitens
+// the chunk with vectorised XOR, runs the block cipher over it (whole
+// chunks for a BlockProcessor), and whitens it again.
 func (c *Cipher) processSectors(dst, src []byte, sectorSize int, firstSector uint64, encrypt bool) error {
 	if sectorSize <= 0 || sectorSize%blockSize != 0 {
 		return errors.New("xts: sector size must be a positive multiple of 16")
@@ -129,74 +112,42 @@ func (c *Cipher) processSectors(dst, src []byte, sectorSize int, firstSector uin
 	if len(dst) != len(src) {
 		return errors.New("xts: dst and src length mismatch")
 	}
+	op := c.data.Encrypt
+	if !encrypt {
+		op = c.data.Decrypt
+	}
 	var tw [tweakChunkBlocks * blockSize]byte
-	sector := firstSector
-	for off := 0; off < len(src); off += sectorSize {
-		t := c.initialTweak(sector)
+	var t [blockSize]byte // escapes through the cipher.Block call: one per span
+	for off, sector := 0, firstSector; off < len(src); off, sector = off+sectorSize, sector+1 {
+		// The initial tweak is E_K2(sector), the sector number
+		// little-endian in the low 8 bytes ("plain64").
+		binary.LittleEndian.PutUint64(t[:8], sector)
+		binary.LittleEndian.PutUint64(t[8:], 0)
+		c.tweak.Encrypt(t[:], t[:])
+		lo, hi := binary.LittleEndian.Uint64(t[:8]), binary.LittleEndian.Uint64(t[8:])
 		s, d := src[off:off+sectorSize], dst[off:off+sectorSize]
 		for len(s) > 0 {
-			nb := len(s) / blockSize
-			if nb > tweakChunkBlocks {
-				nb = tweakChunkBlocks
+			run := tw[:min(len(s), len(tw))]
+			for i := 0; i < len(run); i += blockSize {
+				binary.LittleEndian.PutUint64(run[i:], lo)
+				binary.LittleEndian.PutUint64(run[i+8:], hi)
+				lo, hi = lo<<1^(hi>>63)*0x87, hi<<1|lo>>63
 			}
-			chunk := nb * blockSize
-			// Derive the tweak run for this chunk up front.
-			for i := 0; i < chunk; i += blockSize {
-				copy(tw[i:i+blockSize], t[:])
-				mulAlpha(&t)
-			}
-			cs, cd := s[:chunk:chunk], d[:chunk:chunk]
-			xorChunk(cd, cs, tw[:chunk])
-			if c.multi != nil {
-				if encrypt {
-					c.multi.EncryptBlocks(cd, cd)
-				} else {
-					c.multi.DecryptBlocks(cd, cd)
-				}
-			} else {
-				op := c.data.Encrypt
-				if !encrypt {
-					op = c.data.Decrypt
-				}
-				for i := 0; i < chunk; i += blockSize {
+			cd := d[:len(run):len(run)]
+			subtle.XORBytes(cd, s[:len(run)], run)
+			switch {
+			case c.multi != nil && encrypt:
+				c.multi.EncryptBlocks(cd, cd)
+			case c.multi != nil:
+				c.multi.DecryptBlocks(cd, cd)
+			default:
+				for i := 0; i < len(cd); i += blockSize {
 					op(cd[i:i+blockSize], cd[i:i+blockSize])
 				}
 			}
-			xorChunk(cd, cd, tw[:chunk])
-			s, d = s[chunk:], d[chunk:]
+			subtle.XORBytes(cd, cd, run)
+			s, d = s[len(run):], d[len(run):]
 		}
-		sector++
-	}
-	return nil
-}
-
-// xorChunk XORs src with the tweak stream into dst, eight bytes at a
-// time. All three slices have equal, 16-aligned length.
-func xorChunk(dst, src, tweaks []byte) {
-	for i := 0; i+8 <= len(src); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(src[i:])^binary.LittleEndian.Uint64(tweaks[i:]))
-	}
-}
-
-func (c *Cipher) process(dst, src []byte, sectorNum uint64, op func(dst, src []byte)) error {
-	if len(src) == 0 || len(src)%blockSize != 0 {
-		return errors.New("xts: sector length must be a positive multiple of 16")
-	}
-	if len(dst) != len(src) {
-		return errors.New("xts: dst and src length mismatch")
-	}
-	t := c.initialTweak(sectorNum)
-	for off := 0; off < len(src); off += blockSize {
-		tl := binary.LittleEndian.Uint64(t[:8])
-		th := binary.LittleEndian.Uint64(t[8:])
-		in, out := src[off:off+blockSize], dst[off:off+blockSize]
-		binary.LittleEndian.PutUint64(out[:8], binary.LittleEndian.Uint64(in[:8])^tl)
-		binary.LittleEndian.PutUint64(out[8:], binary.LittleEndian.Uint64(in[8:])^th)
-		op(out, out)
-		binary.LittleEndian.PutUint64(out[:8], binary.LittleEndian.Uint64(out[:8])^tl)
-		binary.LittleEndian.PutUint64(out[8:], binary.LittleEndian.Uint64(out[8:])^th)
-		mulAlpha(&t)
 	}
 	return nil
 }

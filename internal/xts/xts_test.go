@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -286,10 +288,49 @@ func TestIntraSectorBlocksDiffer(t *testing.T) {
 // BlockProcessor batch path inside processSectors.
 func softBlock(key []byte) (cipher.Block, error) { return softaes.New(key) }
 
-// TestSectorsMatchesPerSector pins the batched span API to the
-// per-sector reference for both backends (crypto/aes takes the
-// one-block-at-a-time loop, softaes the BlockProcessor fast path),
-// across sector sizes, span lengths and in-place operation.
+// referenceSectors is the per-block XTS loop the batched one replaced,
+// kept as an independent oracle: each sector's tweak is derived and
+// multiplied by alpha on a byte array, and every block is whitened,
+// ciphered and whitened one at a time. It refuses exactly what the
+// sector API documents as invalid.
+func referenceSectors(c *Cipher, dst, src []byte, sectorSize int, first uint64, encrypt bool) error {
+	if sectorSize <= 0 || sectorSize%blockSize != 0 || len(src) == 0 ||
+		len(src)%sectorSize != 0 || len(dst) != len(src) {
+		return errors.New("invalid span")
+	}
+	op := c.data.Encrypt
+	if !encrypt {
+		op = c.data.Decrypt
+	}
+	for off := 0; off < len(src); off += sectorSize {
+		var t [blockSize]byte
+		binary.LittleEndian.PutUint64(t[:8], first+uint64(off/sectorSize))
+		c.tweak.Encrypt(t[:], t[:])
+		for b := off; b < off+sectorSize; b += blockSize {
+			out := dst[b : b+blockSize]
+			for i := range out {
+				out[i] = src[b+i] ^ t[i]
+			}
+			op(out, out)
+			for i := range out {
+				out[i] ^= t[i]
+			}
+			// Multiply by alpha: shift the 128-bit little-endian
+			// value left one bit, folding the carry into 0x87.
+			carry := t[blockSize-1] >> 7
+			for i := blockSize - 1; i > 0; i-- {
+				t[i] = t[i]<<1 | t[i-1]>>7
+			}
+			t[0] = t[0]<<1 ^ carry*0x87
+		}
+	}
+	return nil
+}
+
+// TestSectorsMatchesPerSector pins the batched loop to the per-block
+// reference for both backends (crypto/aes one block per call, softaes
+// through BlockProcessor), across sector sizes, span lengths, the
+// single-sector API and in-place operation.
 func TestSectorsMatchesPerSector(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	key := make([]byte, 64)
@@ -309,18 +350,22 @@ func TestSectorsMatchesPerSector(t *testing.T) {
 				src := make([]byte, sectorSize*sectors)
 				rng.Read(src)
 				want := make([]byte, len(src))
-				for i := 0; i < sectors; i++ {
-					off := i * sectorSize
-					if err := c.EncryptSector(want[off:off+sectorSize], src[off:off+sectorSize], first+uint64(i)); err != nil {
-						t.Fatal(err)
-					}
+				if err := referenceSectors(c, want, src, sectorSize, first, true); err != nil {
+					t.Fatal(err)
 				}
 				got := make([]byte, len(src))
 				if err := c.EncryptSectors(got, src, sectorSize, first); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s: EncryptSectors(%d×%d) diverges from per-sector path", be.name, sectors, sectorSize)
+					t.Fatalf("%s: EncryptSectors(%d×%d) diverges from the reference", be.name, sectors, sectorSize)
+				}
+				one := make([]byte, sectorSize)
+				if err := c.EncryptSector(one, src[:sectorSize], first); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(one, want[:sectorSize]) {
+					t.Fatalf("%s: EncryptSector(%d) diverges from the reference", be.name, sectorSize)
 				}
 				// Decrypt in place over a copy.
 				inplace := append([]byte(nil), got...)
@@ -333,6 +378,60 @@ func TestSectorsMatchesPerSector(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSectors holds the batched loop to referenceSectors over drawn
+// keys (32 or 64 bytes), backends, sector sizes (zero, unaligned,
+// larger than the span), first sectors and spans (empty, not a sector
+// multiple, dst longer or shorter than src). Every valid input must
+// encrypt to the reference's bytes and round-trip in place; every
+// invalid one must be refused, as the reference refuses it, with dst
+// untouched. The seed corpus is testdata/fuzz/FuzzSectors.
+func FuzzSectors(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed []byte, wide, soft bool, sectorSize int, first uint64, src []byte, dstDelta int) {
+		key := make([]byte, 32)
+		if wide {
+			key = make([]byte, 64)
+		}
+		for i := range key {
+			key[i] = byte(i)
+			if len(seed) > 0 {
+				key[i] ^= seed[i%len(seed)]
+			}
+		}
+		mk := aes.NewCipher
+		if soft {
+			mk = softBlock
+			src = src[:min(len(src), 1024)] // softaes is slow
+		}
+		c, err := NewCipher(mk, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := max(0, len(src)+dstDelta%64)
+		want := make([]byte, n)
+		refErr := referenceSectors(c, want, src, sectorSize, first, true)
+		got := bytes.Repeat([]byte{0xA5}, n)
+		err = c.EncryptSectors(got, src, sectorSize, first)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("EncryptSectors error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xA5}, n)) {
+				t.Fatal("refused span wrote dst")
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncryptSectors diverges from the reference (sector size %d, %d bytes)", sectorSize, len(src))
+		}
+		if err := c.DecryptSectors(got, got, sectorSize, first); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatal("in-place DecryptSectors round-trip mismatch")
+		}
+	})
 }
 
 func TestSectorsValidation(t *testing.T) {
