@@ -3,6 +3,42 @@
 // overlays (BMI image clones), and an iSCSI-like network block device
 // with a configurable read-ahead buffer (Figure 3c's critical tuning
 // knob: 128 KiB default vs 8 MiB).
+//
+// # Buffer ownership
+//
+// One read or write through a Client over an IPsecTransport touches
+// these buffers. Each is allocated by one party; only the party named
+// may keep it, and it dies at the point named.
+//
+//   - Wire frame. Allocated by the Client (request) for each round trip;
+//     a write gathers its payload into it. The transport reads it during
+//     RoundTrip only. Dead when RoundTrip returns.
+//   - SegmentStream arenas, one per leg. Allocated by ipsec.SegmentStream
+//     for the request leg (client end) and the response leg (server
+//     end); the packets are slices of it. IPsecTransport.RoundTrip holds
+//     them until the other end's ReassembleStream has opened them. Dead
+//     when that leg is opened or fails to open.
+//   - Reassembled plaintext. Allocated by ipsec.ReassembleStream at the
+//     receiving end of each leg. The request leg's is the frame
+//     Target.Handle reads; a write's payload is copied into the device,
+//     so it is dead when Handle returns. The response leg's is the reply
+//     RoundTrip hands the Client: the caller's for good.
+//   - Target.Handle's read reply. Allocated fresh by Handle for every
+//     read, filled by the Device. Over Loopback it is the reply the
+//     Client receives; over IPsec it is sealed into the response arena
+//     and dead once sealed.
+//   - Live window. The payload of the reply a fill (or the background
+//     fetch it took over) returned. Owned by the Client under its lock;
+//     readers get copies of it, never the slice. Dead when the next
+//     window replaces it or a write that overlaps it drops it.
+//   - In-flight window. The reply of the one background fetch a Client
+//     may have. Its goroutine owns it until the round trip ends; then
+//     the Client does. It becomes the live window when a reader reaches
+//     it, and dies when a write overlaps it or a later stream's fetch
+//     replaces it. A fetch that fails leaves no window.
+//
+// So a scanning Client keeps up to two cap-sized windows alive, the live
+// one and the one in flight: 16 MiB under TunedReadAhead.
 package blockdev
 
 import (

@@ -187,18 +187,43 @@ func (t *FaultTransport) RoundTrip(req []byte) ([]byte, error) {
 // the end of the live window or starts at sector 0 is sequential and
 // opens a window; any other miss is random and moves exactly the sectors
 // asked for, leaving the window alone.
+//
+// Running off the end of the live window is also the asynchronous half
+// of Linux's read-ahead: the fill installs the doubled window and starts
+// fetching the one after it in the background, and a reader that
+// reaches that window takes it and starts the next. The round trip then
+// runs while the reader works on the bytes it already has (LUKS
+// decrypts them). A stream's first fill, a random miss and a read of
+// sector 0 start nothing in the background.
 type Client struct {
 	transport Transport
 	sectors   int64
+	// trip is held across every round trip: one ESP tunnel carries one
+	// at a time. Lock order is mu, then trip; the background fetch
+	// takes trip alone.
+	trip sync.Mutex
 
 	mu        sync.Mutex
 	readAhead int64 // largest window in sectors (0 = no read-ahead)
 	raStart   int64 // first sector of the live window
 	raData    []byte
-	prevEnd   int64 // sector after the last one the previous read returned
+	next      *inflight // the window after the live one, fetched in the background
+	prevEnd   int64     // sector after the last one the previous read returned
 	// Stats
-	netReads  int64 // wire read requests issued
+	netReads  int64 // wire read requests issued, a background fetch's when it starts
 	netWrites int64
+}
+
+// inflight is a read-ahead window fetched in the background. Its
+// goroutine sets data or err and then closes done; it touches nothing
+// else, and nothing reads data or err before done is closed. Waiting on
+// done while holding mu is safe: the goroutine never takes mu, and its
+// round trip ends as a synchronous fill's would.
+type inflight struct {
+	start, n int64
+	done     chan struct{}
+	data     []byte
+	err      error
 }
 
 // DefaultReadAhead is the Linux default read-ahead (128 KiB).
@@ -278,8 +303,9 @@ func (c *Client) ReadSectors(dst []byte, start int64) error {
 
 // ReadVector implements VectorDevice: the sector run is served from the
 // live window where it covers it and scattered straight into the
-// caller's buffers. A request misses at most once — a sequential fill
-// covers the rest of it, a random fetch is the rest of it.
+// caller's buffers. A request misses at most once per window — a
+// sequential fill covers the rest of it or hands over to the next
+// window, a random fetch is the rest of it.
 func (c *Client) ReadVector(bufs [][]byte, start int64) error {
 	total, err := checkVectorRange(c, bufs, start)
 	if err != nil {
@@ -295,16 +321,23 @@ func (c *Client) ReadVector(bufs [][]byte, start int64) error {
 			cur += n / SectorSize
 			continue
 		}
-		n, sequential := c.planLocked(cur, end-cur, end-start)
-		data, err := c.fetchLocked(cur, n)
+		n, miss := c.planLocked(cur, end-cur, end-start)
+		if miss == missNext && c.takeNextLocked(cur) {
+			continue
+		}
+		c.netReads++
+		data, err := c.read(cur, n)
 		if err != nil {
 			return err
 		}
-		if !sequential {
+		if miss == missRandom {
 			out.put(data)
 			break
 		}
 		c.raStart, c.raData = cur, data
+		if miss == missNext {
+			c.prefetchLocked()
+		}
 	}
 	c.prevEnd = start + total/SectorSize
 	return nil
@@ -327,31 +360,88 @@ func (s *scatter) put(src []byte) {
 	}
 }
 
+// Kinds of read miss.
+const (
+	missRandom = iota // neither of the others: fetched exactly, kept nowhere
+	missStream        // a stream's first window
+	missNext          // ran off the end of the live window
+)
+
 // planLocked sizes the fetch for a miss at sector cur with want sectors
 // of a req-sector request still to serve. Running off the end of the
 // live window doubles it; a new sequential stream starts at 4x the
 // request (at least DefaultReadAhead); both stop at the cap the caller
 // gave NewClient. Any other miss fetches exactly want sectors and is not
 // kept, so a stray read inside a scan costs the scan nothing.
-func (c *Client) planLocked(cur, want, req int64) (n int64, sequential bool) {
+func (c *Client) planLocked(cur, want, req int64) (n int64, miss int) {
 	window := int64(len(c.raData)) / SectorSize
 	switch {
 	case c.readAhead == 0:
-		return want, false
+		return want, missRandom
 	case window > 0 && cur == c.raStart+window:
-		n = 2 * window
+		n, miss = 2*window, missNext
 	case cur == 0 || cur == c.prevEnd:
-		n = max(4*req, DefaultReadAhead/SectorSize)
+		n, miss = max(4*req, DefaultReadAhead/SectorSize), missStream
 	default:
-		return want, false
+		return want, missRandom
 	}
-	return min(max(min(n, c.readAhead), want), c.sectors-cur), true
+	return min(max(min(n, c.readAhead), want), c.sectors-cur), miss
 }
 
-// fetchLocked reads n sectors at cur over the wire.
-func (c *Client) fetchLocked(cur, n int64) ([]byte, error) {
-	resp, err := c.transport.RoundTrip(request(opRead, cur, n, 0))
+// takeNextLocked makes the background window the live one if it starts
+// at cur, waiting for its round trip to end, and starts fetching the
+// window after it. A window whose fetch failed is dropped, never kept:
+// the caller then fetches for itself and reports its own error.
+func (c *Client) takeNextLocked(cur int64) bool {
+	w := c.next
+	if w == nil || w.start != cur {
+		return false
+	}
+	c.dropNextLocked()
+	if w.err != nil {
+		return false
+	}
+	c.raStart, c.raData = w.start, w.data
+	c.prefetchLocked()
+	return true
+}
+
+// prefetchLocked starts fetching the window after the live one in the
+// background, sized as the fill that runs off the end of the live
+// window would size it: double, up to the cap. A fetch still in flight
+// (an abandoned stream's) is waited out first, so a client has at most
+// one; its goroutine ends with its round trip.
+func (c *Client) prefetchLocked() {
+	c.dropNextLocked()
+	window := int64(len(c.raData)) / SectorSize
+	start := c.raStart + window
+	n := min(2*window, c.readAhead, c.sectors-start)
+	if n <= 0 {
+		return
+	}
+	w := &inflight{start: start, n: n, done: make(chan struct{})}
+	c.next = w
 	c.netReads++
+	go func() {
+		defer close(w.done)
+		w.data, w.err = c.read(start, n)
+	}()
+}
+
+// dropNextLocked waits for the background fetch, if any, to end and
+// forgets it.
+func (c *Client) dropNextLocked() {
+	if c.next != nil {
+		<-c.next.done
+		c.next = nil
+	}
+}
+
+// read reads n sectors at cur over the wire.
+func (c *Client) read(cur, n int64) ([]byte, error) {
+	c.trip.Lock()
+	resp, err := c.transport.RoundTrip(request(opRead, cur, n, 0))
+	c.trip.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -364,8 +454,8 @@ func (c *Client) fetchLocked(cur, n int64) ([]byte, error) {
 	return resp[1:], nil
 }
 
-// WriteSectors implements Device. Writes invalidate any overlapping
-// read-ahead window.
+// WriteSectors implements Device. Writes drop any overlapping read-ahead
+// window, live or in flight.
 func (c *Client) WriteSectors(src []byte, start int64) error {
 	if len(src) == 0 || len(src)%SectorSize != 0 {
 		return fmt.Errorf("blockdev: buffer length %d not a positive multiple of %d", len(src), SectorSize)
@@ -388,12 +478,20 @@ func (c *Client) WriteVector(bufs [][]byte, start int64) error {
 	if start < c.raStart+int64(len(c.raData))/SectorSize && start+sectors > c.raStart {
 		c.raData = nil
 	}
+	// A window in flight over the range holds, or will hold, the bytes
+	// the write replaces: wait for its round trip to end, so it stays
+	// the client's only fetch, and drop it.
+	if w := c.next; w != nil && start < w.start+w.n && start+sectors > w.start {
+		c.dropNextLocked()
+	}
 	req := request(opWrite, start, sectors, total)
 	off := 13
 	for _, b := range bufs {
 		off += copy(req[off:], b)
 	}
+	c.trip.Lock()
 	resp, err := c.transport.RoundTrip(req)
+	c.trip.Unlock()
 	c.netWrites++
 	if err != nil {
 		return err

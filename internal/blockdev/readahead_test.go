@@ -5,24 +5,41 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
 // wire counts what crosses the transport: round trips and read-reply
-// payload bytes (the reply minus its status byte).
+// payload bytes (the reply minus its status byte). The client's
+// background fetch counts from its own goroutine, so read the counters
+// only with no fetch in flight: after settle, or after a scan that ran
+// to the end of the device.
 type wire struct {
 	inner    Transport
+	mu       sync.Mutex
 	trips    int
 	readData int
 }
 
 func (w *wire) RoundTrip(req []byte) ([]byte, error) {
 	resp, err := w.inner.RoundTrip(req)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.trips++
 	if err == nil && req[0] == opRead {
 		w.readData += len(resp) - 1
 	}
 	return resp, err
+}
+
+// settle waits for the client's background fetch, if any, to land.
+func settle(c *Client) {
+	c.mu.Lock()
+	w := c.next
+	c.mu.Unlock()
+	if w != nil {
+		<-w.done
+	}
 }
 
 // newWiredNBD is a client over a counting loopback onto a RAM disk
@@ -128,6 +145,7 @@ func TestNewStreamStartsSmall(t *testing.T) {
 	// and must not inherit the 8 MiB window.
 	c, w, content := newWiredNBD(t, 64<<20, TunedReadAhead)
 	scan(t, c, content, 24<<20, nil)
+	settle(c) // the old stream's window in flight lands before the count
 	before := w.readData
 	readAt(t, c, content, 40<<20, 64<<10) // random: exactly 64 KiB
 	readAt(t, c, content, 40<<20+64<<10, 64<<10)

@@ -163,13 +163,13 @@ func (a *Agent) AttachIMA(c *ima.Collector) {
 }
 
 // IMAList returns the current measurement list (empty before the tenant
-// OS attaches IMA).
-func (a *Agent) IMAList() []ima.Entry {
+// OS attaches IMA). In process it cannot fail.
+func (a *Agent) IMAList() ([]ima.Entry, error) {
 	a.mu.Lock()
 	c := a.imaCol
 	a.mu.Unlock()
 	if c == nil {
-		return nil
+		return nil, nil
 	}
-	return c.List()
+	return c.List(), nil
 }

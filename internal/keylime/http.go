@@ -156,7 +156,8 @@ func NewAgentHandler(a *Agent) http.Handler {
 		httpjson.Reply(w, http.StatusOK, quoteToWire(q))
 	})
 	mux.HandleFunc("GET /ima", func(w http.ResponseWriter, r *http.Request) {
-		httpjson.Reply(w, http.StatusOK, imaToWire(a.IMAList()))
+		list, _ := a.IMAList() // in process it cannot fail
+		httpjson.Reply(w, http.StatusOK, imaToWire(list))
 	})
 	mux.HandleFunc("POST /keys/u", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ U string }
@@ -234,18 +235,15 @@ func (ra *RemoteAgent) Quote(nonce []byte, sel []int, verifierPort string) (*tpm
 	return wireToQuote(wq)
 }
 
-// IMAList implements AgentConn. Transport failures return an empty
-// list, which the verifier's aggregate check will flag.
-func (ra *RemoteAgent) IMAList() []ima.Entry {
+// IMAList implements AgentConn. A transport failure or an undecodable
+// list is an error, as for Quote: an empty list in its place would fail
+// the verifier's aggregate check and revoke the node as tampered.
+func (ra *RemoteAgent) IMAList() ([]ima.Entry, error) {
 	var ws []wireIMAEntry
-	if call(ra.HTTP, "GET", ra.Base+"/ima", "/ima", nil, &ws) != nil {
-		return nil
+	if err := call(ra.HTTP, "GET", ra.Base+"/ima", "/ima", nil, &ws); err != nil {
+		return nil, err
 	}
-	es, err := wireToIMA(ws)
-	if err != nil {
-		return nil
-	}
-	return es
+	return wireToIMA(ws)
 }
 
 // ReceiveU implements AgentConn.

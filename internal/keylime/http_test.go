@@ -3,7 +3,9 @@ package keylime
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"bolted/internal/ima"
@@ -14,12 +16,70 @@ import (
 // registrar serves enrolment, and the verifier reaches the node only
 // through a RemoteAgent.
 func TestFullAttestationOverHTTP(t *testing.T) {
+	r := provisionOverHTTP(t, NewAgentHandler)
+
+	// Continuous attestation through REST: measure, check, violate.
+	col := ima.NewCollector(r.machine.TPM(), ima.StressPolicy)
+	r.agent.AttachIMA(col)
+	col.Measure("/bin/ok", []byte("ok"), ima.HookExec, 0)
+	if v, err := r.verifier.CheckIMA("node1"); err != nil || len(v) != 0 {
+		t.Fatalf("clean HTTP IMA check: %v %v", v, err)
+	}
+	col.Measure("/bin/evil", []byte("evil"), ima.HookExec, 0)
+	v, err := r.verifier.CheckIMA("node1")
+	if err != nil || len(v) != 1 {
+		t.Fatalf("HTTP violation check: %v %v", v, err)
+	}
+	if status, _ := r.verifier.Status("node1"); status != StatusRevoked {
+		t.Fatalf("status = %s", status)
+	}
+}
+
+// TestIMAOutageOverHTTPNotRevoked: a stretch of 503s from the agent's
+// /ima is an unreachable agent, not a tampered list. Each round fails
+// with an error (the guard counts those against its FailureTolerance),
+// none revokes the node, and checks pass again once /ima answers.
+func TestIMAOutageOverHTTPNotRevoked(t *testing.T) {
+	var down atomic.Bool
+	r := provisionOverHTTP(t, func(a *Agent) http.Handler {
+		h := NewAgentHandler(a)
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if down.Load() && req.URL.Path == "/ima" {
+				http.Error(w, "agent busy", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, req)
+		})
+	})
+	col := ima.NewCollector(r.machine.TPM(), ima.StressPolicy)
+	r.agent.AttachIMA(col)
+	col.Measure("/bin/ok", []byte("ok"), ima.HookExec, 0)
+	down.Store(true)
+	for round := 0; round < 5; round++ {
+		if _, err := r.verifier.CheckIMA("node1"); err == nil {
+			t.Fatalf("round %d: check passed with /ima answering 503", round)
+		}
+		if status, _ := r.verifier.Status("node1"); status == StatusRevoked {
+			t.Fatalf("round %d: an unreachable /ima revoked the node", round)
+		}
+	}
+	down.Store(false)
+	if v, err := r.verifier.CheckIMA("node1"); err != nil || len(v) != 0 {
+		t.Fatalf("check after the outage: %v %v", v, err)
+	}
+}
+
+// provisionOverHTTP enrols node1 over HTTP and provisions it through a
+// RemoteAgent for the agent handler serve builds, with an IMA whitelist
+// that allows /bin/ok.
+func provisionOverHTTP(t *testing.T, serve func(*Agent) http.Handler) *rig {
+	t.Helper()
 	r := newRig(t)
 
-	agentSrv := httptest.NewServer(NewAgentHandler(r.agent))
-	defer agentSrv.Close()
+	agentSrv := httptest.NewServer(serve(r.agent))
+	t.Cleanup(agentSrv.Close)
 	regSrv := httptest.NewServer(NewRegistrarHandler(r.reg))
-	defer regSrv.Close()
+	t.Cleanup(regSrv.Close)
 
 	// Enrolment over HTTP (credential activation round trip).
 	if err := r.agent.RegisterOverHTTP(regSrv.URL, regPort); err != nil {
@@ -55,22 +115,7 @@ func TestFullAttestationOverHTTP(t *testing.T) {
 	if !bytes.Equal(p.Kernel, spec.Payload.Kernel) {
 		t.Fatal("payload corrupted over HTTP")
 	}
-
-	// Continuous attestation through REST: measure, check, violate.
-	col := ima.NewCollector(r.machine.TPM(), ima.StressPolicy)
-	r.agent.AttachIMA(col)
-	col.Measure("/bin/ok", []byte("ok"), ima.HookExec, 0)
-	if v, err := r.verifier.CheckIMA("node1"); err != nil || len(v) != 0 {
-		t.Fatalf("clean HTTP IMA check: %v %v", v, err)
-	}
-	col.Measure("/bin/evil", []byte("evil"), ima.HookExec, 0)
-	v, err := r.verifier.CheckIMA("node1")
-	if err != nil || len(v) != 1 {
-		t.Fatalf("HTTP violation check: %v %v", v, err)
-	}
-	if status, _ := r.verifier.Status("node1"); status != StatusRevoked {
-		t.Fatalf("status = %s", status)
-	}
+	return r
 }
 
 func TestAgentHTTPValidation(t *testing.T) {

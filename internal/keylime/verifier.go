@@ -38,7 +38,7 @@ const (
 type AgentConn interface {
 	UUID() string
 	Quote(nonce []byte, sel []int, verifierPort string) (*tpm.Quote, error)
-	IMAList() []ima.Entry
+	IMAList() ([]ima.Entry, error)
 	ReceiveU(u []byte)
 	ReceiveV(v, sealedPayload []byte)
 }
@@ -245,7 +245,8 @@ func QuoteAgainstWhitelist(ctx context.Context, reg RegistrarConn, agent AgentCo
 // IMA measurement list and a quote over the IMA PCR, verify the list
 // is anchored in the TPM (replay matches the quoted aggregate), then
 // match every measurement against the whitelist. Any violation revokes
-// the node.
+// the node. A list or quote the agent fails to deliver is an error, not
+// a verdict: the node is not revoked for it here.
 func (v *Verifier) CheckIMA(uuid string) ([]ima.Violation, error) {
 	v.mu.Lock()
 	m, ok := v.nodes[uuid]
@@ -268,7 +269,10 @@ func (v *Verifier) CheckIMA(uuid string) ([]ima.Violation, error) {
 	// when the node quiesces; persistent mismatch is a violation
 	// (list tampering).
 	for attempt := 0; ; attempt++ {
-		list := m.cfg.Agent.IMAList()
+		list, err := m.cfg.Agent.IMAList()
+		if err != nil {
+			return nil, err
+		}
 		q, err := m.cfg.Agent.Quote(n, []int{ima.PCR}, v.port)
 		if err != nil {
 			return nil, err
