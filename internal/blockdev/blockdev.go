@@ -10,6 +10,16 @@
 // these buffers. Each is allocated by one party; only the party named
 // may keep it, and it dies at the point named.
 //
+//   - Write-staging pieces, two, above the Client. A luks.Volume write
+//     longer than one 256 KiB piece takes two staging buffers from the
+//     volume's pool and encrypts the span into them a piece at a time,
+//     alternating. The piece being stored is lent to one WriteSectors
+//     call on the Client, run from a goroutine, which gathers it into
+//     the wire frame; the volume encrypts the next piece into the other
+//     buffer meanwhile and writes into a buffer again only after the
+//     call that borrowed it has returned. Both go back to the pool when
+//     the volume's write returns, which is after its last piece is
+//     stored or has failed.
 //   - Wire frame. Allocated by the Client (request) for each round trip;
 //     a write gathers its payload into it. The transport reads it during
 //     RoundTrip only. Dead when RoundTrip returns.

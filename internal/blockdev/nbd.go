@@ -193,8 +193,9 @@ func (t *FaultTransport) RoundTrip(req []byte) ([]byte, error) {
 // fetching the one after it in the background, and a reader that
 // reaches that window takes it and starts the next. The round trip then
 // runs while the reader works on the bytes it already has (LUKS
-// decrypts them). A stream's first fill, a random miss and a read of
-// sector 0 start nothing in the background.
+// decrypts them). A stream's first fill, a random miss, a read of
+// sector 0 and a read that lands on the live window's end without
+// continuing the previous one start nothing in the background.
 type Client struct {
 	transport Transport
 	sectors   int64
@@ -322,20 +323,23 @@ func (c *Client) ReadVector(bufs [][]byte, start int64) error {
 			continue
 		}
 		n, miss := c.planLocked(cur, end-cur, end-start)
-		if miss == missNext && c.takeNextLocked(cur) {
-			continue
+		if miss != missNext || !c.takeNextLocked(cur) {
+			c.netReads++
+			data, err := c.read(cur, n)
+			if err != nil {
+				return err
+			}
+			if miss == missRandom {
+				out.put(data)
+				break
+			}
+			c.raStart, c.raData = cur, data
 		}
-		c.netReads++
-		data, err := c.read(cur, n)
-		if err != nil {
-			return err
-		}
-		if miss == missRandom {
-			out.put(data)
-			break
-		}
-		c.raStart, c.raData = cur, data
-		if miss == missNext {
+		// Only a stream speculates: a request that ran off the live
+		// window, or one that starts where the previous read ended. A
+		// read that merely lands on the window's end fetches nothing
+		// more in the background.
+		if miss == missNext && (cur > start || start == c.prevEnd) {
 			c.prefetchLocked()
 		}
 	}
@@ -389,9 +393,9 @@ func (c *Client) planLocked(cur, want, req int64) (n int64, miss int) {
 }
 
 // takeNextLocked makes the background window the live one if it starts
-// at cur, waiting for its round trip to end, and starts fetching the
-// window after it. A window whose fetch failed is dropped, never kept:
-// the caller then fetches for itself and reports its own error.
+// at cur, waiting for its round trip to end. A window whose fetch failed
+// is dropped, never kept: the caller then fetches for itself and reports
+// its own error.
 func (c *Client) takeNextLocked(cur int64) bool {
 	w := c.next
 	if w == nil || w.start != cur {
@@ -402,7 +406,6 @@ func (c *Client) takeNextLocked(cur int64) bool {
 		return false
 	}
 	c.raStart, c.raData = w.start, w.data
-	c.prefetchLocked()
 	return true
 }
 

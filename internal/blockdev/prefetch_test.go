@@ -76,7 +76,7 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 			}
 			w.inner = g
 			readAt(t, c, content, 0, 64<<10)       // a stream's first window: [0, 256 KiB)
-			readAt(t, c, content, 256<<10, 64<<10) // runs off its end: [256 KiB, 768 KiB), and [768 KiB, 1.75 MiB) in flight
+			readAt(t, c, content, 64<<10, 256<<10) // runs off its end: [256 KiB, 768 KiB), and [768 KiB, 1.75 MiB) in flight
 			f := inFlight(t, c)
 			switch timing {
 			case before:
@@ -84,7 +84,7 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 				// next one, [1.75 MiB, 3.75 MiB), waits to take it.
 				settle(c)
 				c.trip.Lock()
-				readAt(t, c, content, 768<<10, 64<<10)
+				readAt(t, c, content, 320<<10, 512<<10)
 				f = inFlight(t, c)
 			case during:
 				<-g.entered
@@ -148,7 +148,7 @@ func TestPrefetchFailureNotCached(t *testing.T) {
 		c, w, content := newWiredNBD(t, 8<<20, TunedReadAhead)
 		w.inner = &failing{inner: w.inner, at: 768 << 10 / SectorSize, fails: fails}
 		readAt(t, c, content, 0, 64<<10)
-		readAt(t, c, content, 256<<10, 64<<10) // [768 KiB, 1.75 MiB) fails in flight
+		readAt(t, c, content, 64<<10, 256<<10) // [768 KiB, 1.75 MiB) fails in flight
 		settle(c)
 		if f := inFlight(t, c); f.err == nil {
 			t.Fatal("the background fetch did not fail")
@@ -214,7 +214,7 @@ func TestPrefetchRunsBesideTheReader(t *testing.T) {
 	g := newGate(w.inner, 768<<10/SectorSize)
 	w.inner = g
 	readAt(t, c, content, 0, 64<<10)
-	readAt(t, c, content, 256<<10, 64<<10)
+	readAt(t, c, content, 64<<10, 256<<10)
 	<-g.entered
 	for off := int64(320 << 10); off < 768<<10; off += 64 << 10 {
 		readAt(t, c, content, off, 64<<10)

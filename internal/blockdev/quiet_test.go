@@ -10,7 +10,8 @@ import (
 // TestPrefetchQuietMisses: misses that do not run off the end of a live
 // window start nothing in the background, so each issues exactly the
 // one wire read the synchronous read-ahead issued — luks.Open's header
-// read of sector 0, a random miss, and a stream's first fill.
+// read of sector 0, a random miss, a stream's first fill, and a random
+// read that lands on the window's end without continuing the stream.
 func TestPrefetchQuietMisses(t *testing.T) {
 	disk, err := blockdev.NewRAMDisk(16 << 20)
 	if err != nil {
@@ -42,6 +43,7 @@ func TestPrefetchQuietMisses(t *testing.T) {
 		{"a random miss next to the window", 1, func() error { return c.ReadSectors(buf, 132*kib) }},
 		{"a stream's first fill", 1, func() error { return c.ReadSectors(buf, 196*kib) }},
 		{"a read inside that window", 0, func() error { return c.ReadSectors(buf, 260*kib) }},
+		{"a random read landing on that window's end", 1, func() error { return c.ReadSectors(buf[:4096], 452*kib) }},
 	} {
 		if err := step.do(); err != nil {
 			t.Fatalf("%s: %v", step.what, err)

@@ -165,10 +165,20 @@ func (c *Cluster) store(name string, off int64, bufs [][]byte, replace bool) err
 	if live == 0 {
 		return fmt.Errorf("ceph: all replicas of %q are down", name)
 	}
-	if int64(len(obj)) < end || replace {
-		grown := make([]byte, end)
-		copy(grown, obj)
-		obj = grown
+	switch n := int64(len(obj)); {
+	case replace:
+		obj = make([]byte, end)
+	case n < end:
+		// Grow geometrically up to ObjectSize, so an object written
+		// front to back in k pieces is copied O(log k) times, not k.
+		// Bytes past len are zero: make zeroed them, and nothing
+		// writes past len without extending it first.
+		if int64(cap(obj)) < end {
+			grown := make([]byte, n, min(max(end, 2*int64(cap(obj))), ObjectSize))
+			copy(grown, obj)
+			obj = grown
+		}
+		obj = obj[:end]
 	}
 	at := off
 	for _, b := range bufs {

@@ -3,6 +3,7 @@ package ceph
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -232,6 +233,55 @@ func TestCopyPrefixWhileWriting(t *testing.T) {
 	for i := range before {
 		if !bytes.Equal(before[i], after[i]) {
 			t.Fatalf("clone object %d changed after CopyPrefix returned", i)
+		}
+	}
+}
+
+// TestPieceWritesMatchOneWrite writes an object front to back in 16
+// pieces, one of them last so that the pieces after it extend the object
+// past a hole: the hole reads as zeros until it is written, and the
+// object ends byte-identical, on both replicas, to the same bytes put in
+// one write. Growth is geometric, so the pieces allocate a small multiple
+// of the object, not the k² / 2 pieces a copy per extension costs.
+func TestPieceWritesMatchOneWrite(t *testing.T) {
+	const pieces, hole = 16, 9
+	const piece = ObjectSize / pieces
+	want := make([]byte, ObjectSize)
+	rand.New(rand.NewSource(3)).Read(want)
+	whole := newCluster(t, 3, 2)
+	if err := whole.Put("o", want); err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, 3, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pieces; i++ {
+		if i == hole {
+			continue
+		}
+		if err := c.WriteAt("o", int64(i*piece), [][]byte{want[i*piece : (i+1)*piece]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	gap := make([]byte, piece)
+	if n, ok := c.ReadAt("o", gap, hole*piece); !ok || n != piece || !bytes.Equal(gap, make([]byte, piece)) {
+		t.Fatalf("the unwritten piece reads n=%d ok=%v, nonzero=%v; want %d zero bytes", n, ok, !bytes.Equal(gap, make([]byte, piece)), piece)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 3*ObjectSize {
+		t.Errorf("writing %d pieces allocated %d bytes, want at most %d", pieces-1, grew, 3*ObjectSize)
+	}
+	if err := c.WriteAt("o", hole*piece, [][]byte{want[hole*piece : (hole+1)*piece]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range []*Cluster{whole, c} {
+		got, _ := cl.Get("o")
+		if !bytes.Equal(got, want) {
+			t.Fatal("object differs from the bytes written")
+		}
+		cl.SetOSDDown(cl.PrimaryOSD("o"), true)
+		if got, _ := cl.Get("o"); !bytes.Equal(got, want) {
+			t.Fatal("secondary replica differs from the bytes written")
 		}
 	}
 }

@@ -332,8 +332,18 @@ func (v *Volume) ReadSectors(dst []byte, start int64) error {
 	return v.cryptSpan(dst, dst, uint64(start), false)
 }
 
-// WriteSectors implements Device, encrypting the span into a pooled
-// staging buffer before handing it to the underlying device.
+// WriteSectors implements Device, encrypting into pooled staging
+// buffers before handing the ciphertext to the underlying device.
+//
+// A span of up to one piece is encrypted and stored in one call. A
+// longer span goes down as consecutive pieces, in order, with at most
+// one in flight: XTS encrypts piece i+1 into the second of two staging
+// buffers while a goroutine stores piece i, so the cipher and the device
+// each keep one CPU busy. The call returns once every piece is stored,
+// or with the first error; no piece after a failed one is sent. Such a
+// write is therefore not atomic against a concurrent reader of the same
+// range, which may see its first pieces new and the rest old — as with
+// a multi-sector write to a real disk, or dm-crypt splitting a bio.
 func (v *Volume) WriteSectors(src []byte, start int64) error {
 	if len(src) == 0 || len(src)%blockdev.SectorSize != 0 {
 		return errors.New("luks: buffer not sector aligned")
@@ -341,17 +351,57 @@ func (v *Volume) WriteSectors(src []byte, start int64) error {
 	if start < 0 || start+int64(len(src)/blockdev.SectorSize) > v.NumSectors() {
 		return blockdev.ErrOutOfRange
 	}
-	bp, _ := v.bufs.Get().(*[]byte)
-	if bp == nil || cap(*bp) < len(src) {
-		b := make([]byte, len(src))
-		bp = &b
+	if len(src) > pieceBytes {
+		return v.writePieces(src, start)
 	}
+	bp := v.staging(len(src))
+	defer v.bufs.Put(bp)
 	buf := (*bp)[:len(src)]
 	if err := v.cryptSpan(buf, src, uint64(start), true); err != nil {
-		v.bufs.Put(bp)
 		return err
 	}
-	err := v.dev.WriteSectors(buf, start+headerSectors)
-	v.bufs.Put(bp)
-	return err
+	return v.dev.WriteSectors(buf, start+headerSectors)
+}
+
+// pieceBytes is how much of a long write is encrypted while the device
+// stores the piece before it. 128 KiB and 512 KiB write at about the
+// same rate over IPsec to Ceph; each piece costs one round trip.
+const pieceBytes = 256 << 10
+
+// writePieces is WriteSectors for a span longer than one piece.
+func (v *Volume) writePieces(src []byte, start int64) error {
+	bufs := [2]*[]byte{v.staging(pieceBytes), v.staging(pieceBytes)}
+	defer v.bufs.Put(bufs[0])
+	defer v.bufs.Put(bufs[1])
+	stored := make(chan error, 1) // the result of the piece in flight
+	for i, off := 0, 0; ; i, off = i+1, off+pieceBytes {
+		n := min(pieceBytes, len(src)-off)
+		buf := (*bufs[i%2])[:n]
+		sector := start + int64(off/blockdev.SectorSize)
+		err := v.cryptSpan(buf, src[off:off+n], uint64(sector), true)
+		// Piece i-1 must be stored before piece i is sent, and before
+		// its buffer takes piece i+1.
+		if i > 0 {
+			if e := <-stored; e != nil {
+				err = e
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if off+n == len(src) {
+			return v.dev.WriteSectors(buf, sector+headerSectors)
+		}
+		go func() { stored <- v.dev.WriteSectors(buf, sector+headerSectors) }()
+	}
+}
+
+// staging returns a pooled buffer of at least n bytes.
+func (v *Volume) staging(n int) *[]byte {
+	bp, _ := v.bufs.Get().(*[]byte)
+	if bp == nil || cap(*bp) < n {
+		b := make([]byte, n)
+		bp = &b
+	}
+	return bp
 }
