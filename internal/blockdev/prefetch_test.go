@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // gate holds the read of sector at on the wire until release is
@@ -21,6 +22,17 @@ type gate struct {
 
 func newGate(inner Transport, at int64) *gate {
 	return &gate{inner: inner, at: at, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// held waits until the gate holds its read on the wire. A client that did
+// not start the fetch fails the test in seconds instead of hanging it.
+func (g *gate) held(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no fetch started")
+	}
 }
 
 func (g *gate) RoundTrip(req []byte) ([]byte, error) {
@@ -87,7 +99,7 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 				readAt(t, c, content, 320<<10, 512<<10)
 				f = inFlight(t, c)
 			case during:
-				<-g.entered
+				g.held(t)
 			case after:
 				settle(c)
 			}
@@ -215,7 +227,7 @@ func TestPrefetchRunsBesideTheReader(t *testing.T) {
 	w.inner = g
 	readAt(t, c, content, 0, 64<<10)
 	readAt(t, c, content, 64<<10, 256<<10)
-	<-g.entered
+	g.held(t)
 	for off := int64(320 << 10); off < 768<<10; off += 64 << 10 {
 		readAt(t, c, content, off, 64<<10)
 	}

@@ -118,11 +118,12 @@ func (j *Journal) Err() error {
 }
 
 // restore reloads a recovered journal: the persisted events verbatim and
-// the sequence number they left off at.
+// the sequence number they left off at. The journal keeps events, and the
+// next events recorded go into its spare capacity: the caller gives it up.
 func (j *Journal) restore(events []Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append([]Event(nil), events...)
+	j.events = events
 	j.lines = nil
 	j.seq = 0
 	if n := len(events); n > 0 {

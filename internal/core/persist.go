@@ -320,6 +320,13 @@ type replayNode struct {
 // transition — held, but not yet anywhere in Figure 1. Replay-internal.
 const stateReserved NodeState = "reserved"
 
+// journalRoom is the capacity a recovered journal of n events is allocated
+// with, once: the fold appends the n into it, the restored journal keeps it,
+// and what is left over holds the events recovery itself records and the
+// live journal's next growth — a quarter more, as append would grow a slice
+// this long — so no one copies the history again.
+func journalRoom(n int) int { return n + n/4 + 64 }
+
 // replayEnclave accumulates one enclave's recorded state during replay.
 type replayEnclave struct {
 	name      string
@@ -385,12 +392,13 @@ type replay struct {
 	m        *Manager
 	order    []string
 	enclaves map[string]*replayEnclave
+	counts   map[string]int // journal events recorded per enclave name, snapshot and log
 }
 
 func (rp *replay) enclave(name string) *replayEnclave {
 	re, ok := rp.enclaves[name]
 	if !ok {
-		re = &replayEnclave{name: name}
+		re = &replayEnclave{name: name, events: make([]Event, 0, journalRoom(rp.counts[name]))}
 		rp.enclaves[name] = re
 		rp.order = append(rp.order, name)
 	}
@@ -398,11 +406,7 @@ func (rp *replay) enclave(name string) *replayEnclave {
 }
 
 // loadSnapshot folds a checkpoint through the same applies as the records.
-func (rp *replay) loadSnapshot(raw json.RawMessage) error {
-	var snap managerSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("core: decode snapshot: %w", err)
-	}
+func (rp *replay) loadSnapshot(snap *managerSnapshot) error {
 	m := rp.m
 	for _, es := range snap.Enclaves {
 		rp.enclave(es.Name).profile = es.Profile
@@ -502,98 +506,139 @@ func idSeq(id, prefix string) (int, error) {
 	return n, nil
 }
 
-// A foldFunc applies one decoded record. Replay is two stages: decodeRecord
-// is pure — it touches nothing but its record, so every record of the log
-// decodes concurrently — and the foldFuncs it returns run one after another
-// in log order.
+// A foldStep is one decoded record, applied in log order. decodeRecord,
+// which makes it, is pure — it touches nothing but its record — so the
+// store's open-time scan runs it on every record as it checks the log, on
+// every CPU at once (scanPayload); the fold then applies the steps one
+// after another. A journal event is its own step, so the fold can count
+// each enclave's events before it applies any.
+type foldStep interface{ apply(*replay) }
+
+// A foldFunc is the fold step of every record kind but the journal event.
 type foldFunc func(*replay)
 
+func (f foldFunc) apply(rp *replay) { f(rp) }
+
+func (r *journalEventRecord) apply(rp *replay) {
+	if re, ok := rp.enclaves[r.Enclave]; ok {
+		re.applyEvent(r.event())
+	}
+}
+
 // decodeAs unmarshals a record payload as a T and binds it to its fold step.
-func decodeAs[T any](data json.RawMessage, fold func(*replay, T)) (foldFunc, error) {
+func decodeAs[T any](data json.RawMessage, fold func(*replay, T)) (foldStep, error) {
 	var r T
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	return func(rp *replay) { fold(rp, r) }, nil
+	return foldFunc(func(rp *replay) { fold(rp, r) }), nil
 }
 
-// decodeRecord parses one WAL record into its fold step (nil for a kind this
-// version does not know).
-func decodeRecord(rec store.Record) (foldFunc, error) {
-	switch rec.Kind {
+// decodeRecord parses one WAL record's payload into its fold step (nil for
+// a kind this version does not know). A step decoded without error came
+// from valid JSON: the journal event's fixed-shape reader accepts nothing
+// else, and json.Unmarshal checks its input before it decodes.
+func decodeRecord(kind store.Kind, data json.RawMessage) (foldStep, error) {
+	switch kind {
 	case store.KindEnclaveCreated:
-		return decodeAs(rec.Data, func(rp *replay, r enclaveRecord) {
+		return decodeAs(data, func(rp *replay, r enclaveRecord) {
 			rp.enclave(r.Name).profile = r.Profile
 		})
 	case store.KindEnclaveDeleted:
-		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) {
+		return decodeAs(data, func(rp *replay, r enclaveNameRecord) {
 			delete(rp.enclaves, r.Enclave)
 			rp.order = slices.DeleteFunc(rp.order, func(n string) bool { return n == r.Enclave })
 			rp.m.applyEnclaveDeleted(r.Enclave)
 		})
 	case store.KindJournalEvent:
-		r, err := decodeJournalEvent(rec.Data)
+		r, err := decodeJournalEvent(data)
 		if err != nil {
 			return nil, err
 		}
-		return func(rp *replay) {
-			if re, ok := rp.enclaves[r.Enclave]; ok {
-				re.applyEvent(r.event())
-			}
-		}, nil
+		return &r, nil
 	case store.KindQuotaSet:
-		return decodeAs(rec.Data, func(rp *replay, r quotaRecord) { rp.m.applyQuota(r.Tenant, &r.Quota) })
+		return decodeAs(data, func(rp *replay, r quotaRecord) { rp.m.applyQuota(r.Tenant, &r.Quota) })
 	case store.KindQuotaDeleted:
-		return decodeAs(rec.Data, func(rp *replay, r tenantRecord) { rp.m.applyQuota(r.Tenant, nil) })
+		return decodeAs(data, func(rp *replay, r tenantRecord) { rp.m.applyQuota(r.Tenant, nil) })
 	case store.KindPoolConfigured:
-		return decodeAs(rec.Data, func(rp *replay, r poolRecord) { rp.m.applyPool(r.Enclave, &r.Policy) })
+		return decodeAs(data, func(rp *replay, r poolRecord) { rp.m.applyPool(r.Enclave, &r.Policy) })
 	case store.KindPoolDetached:
-		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) { rp.m.applyPool(r.Enclave, nil) })
+		return decodeAs(data, func(rp *replay, r enclaveNameRecord) { rp.m.applyPool(r.Enclave, nil) })
 	case store.KindGuardEnabled:
-		return decodeAs(rec.Data, func(rp *replay, r guardRecord) { rp.m.applyGuard(r.Enclave, r.Policy) })
+		return decodeAs(data, func(rp *replay, r guardRecord) { rp.m.applyGuard(r.Enclave, r.Policy) })
 	case store.KindGuardDetached:
-		return decodeAs(rec.Data, func(rp *replay, r enclaveNameRecord) { rp.m.applyGuard(r.Enclave, nil) })
+		return decodeAs(data, func(rp *replay, r enclaveNameRecord) { rp.m.applyGuard(r.Enclave, nil) })
 	case store.KindOpStarted:
 		var r opStartedRecord
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		if err := json.Unmarshal(data, &r); err != nil {
 			return nil, err
 		}
 		seq, err := idSeq(r.ID, opIDPrefix)
 		if err != nil {
 			return nil, err
 		}
-		return func(rp *replay) { rp.opStarted(r, seq) }, nil
+		return foldFunc(func(rp *replay) { rp.opStarted(r, seq) }), nil
 	case store.KindOpFinished:
-		return decodeAs(rec.Data, func(rp *replay, r opFinishedRecord) { rp.m.applyOpFinished(r, nil, errorOf(r.Error)) })
+		return decodeAs(data, func(rp *replay, r opFinishedRecord) { rp.m.applyOpFinished(r, nil, errorOf(r.Error)) })
 	case store.KindIncidentUpdate:
 		var st IncidentStatus
-		if err := json.Unmarshal(rec.Data, &st); err != nil {
+		if err := json.Unmarshal(data, &st); err != nil {
 			return nil, err
 		}
 		if _, err := idSeq(st.ID, incIDPrefix); err != nil {
 			return nil, err
 		}
-		return func(rp *replay) { rp.m.applyIncidentUpdate(st) }, nil
+		return foldFunc(func(rp *replay) { rp.m.applyIncidentUpdate(st) }), nil
 	case store.KindRevocation:
-		return decodeAs(rec.Data, func(rp *replay, r revocationRecord) {
+		return decodeAs(data, func(rp *replay, r revocationRecord) {
 			rp.m.applyRevocation(r.Enclave, keylime.RevocationEvent{UUID: r.UUID, Reason: r.Reason, At: r.At})
 		})
 	}
 	return nil, nil
 }
 
-// decodeAll decodes the records on every CPU into their fold steps, in log
-// order. A record that does not decode fails the whole replay, named by the
-// first such record.
-func decodeAll(recs []store.Record) ([]foldFunc, error) {
-	folds := make([]foldFunc, len(recs))
-	_, err := store.Parallel(len(recs), func(i int) (err error) {
-		if folds[i], err = decodeRecord(recs[i]); err != nil {
-			return fmt.Errorf("core: replay %s record: %w", recs[i].Kind, err)
+func init() { store.InstallDecoder(scanPayload) }
+
+var errNotJSON = errors.New("core: record payload is not JSON")
+
+// scanPayload is the payload decoder of the store's open-time scan:
+// decodeRecord, whose typed decode is also the check that the payload is
+// JSON. A payload it does not turn into a step — an unknown kind's, which
+// it does not read, or one that does not decode — is checked by json.Valid.
+// JSON keeps its frame and carries no step: the fold skips an unknown kind,
+// and decodes a known kind again, to fail recovery on it by name. Anything
+// else ends the log's valid prefix at its frame.
+func scanPayload(kind store.Kind, data json.RawMessage) (any, error) {
+	if step, err := decodeRecord(kind, data); err == nil && step != nil {
+		return step, nil
+	}
+	if !json.Valid(data) {
+		return nil, errNotJSON
+	}
+	return nil, nil
+}
+
+// stepsOf returns the fold step of each record, in log order — the one the
+// store's scan decoded, else decodeRecord's — and how many journal events
+// the log holds for each enclave. A record that does not decode fails the
+// whole replay, named by the first such record.
+func stepsOf(recs []store.Record) ([]foldStep, map[string]int, error) {
+	steps := make([]foldStep, len(recs))
+	counts := make(map[string]int)
+	for i, rec := range recs {
+		step, ok := rec.Decoded.(foldStep)
+		if !ok {
+			var err error
+			if step, err = decodeRecord(rec.Kind, rec.Data); err != nil {
+				return nil, nil, fmt.Errorf("core: replay %s record: %w", rec.Kind, err)
+			}
 		}
-		return nil
-	})
-	return folds, err
+		if ev, ok := step.(*journalEventRecord); ok {
+			counts[ev.Enclave]++
+		}
+		steps[i] = step
+	}
+	return steps, counts, nil
 }
 
 // fold folds the store's snapshot and log into the manager through the
@@ -603,23 +648,33 @@ func (m *Manager) fold() (*replay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load store: %w", err)
 	}
-	folds, err := decodeAll(recs)
+	steps, counts, err := stepsOf(recs)
 	if err != nil {
 		return nil, err
 	}
-	rp := &replay{m: m, enclaves: make(map[string]*replayEnclave)}
+	var ms *managerSnapshot
+	if snap != nil {
+		ms = new(managerSnapshot)
+		if err := json.Unmarshal(snap.State, ms); err != nil {
+			return nil, fmt.Errorf("core: decode snapshot: %w", err)
+		}
+		for _, es := range ms.Enclaves {
+			counts[es.Name] += len(es.Events)
+		}
+	}
+	rp := &replay{m: m, enclaves: make(map[string]*replayEnclave), counts: counts}
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if snap != nil {
-		if err := rp.loadSnapshot(snap.State); err != nil {
+	if ms != nil {
+		if err := rp.loadSnapshot(ms); err != nil {
 			return nil, err
 		}
 	}
-	for _, fold := range folds {
-		if fold != nil {
-			fold(rp)
+	for _, step := range steps {
+		if step != nil {
+			step.apply(rp)
 		}
 	}
 	return rp, nil

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -62,9 +65,33 @@ func syntheticLog(t *testing.T, cycles int) []store.Record {
 	return recs
 }
 
-// TestReplayMatchesSequentialFold: decoding the log on every CPU and folding
-// afterwards builds exactly the state that decoding and folding one record at
-// a time does.
+// reopened writes recs to a file store and opens it again, so Load hands
+// over what the open-time scan decoded.
+func reopened(t *testing.T, recs []store.Record) store.Store {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := st.AppendBuffered(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// TestReplayMatchesSequentialFold: decoding the log on every CPU as the
+// store's scan checks it, and folding afterwards, builds exactly the state
+// that decoding and folding one record at a time does.
 func TestReplayMatchesSequentialFold(t *testing.T) {
 	recs := syntheticLog(t, 400)
 	if len(recs) < 2048 {
@@ -73,20 +100,14 @@ func TestReplayMatchesSequentialFold(t *testing.T) {
 	seq := &replay{m: NewManager(testCloud(t, 1, FirmwareLinuxBoot)), enclaves: map[string]*replayEnclave{}}
 	seq.m.mu.Lock()
 	for i, rec := range recs {
-		fold, err := decodeRecord(rec)
+		step, err := decodeRecord(rec.Kind, rec.Data)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		fold(seq)
+		step.apply(seq)
 	}
 	seq.m.mu.Unlock()
-	st := store.NewMemory()
-	for _, rec := range recs {
-		if err := st.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), st)
+	m := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), reopened(t, recs))
 	got, err := m.fold()
 	if err != nil {
 		t.Fatal(err)
@@ -101,17 +122,288 @@ func TestReplayMatchesSequentialFold(t *testing.T) {
 	}
 }
 
-// TestReplayNamesFirstBadRecord: with undecodable records in both halves of
-// the log, whichever worker fails first, the error is the earliest record's —
-// what a sequential replay would have stopped at.
+// TestReplayNamesFirstBadRecord: with records of the wrong shape in both
+// halves of the log, the error is the earliest record's — what a sequential
+// replay would have stopped at — whether the store's scan decoded the log
+// on every CPU (a file) or the fold decodes it (memory).
 func TestReplayNamesFirstBadRecord(t *testing.T) {
 	recs := syntheticLog(t, 400)
 	early, late := len(recs)/4, 3*len(recs)/4
 	recs[early] = store.Record{Kind: store.KindQuotaSet, Data: json.RawMessage(`{"tenant":7}`)}
-	recs[late] = store.Record{Kind: store.KindOpFinished, Data: json.RawMessage(`[`)}
-	_, err := decodeAll(recs)
-	if err == nil || !strings.Contains(err.Error(), string(store.KindQuotaSet)) {
-		t.Fatalf("replay error = %v, want the %s record at %d", err, store.KindQuotaSet, early)
+	recs[late] = store.Record{Kind: store.KindOpFinished, Data: json.RawMessage(`{"id":7}`)}
+	mem := store.NewMemory()
+	for _, rec := range recs {
+		if err := mem.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, st := range map[string]store.Store{"file": reopened(t, recs), "memory": mem} {
+		_, err := NewManagerWithStore(testCloud(t, 1, FirmwareLinuxBoot), st).fold()
+		if err == nil || !strings.Contains(err.Error(), string(store.KindQuotaSet)) {
+			t.Fatalf("%s: replay error = %v, want the %s record at %d", name, err, store.KindQuotaSet, early)
+		}
+	}
+}
+
+// walFrames returns where each frame of a WAL starts, and its end.
+func walFrames(t *testing.T, log []byte) []int {
+	t.Helper()
+	starts := []int{0}
+	for off := 0; off < len(log); {
+		if len(log)-off < 8 {
+			t.Fatalf("torn frame header at %d", off)
+		}
+		off += 8 + int(binary.LittleEndian.Uint32(log[off:]))
+		starts = append(starts, off)
+	}
+	return starts
+}
+
+// walFrame frames payload as the store does: length, CRC32-C, payload.
+func walFrame(payload string) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum([]byte(payload), crc32.MakeTable(crc32.Castagnoli)))
+	return append(f, payload...)
+}
+
+// TestRecoverPayloadChecks pins what the one pass over a real manager's
+// WAL (an acquire/release history, then four members) makes of a frame
+// whose CRC is right and whose payload is not what its kind says. The
+// store's scan decodes each payload as it checks the log, and that decode
+// is the only check the payload gets:
+//
+//   - a payload that is not JSON ends the log's valid prefix at its frame:
+//     the file is cut there and Recover equals recovery of the log cut
+//     there, for a known kind (the decoder refuses it) and an unknown one
+//     (json.Valid does);
+//   - JSON of the wrong shape for a known kind keeps the log whole and
+//     fails Recover, named by the earliest such record;
+//   - an unknown kind carrying JSON is skipped.
+func TestRecoverPayloadChecks(t *testing.T) {
+	const nodes = 6
+	mgr, dir := durableManager(t, nodes)
+	e, err := mgr.CreateEnclave("lab", ProfileBob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; ; c++ {
+		op, err := mgr.StartAcquire("lab", "fedora28", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := op.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == 3 {
+			break // the last four stay members
+		}
+		for _, n := range res.Nodes {
+			if err := e.ReleaseNode(n.Name, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := walFrames(t, log)
+	mid, third, twoThirds := starts[len(starts)/2], starts[len(starts)/3], starts[2*len(starts)/3]
+
+	// withLog writes a data directory whose WAL is log; frames are spliced in
+	// before the frame starting at each offset in at.
+	withLog := func(log []byte, at []int, payloads ...string) string {
+		var out []byte
+		prev := 0
+		for i, off := range at {
+			out = append(append(out, log[prev:off]...), walFrame(payloads[i])...)
+			prev = off
+		}
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, "wal.log"), append(out, log[prev:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// fold opens a crash copy of d and folds it: the state, and the WAL's
+	// length once the store has opened it.
+	type folded struct {
+		state    foldState
+		enclaves map[string]*replayEnclave
+		size     int64
+	}
+	fold := func(d string) (folded, error) {
+		cp := copyStoreDir(t, d)
+		st, err := store.Open(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		info, err := os.Stat(filepath.Join(cp, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewManagerWithStore(testCloud(t, nodes, FirmwareLinuxBoot), st)
+		rp, err := m.fold()
+		if err != nil {
+			return folded{size: info.Size()}, err
+		}
+		return folded{stateOf(m, rp), rp.enclaves, info.Size()}, nil
+	}
+	mustFold := func(d string) folded {
+		t.Helper()
+		f, err := fold(d)
+		if err != nil {
+			t.Fatalf("fold: %v", err)
+		}
+		return f
+	}
+	same := func(a, b folded) bool {
+		return reflect.DeepEqual(a.state, b.state) && reflect.DeepEqual(a.enclaves, b.enclaves)
+	}
+	envelope := func(kind, data string) string {
+		return `{"kind":"` + kind + `","at":"2026-01-02T03:04:05Z","data":` + data + `}`
+	}
+
+	whole := mustFold(dir)
+	cutDir := withLog(log[:mid], nil)
+	cut := mustFold(cutDir)
+	if same(whole, cut) {
+		t.Fatal("the log cut in the middle folds like the whole log: the test shows nothing")
+	}
+	_, wantReport := recoverFrom(t, cutDir, nodes)
+
+	for _, notJSON := range []string{
+		envelope(string(store.KindJournalEvent), `{"enclave":"lab","seq":]`),
+		envelope("future-kind", `{"x":]`),
+	} {
+		d := withLog(log, []int{mid}, notJSON)
+		got := mustFold(d)
+		if got.size != int64(mid) {
+			t.Errorf("%s: open left the WAL at %d bytes, want it cut to the frame at %d", notJSON, got.size, mid)
+		}
+		if !same(got, cut) {
+			t.Errorf("%s: the fold is not the fold of the log cut at that frame", notJSON)
+		}
+		if _, report := recoverFrom(t, d, nodes); !reflect.DeepEqual(report, wantReport) {
+			t.Errorf("%s: Recover = %+v, recovery of the cut log = %+v", notJSON, report, wantReport)
+		}
+	}
+
+	opFinished := envelope(string(store.KindOpFinished), `{"id":7}`)
+	event := envelope(string(store.KindJournalEvent), `{"enclave":["lab"]}`)
+	for _, c := range []struct {
+		first, second string
+		want          store.Kind
+	}{
+		{opFinished, event, store.KindOpFinished},
+		{event, opFinished, store.KindJournalEvent},
+	} {
+		d := withLog(log, []int{third, twoThirds}, c.first, c.second)
+		got, err := fold(d)
+		if err == nil || !strings.Contains(err.Error(), "replay "+string(c.want)+" record") {
+			t.Errorf("wrong-shape %s then wrong-shape %s: fold error = %v, want one naming the %s record", c.first, c.second, err, c.want)
+		}
+		if got.size != int64(len(log))+int64(len(walFrame(c.first))+len(walFrame(c.second))) {
+			t.Errorf("wrong-shape records: open cut the WAL to %d bytes; JSON of the wrong shape must not end the prefix", got.size)
+		}
+		st, err := store.Open(copyStoreDir(t, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewManagerWithStore(testCloud(t, nodes, FirmwareLinuxBoot), st).Recover(context.Background()); err == nil || !strings.Contains(err.Error(), string(c.want)) {
+			t.Errorf("Recover over wrong-shape records = %v, want an error naming the %s record", err, c.want)
+		}
+		st.Close()
+	}
+
+	d := withLog(log, []int{mid}, envelope("future-kind", `{"x":[1,"two",{"three":3}]}`))
+	if got := mustFold(d); got.size != int64(len(log)+len(walFrame(envelope("future-kind", `{"x":[1,"two",{"three":3}]}`)))) || !same(got, whole) {
+		t.Errorf("an unknown kind carrying JSON was not skipped: WAL at %d bytes, fold equal to the whole log's: %v", got.size, same(got, whole))
+	}
+}
+
+// replayOnly loads the log a Memory store holds and forgets every record
+// appended after it, so what a test measures is the journal's own work.
+type replayOnly struct{ *store.Memory }
+
+func (replayOnly) Append(store.Record) error         { return nil }
+func (replayOnly) AppendBuffered(store.Record) error { return nil }
+
+// TestRecoveredJournalAllocatedOnce: the fold allocates each enclave's
+// history once, with room to grow, and the restored journal keeps that
+// slice: after Recover over about 10^4 events per enclave, the next 256
+// events recorded stay in it and allocate under a KiB each, a quarter of
+// one copy of the history in all (a slice copied to its exact length has
+// at most a page of room). They are measured together because the
+// stop-the-world of ReadMemStats now and then starts an OS thread and
+// allocates a few KiB of its own. The log ends with every node released,
+// so recovery records nothing before them.
+func TestRecoveredJournalAllocatedOnce(t *testing.T) {
+	st := replayOnly{store.NewMemory()}
+	recs := syntheticLog(t, 2500)
+	seq := map[string]uint64{}
+	for _, rec := range recs {
+		if rec.Kind != store.KindJournalEvent {
+			continue
+		}
+		r, err := decodeJournalEvent(rec.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq[r.Enclave] = r.Seq
+	}
+	for _, enclave := range []string{"a", "b"} {
+		for n := 0; n < 5; n++ {
+			seq[enclave]++
+			data, err := json.Marshal(journalEventRecord{Enclave: enclave, eventRecord: eventRecord{
+				Seq: seq[enclave], At: time.Now(), Kind: EvReleased, Node: fmt.Sprintf("node%02d", n)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, store.Record{Kind: store.KindJournalEvent, At: time.Now(), Data: data})
+		}
+	}
+	for _, rec := range recs {
+		if rec.Kind == store.KindPoolConfigured {
+			continue // no refiller allocating beside the measurement
+		}
+		if err := st.Memory.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr := NewManagerWithStore(testCloud(t, 5, FirmwareLinuxBoot), st)
+	if rep, err := mgr.Recover(context.Background()); err != nil || len(rep.Readopted)+len(rep.Released)+len(rep.Quarantined) != 0 {
+		t.Fatalf("Recover = %+v, %v; want no recorded node left", rep, err)
+	}
+	for _, name := range []string{"a", "b"} {
+		e, err := mgr.Enclave(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(e.Journal().Events()); n < 9000 {
+			t.Fatalf("%s: %d events recovered, want about 10^4", name, n)
+		}
+		base := func() *Event {
+			e.journal.mu.Lock()
+			defer e.journal.mu.Unlock()
+			return &e.journal.events[0]
+		}
+		first := base()
+		const more = 256
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < more; i++ {
+			e.Journal().Record(EvHealed, "", "after recovery")
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= more*1024 {
+			t.Errorf("%s: %d events recorded after recovery allocated %d bytes", name, more, got)
+		}
+		if base() != first {
+			t.Errorf("%s: recording %d events after recovery moved the history", name, more)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@
 package flatjson
 
 import (
-	"encoding/json"
 	"math"
 	"strconv"
 	"time"
@@ -108,13 +107,14 @@ func (r *Reader) Time() time.Time {
 
 // RawLast reads the value of an object's last field, which runs to the
 // input's final byte (the object's close, read next with Literal). The
-// value must be valid JSON with no white space at either end, as
-// encoding/json writes it. The result aliases the input and its capacity
-// ends where it does, so an append to it copies instead of writing over
-// the bytes that follow.
+// value must have no white space at either end, as encoding/json writes
+// it; whether it is JSON is not checked here, because the caller decodes
+// it and must refuse a value that does not decode. The result aliases the
+// input and its capacity ends where it does, so an append to it copies
+// instead of writing over the bytes that follow.
 func (r *Reader) RawLast() []byte {
 	end := len(r.p) - 1
-	if r.failed || end <= r.i || isSpace(r.p[r.i]) || isSpace(r.p[end-1]) || !json.Valid(r.p[r.i:end]) {
+	if r.failed || end <= r.i || isSpace(r.p[r.i]) || isSpace(r.p[end-1]) {
 		r.failed = true
 		return nil
 	}

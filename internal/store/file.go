@@ -163,7 +163,7 @@ func decodeWAL(log []byte) ([]Record, int64) {
 		bounds = append(bounds, off)
 	}
 	recs := make([]Record, len(bounds)-1)
-	good, _ := Parallel(len(recs), func(i int) error {
+	good, _ := parallel(len(recs), func(i int) error {
 		return decodeFrame(log[bounds[i]+frameHeader:bounds[i+1]], &recs[i])
 	})
 	return recs[:good:good], int64(bounds[good])
@@ -171,9 +171,10 @@ func decodeWAL(log []byte) ([]Record, int64) {
 
 // decodeFrame decodes one frame's payload into rec, which must be zero. The
 // envelope json.Marshal writes for a Record with data takes a fixed-shape
-// path whose Data aliases p (capped, so an append to it copies); any other
-// bytes go to json.Unmarshal, which also decides what a frame that is not
-// quite that envelope means.
+// path: its data goes to decodePayload, which is also its check, and Data
+// aliases p (capped, so an append to it copies). Any other bytes, and an
+// envelope whose data decodePayload refuses, go to json.Unmarshal, which
+// decides what a frame that is not quite that envelope means.
 func decodeFrame(p []byte, rec *Record) error {
 	r := flatjson.NewReader(p)
 	r.Literal(`{"kind":`)
@@ -183,26 +184,59 @@ func decodeFrame(p []byte, rec *Record) error {
 	r.Literal(`,"data":`)
 	data := r.RawLast()
 	r.Literal(`}`)
-	if !r.End() {
-		return json.Unmarshal(p, rec)
+	if r.End() {
+		if v, err := decodePayload(kind, data); err == nil {
+			*rec = Record{Kind: kind, At: at, Data: data, Decoded: v}
+			return nil
+		}
 	}
-	*rec = Record{Kind: kind, At: at, Data: data}
-	return nil
+	return json.Unmarshal(p, rec)
+}
+
+// decodePayload reads the data of every frame Open's scan takes on the
+// fixed-shape path, on the worker that checked the frame. Its error means
+// the data is not JSON; otherwise what it returns rides to Load's caller in
+// Record.Decoded. It is json.Valid, carrying nothing, unless the package
+// that owns the payloads has installed its decoder (InstallDecoder).
+var decodePayload = func(_ Kind, data json.RawMessage) (any, error) {
+	if !json.Valid(data) {
+		return nil, errNotJSON
+	}
+	return nil, nil
+}
+
+var errNotJSON = errors.New("store: record data is not JSON")
+
+var decoderInstalled bool
+
+// InstallDecoder makes decode the payload decoder Open's scan runs on each
+// record's data in place of json.Valid, so a payload is decoded once, on
+// bytes the scan has just checksummed. decode must touch nothing but its
+// arguments (it runs on every CPU at once) and must fail exactly when data
+// is not JSON: a failure ends the log's valid prefix at that frame, as
+// json.Valid's would. Whatever else it returns — nil included, for data it
+// does not read — is the record's Decoded. The package that owns the record
+// schema calls it once, from init; a second call panics.
+func InstallDecoder(decode func(Kind, json.RawMessage) (any, error)) {
+	if decoderInstalled {
+		panic("store: payload decoder installed twice")
+	}
+	decoderInstalled = true
+	decodePayload = decode
 }
 
 // minPerWorker is the fewest items worth a goroutine of their own in
-// Parallel: below it (a few hundred JSON decodes, tens of microseconds)
+// parallel: below it (a few hundred record decodes, tens of microseconds)
 // starting and joining the goroutine costs more than it saves.
 const minPerWorker = 256
 
-// Parallel calls fn(i) for every i in [0, n) and returns the lowest i for
-// which fn failed, with its error, or (n, nil). It is the fan-out the two
-// halves of replay share: File decodes frame envelopes with it, core decodes
-// record payloads. The range is cut into one contiguous chunk per CPU and
-// each chunk stops at its first failure, so every index below the returned
-// one has succeeded; indexes above it may or may not have run. Small ranges
-// run inline.
-func Parallel(n int, fn func(i int) error) (int, error) {
+// parallel calls fn(i) for every i in [0, n) and returns the lowest i for
+// which fn failed, with its error, or (n, nil). It is replay's one fan-out:
+// Open's scan decodes each frame, envelope and payload, on it. The range is
+// cut into one contiguous chunk per CPU and each chunk stops at its first
+// failure, so every index below the returned one has succeeded; indexes
+// above it may or may not have run. Small ranges run inline.
+func parallel(n int, fn func(i int) error) (int, error) {
 	run := func(lo, hi int) (int, error) {
 		for i := lo; i < hi; i++ {
 			if err := fn(i); err != nil {

@@ -216,6 +216,49 @@ func TestScannerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestScanHandsOverDecodedPayloads: with a payload decoder installed, Open's
+// scan runs it on every record's data, on every CPU, and Load hands over
+// what it returned. It only reads: a decoder that refuses a payload which
+// is JSON cannot cut the log, because json.Unmarshal then decides the frame
+// as it decides any frame off the fixed-shape path.
+func TestScanHandsOverDecodedPayloads(t *testing.T) {
+	defer func(d func(Kind, json.RawMessage) (any, error)) { decodePayload = d }(decodePayload)
+	refused := []byte(`{"i":5,`)
+	decodePayload = func(kind Kind, data json.RawMessage) (any, error) {
+		if !json.Valid(data) || bytes.HasPrefix(data, refused) {
+			return nil, errNotJSON
+		}
+		return string(kind) + " " + string(data), nil
+	}
+	const frames = 3 * minPerWorker // enough for the decode to fan out
+	log, _ := mixedWAL(t, frames)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, recs, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != frames {
+		t.Fatalf("Load returned %d records of %d", len(recs), frames)
+	}
+	for i, rec := range recs {
+		var want any
+		if len(rec.Data) > 0 && !bytes.HasPrefix(rec.Data, refused) {
+			want = string(rec.Kind) + " " + string(rec.Data)
+		}
+		if rec.Decoded != want {
+			t.Fatalf("record %d (%s %s): Decoded = %v, want %v", i, rec.Kind, rec.Data, rec.Decoded, want)
+		}
+	}
+}
+
 // TestLoadedDataAliasesTheLog: a record's Data is a slice of the log buffer,
 // not a copy, and its capacity ends with it, so appending to one record's
 // Data cannot write over the next record's bytes.

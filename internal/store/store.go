@@ -46,6 +46,11 @@ type Record struct {
 	Kind Kind            `json:"kind"`
 	At   time.Time       `json:"at"`
 	Data json.RawMessage `json:"data,omitempty"`
+	// Decoded is Data as the installed payload decoder read it while Open
+	// scanned the log (InstallDecoder). It is nil for a record no decoder
+	// read — one appended since, one a Memory store holds — and is never
+	// written to disk.
+	Decoded any `json:"-"`
 }
 
 // Snapshot is a compacted image of the full control-plane state at a point in
