@@ -14,14 +14,14 @@
 //     longer than one 256 KiB piece takes two staging buffers from the
 //     volume's pool and encrypts the span into them a piece at a time,
 //     alternating. The piece being stored is lent to one WriteSectors
-//     call on the Client, run from a goroutine, which gathers it into
+//     call on the Client, run from a goroutine, which copies it into
 //     the wire frame; the volume encrypts the next piece into the other
 //     buffer meanwhile and writes into a buffer again only after the
 //     call that borrowed it has returned. Both go back to the pool when
 //     the volume's write returns, which is after its last piece is
 //     stored or has failed.
 //   - Wire frame. Allocated by the Client (request) for each round trip;
-//     a write gathers its payload into it. The transport reads it during
+//     a write copies its payload into it. The transport reads it during
 //     RoundTrip only. Dead when RoundTrip returns.
 //   - SegmentStream arenas, one per leg. Allocated by ipsec.SegmentStream
 //     for the request leg (client end) and the response leg (server
@@ -76,85 +76,6 @@ type Device interface {
 	WriteSectors(src []byte, start int64) error
 }
 
-// VectorDevice is implemented by devices with a native scatter-gather
-// path: one call moves several buffers to or from a contiguous sector
-// run without assembling them into a temporary. Callers should go
-// through ReadVector/WriteVector, which fall back to an assemble-copy
-// for plain Devices.
-type VectorDevice interface {
-	Device
-	// ReadVector scatters sectors starting at start into bufs in order.
-	ReadVector(bufs [][]byte, start int64) error
-	// WriteVector gathers bufs in order and stores them starting at
-	// sector start.
-	WriteVector(bufs [][]byte, start int64) error
-}
-
-// VectorLen sums a scatter-gather list and validates that the total is
-// a positive multiple of SectorSize. Individual buffers may have any
-// length, including zero; only the total must be sector aligned.
-func VectorLen(bufs [][]byte) (int64, error) {
-	var total int64
-	for _, b := range bufs {
-		total += int64(len(b))
-	}
-	if total == 0 || total%SectorSize != 0 {
-		return 0, fmt.Errorf("blockdev: vector length %d not a positive multiple of %d", total, SectorSize)
-	}
-	return total, nil
-}
-
-// ReadVector fills bufs from consecutive sectors starting at start.
-// Devices implementing VectorDevice serve it natively; otherwise one
-// contiguous read is scattered into the buffers.
-func ReadVector(dev Device, bufs [][]byte, start int64) error {
-	if vd, ok := dev.(VectorDevice); ok {
-		return vd.ReadVector(bufs, start)
-	}
-	total, err := VectorLen(bufs)
-	if err != nil {
-		return err
-	}
-	tmp := make([]byte, total)
-	if err := dev.ReadSectors(tmp, start); err != nil {
-		return err
-	}
-	off := 0
-	for _, b := range bufs {
-		off += copy(b, tmp[off:])
-	}
-	return nil
-}
-
-// WriteVector stores bufs to consecutive sectors starting at start,
-// using the device's native gather path when it has one.
-func WriteVector(dev Device, bufs [][]byte, start int64) error {
-	if vd, ok := dev.(VectorDevice); ok {
-		return vd.WriteVector(bufs, start)
-	}
-	total, err := VectorLen(bufs)
-	if err != nil {
-		return err
-	}
-	tmp := make([]byte, 0, total)
-	for _, b := range bufs {
-		tmp = append(tmp, b...)
-	}
-	return dev.WriteSectors(tmp, start)
-}
-
-// checkVectorRange validates a vectored access against a device.
-func checkVectorRange(dev Device, bufs [][]byte, start int64) (total int64, err error) {
-	total, err = VectorLen(bufs)
-	if err != nil {
-		return 0, err
-	}
-	if start < 0 || start+total/SectorSize > dev.NumSectors() {
-		return 0, ErrOutOfRange
-	}
-	return total, nil
-}
-
 // checkRange validates a sector-aligned access.
 func checkRange(dev Device, buf []byte, start int64) (sectors int64, err error) {
 	if len(buf) == 0 || len(buf)%SectorSize != 0 {
@@ -205,36 +126,6 @@ func (r *RAMDisk) WriteSectors(src []byte, start int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	copy(r.data[start*SectorSize:], src)
-	return nil
-}
-
-// ReadVector implements VectorDevice: buffers scatter straight out of
-// the backing array under one lock acquisition.
-func (r *RAMDisk) ReadVector(bufs [][]byte, start int64) error {
-	if _, err := checkVectorRange(r, bufs, start); err != nil {
-		return err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	off := start * SectorSize
-	for _, b := range bufs {
-		off += int64(copy(b, r.data[off:]))
-	}
-	return nil
-}
-
-// WriteVector implements VectorDevice: buffers gather straight into the
-// backing array, no staging copy.
-func (r *RAMDisk) WriteVector(bufs [][]byte, start int64) error {
-	if _, err := checkVectorRange(r, bufs, start); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	off := start * SectorSize
-	for _, b := range bufs {
-		off += int64(copy(r.data[off:], b))
-	}
 	return nil
 }
 

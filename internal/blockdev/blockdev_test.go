@@ -45,19 +45,26 @@ func TestRAMDiskValidation(t *testing.T) {
 	if _, err := NewRAMDisk(SectorSize + 1); err == nil {
 		t.Error("unaligned size accepted")
 	}
-	d, _ := NewRAMDisk(4 * SectorSize)
-	buf := make([]byte, SectorSize)
-	if err := d.ReadSectors(buf, 4); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("read past end: %v", err)
-	}
-	if err := d.WriteSectors(buf, -1); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("negative sector: %v", err)
-	}
-	if err := d.ReadSectors(make([]byte, 100), 0); err == nil {
-		t.Error("unaligned buffer accepted")
-	}
-	if err := d.ReadSectors(nil, 0); err == nil {
-		t.Error("empty buffer accepted")
+	rd, _ := NewRAMDisk(4 * SectorSize)
+	nbd, _ := newNBD(t, 4*SectorSize, loopback, DefaultReadAhead)
+	base, _ := NewRAMDisk(4 * SectorSize)
+	for name, d := range map[string]Device{"ramdisk": rd, "nbd-client": nbd, "overlay": NewOverlay(base)} {
+		buf := make([]byte, SectorSize)
+		if err := d.ReadSectors(buf, 4); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("%s: read past end: %v", name, err)
+		}
+		if err := d.WriteSectors(buf, -1); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("%s: negative sector: %v", name, err)
+		}
+		if err := d.ReadSectors(make([]byte, 100), 0); err == nil {
+			t.Errorf("%s: unaligned read accepted", name)
+		}
+		if err := d.WriteSectors(make([]byte, 100), 0); err == nil {
+			t.Errorf("%s: unaligned write accepted", name)
+		}
+		if err := d.ReadSectors(nil, 0); err == nil {
+			t.Errorf("%s: empty buffer accepted", name)
+		}
 	}
 }
 
@@ -326,77 +333,5 @@ func TestQuickNBDEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestVectorEquivalence checks that vectored I/O (native on RAMDisk and
-// Client, fallback elsewhere) moves exactly the same bytes as the
-// contiguous path, across uneven buffer splits.
-func TestVectorEquivalence(t *testing.T) {
-	split := func(b []byte, cuts ...int) [][]byte {
-		var out [][]byte
-		prev := 0
-		for _, c := range cuts {
-			out = append(out, b[prev:c])
-			prev = c
-		}
-		return append(out, b[prev:])
-	}
-	data := fill(8*SectorSize, 3)
-	devices := map[string]Device{}
-	rd, _ := NewRAMDisk(1 << 20)
-	devices["ramdisk"] = rd
-	nbd, _ := newNBD(t, 1<<20, loopback, DefaultReadAhead)
-	devices["nbd-client"] = nbd
-	base, _ := NewRAMDisk(1 << 20)
-	devices["overlay-fallback"] = NewOverlay(base)
-
-	for name, dev := range devices {
-		// Gather-write buffers with non-sector-aligned internal cuts.
-		w := split(data, 100, 1024, 1024+SectorSize)
-		if err := WriteVector(dev, w, 5); err != nil {
-			t.Fatalf("%s: WriteVector: %v", name, err)
-		}
-		flat := make([]byte, len(data))
-		if err := dev.ReadSectors(flat, 5); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(flat, data) {
-			t.Fatalf("%s: gather-write wrote wrong bytes", name)
-		}
-		// Scatter-read into uneven buffers.
-		got := make([]byte, len(data))
-		r := split(got, 7, 2048, 2048+3*SectorSize)
-		if err := ReadVector(dev, r, 5); err != nil {
-			t.Fatalf("%s: ReadVector: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: scatter-read returned wrong bytes", name)
-		}
-		// Misaligned totals are rejected.
-		if err := WriteVector(dev, [][]byte{data[:100]}, 0); err == nil {
-			t.Fatalf("%s: unaligned vector accepted", name)
-		}
-	}
-}
-
-// TestClientGatherWriteSingleRoundTrip pins the wire win: a three-part
-// gather write must cost exactly one round trip, same as a contiguous
-// write of equal size.
-func TestClientGatherWriteSingleRoundTrip(t *testing.T) {
-	c, disk := newNBD(t, 1<<20, loopback, 0)
-	parts := [][]byte{fill(300, 1), fill(3*SectorSize-400, 2), fill(100, 3)}
-	before := c.NetWrites()
-	if err := c.WriteVector(parts, 9); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NetWrites() - before; got != 1 {
-		t.Fatalf("gather write took %d round trips, want 1", got)
-	}
-	want := bytes.Join(parts, nil)
-	got := make([]byte, len(want))
-	disk.ReadSectors(got, 9)
-	if !bytes.Equal(got, want) {
-		t.Fatal("gathered bytes landed wrong")
 	}
 }

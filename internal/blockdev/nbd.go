@@ -294,35 +294,25 @@ func (c *Client) NetWrites() int64 {
 	return c.netWrites
 }
 
-// ReadSectors implements Device.
+// ReadSectors implements Device: the sector run is served from the
+// live window where it covers it and copied straight into dst. A
+// request misses at most once per window — a sequential fill covers the
+// rest of it or hands over to the next window, a random fetch is the
+// rest of it.
 func (c *Client) ReadSectors(dst []byte, start int64) error {
-	if len(dst) == 0 || len(dst)%SectorSize != 0 {
-		return fmt.Errorf("blockdev: buffer length %d not a positive multiple of %d", len(dst), SectorSize)
-	}
-	return c.ReadVector([][]byte{dst}, start)
-}
-
-// ReadVector implements VectorDevice: the sector run is served from the
-// live window where it covers it and scattered straight into the
-// caller's buffers. A request misses at most once per window — a
-// sequential fill covers the rest of it or hands over to the next
-// window, a random fetch is the rest of it.
-func (c *Client) ReadVector(bufs [][]byte, start int64) error {
-	total, err := checkVectorRange(c, bufs, start)
+	sectors, err := checkRange(c, dst, start)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := scatter{bufs: bufs}
-	for cur, end := start, start+total/SectorSize; cur < end; {
+	for cur, end := start, start+sectors; cur < end; {
+		out := dst[(cur-start)*SectorSize:]
 		if off := (cur - c.raStart) * SectorSize; off >= 0 && off < int64(len(c.raData)) {
-			n := min(int64(len(c.raData))-off, (end-cur)*SectorSize)
-			out.put(c.raData[off : off+n])
-			cur += n / SectorSize
+			cur += int64(copy(out, c.raData[off:])) / SectorSize
 			continue
 		}
-		n, miss := c.planLocked(cur, end-cur, end-start)
+		n, miss := c.planLocked(cur, end-cur, sectors)
 		if miss != missNext || !c.takeNextLocked(cur) {
 			c.netReads++
 			data, err := c.read(cur, n)
@@ -330,7 +320,7 @@ func (c *Client) ReadVector(bufs [][]byte, start int64) error {
 				return err
 			}
 			if miss == missRandom {
-				out.put(data)
+				copy(out, data)
 				break
 			}
 			c.raStart, c.raData = cur, data
@@ -343,25 +333,8 @@ func (c *Client) ReadVector(bufs [][]byte, start int64) error {
 			c.prefetchLocked()
 		}
 	}
-	c.prevEnd = start + total/SectorSize
+	c.prevEnd = start + sectors
 	return nil
-}
-
-// scatter is a write cursor over a scatter list.
-type scatter struct {
-	bufs [][]byte
-	off  int // bytes of bufs[0] already filled
-}
-
-// put copies src to the cursor and advances it.
-func (s *scatter) put(src []byte) {
-	for len(src) > 0 {
-		n := copy(s.bufs[0][s.off:], src)
-		src = src[n:]
-		if s.off += n; s.off == len(s.bufs[0]) {
-			s.bufs, s.off = s.bufs[1:], 0
-		}
-	}
 }
 
 // Kinds of read miss.
@@ -457,25 +430,14 @@ func (c *Client) read(cur, n int64) ([]byte, error) {
 	return resp[1:], nil
 }
 
-// WriteSectors implements Device. Writes drop any overlapping read-ahead
-// window, live or in flight.
+// WriteSectors implements Device: src is copied into a single wire
+// frame. Writes drop any overlapping read-ahead window, live or in
+// flight.
 func (c *Client) WriteSectors(src []byte, start int64) error {
-	if len(src) == 0 || len(src)%SectorSize != 0 {
-		return fmt.Errorf("blockdev: buffer length %d not a positive multiple of %d", len(src), SectorSize)
-	}
-	return c.WriteVector([][]byte{src}, start)
-}
-
-// WriteVector implements VectorDevice: the scatter-gather list is
-// gathered directly into a single wire frame, so a multi-part payload
-// (e.g. data plus padding) costs one copy and one round trip instead of
-// a staging buffer plus a round trip per part.
-func (c *Client) WriteVector(bufs [][]byte, start int64) error {
-	total, err := checkVectorRange(c, bufs, start)
+	sectors, err := checkRange(c, src, start)
 	if err != nil {
 		return err
 	}
-	sectors := total / SectorSize
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if start < c.raStart+int64(len(c.raData))/SectorSize && start+sectors > c.raStart {
@@ -487,11 +449,8 @@ func (c *Client) WriteVector(bufs [][]byte, start int64) error {
 	if w := c.next; w != nil && start < w.start+w.n && start+sectors > w.start {
 		c.dropNextLocked()
 	}
-	req := request(opWrite, start, sectors, total)
-	off := 13
-	for _, b := range bufs {
-		off += copy(req[off:], b)
-	}
+	req := request(opWrite, start, sectors, int64(len(src)))
+	copy(req[13:], src)
 	c.trip.Lock()
 	resp, err := c.transport.RoundTrip(req)
 	c.trip.Unlock()

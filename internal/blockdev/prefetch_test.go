@@ -46,12 +46,24 @@ func (g *gate) RoundTrip(req []byte) ([]byte, error) {
 
 // holding runs f in a goroutine and returns once the client's lock is
 // held, which in these tests is by f, waiting on the fetch in flight. The
-// returned func waits for f's result.
-func holding(c *Client, f func() error) func() error {
+// returned func waits for f's result. An f that returns without blocking
+// under the lock, or never takes it, fails the test in seconds instead
+// of hanging it.
+func holding(t *testing.T, c *Client, f func() error) func() error {
+	t.Helper()
 	errc := make(chan error, 1)
 	go func() { errc <- f() }()
+	deadline := time.Now().Add(5 * time.Second)
 	for c.mu.TryLock() {
 		c.mu.Unlock()
+		select {
+		case err := <-errc:
+			t.Fatalf("returned (err %v) without blocking under the client's lock", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client's lock was never held")
+		}
 		runtime.Gosched()
 	}
 	return func() error { return <-errc }
@@ -93,8 +105,13 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 			switch timing {
 			case before:
 				// Take the landed window with the transport held: the
-				// next one, [1.75 MiB, 3.75 MiB), waits to take it.
+				// next one, [1.75 MiB, 3.75 MiB), waits to take it. A
+				// landed window that failed would send the read to the
+				// held transport for good.
 				settle(c)
+				if f.err != nil {
+					t.Fatalf("the background fetch failed: %v", f.err)
+				}
 				c.trip.Lock()
 				readAt(t, c, content, 320<<10, 512<<10)
 				f = inFlight(t, c)
@@ -110,11 +127,11 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 			var err error
 			switch timing {
 			case before:
-				wait := holding(c, write)
+				wait := holding(t, c, write)
 				c.trip.Unlock()
 				err = wait()
 			case during:
-				wait := holding(c, write)
+				wait := holding(t, c, write)
 				close(g.release)
 				err = wait()
 			case after:
@@ -124,6 +141,9 @@ func TestPrefetchWriteNeverServedStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-f.done
+			if f.err != nil {
+				t.Fatalf("the background fetch failed: %v", f.err)
+			}
 			if stale := f.data[off-f.start*SectorSize:][:len(patch)]; !bytes.Equal(stale, content[off:off+int64(len(patch))]) {
 				t.Fatal("the fetch did not read the bytes the write replaced")
 			}
@@ -232,7 +252,7 @@ func TestPrefetchRunsBesideTheReader(t *testing.T) {
 		readAt(t, c, content, off, 64<<10)
 	}
 	buf := make([]byte, 64<<10)
-	wait := holding(c, func() error { return c.ReadSectors(buf, 768<<10/SectorSize) })
+	wait := holding(t, c, func() error { return c.ReadSectors(buf, 768<<10/SectorSize) })
 	close(g.release)
 	if err := wait(); err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ func TestOverlappingWriteNeverServedStale(t *testing.T) {
 		c, _, content := newWiredNBD(t, 4<<20, TunedReadAhead)
 		readAt(t, c, content, 0, 64<<10) // opens the window [0, 256 KiB)
 		patch := bytes.Repeat([]byte{0xEE}, int(w.n))
-		if err := c.WriteVector([][]byte{patch[:100], patch[100:]}, w.off/SectorSize); err != nil {
+		if err := c.WriteSectors(patch, w.off/SectorSize); err != nil {
 			t.Fatal(err)
 		}
 		copy(content[w.off:], patch)
@@ -173,8 +173,9 @@ func TestOverlappingWriteNeverServedStale(t *testing.T) {
 }
 
 // TestClientDifferential drives a client and a reference RAM disk with
-// the same seeded mix of sequential runs, random reads, overlapping
-// writes and vectored I/O; every read must equal the reference.
+// the same seeded mix of sequential runs, random reads and overlapping
+// writes; every read must equal the reference, and every write is one
+// round trip.
 func TestClientDifferential(t *testing.T) {
 	const size = 2 << 20
 	const sectors = size / SectorSize
@@ -183,25 +184,10 @@ func TestClientDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(42 + readAhead))
 			c, _ := newNBD(t, size, loopback, readAhead)
 			ref, _ := NewRAMDisk(size)
-			split := func(b []byte) [][]byte {
-				var out [][]byte
-				for len(b) > 0 {
-					n := rng.Intn(len(b) + 1) // zero-length parts included
-					out = append(out, b[:n])
-					b = b[n:]
-				}
-				return out
-			}
 			check := func(start, n int64) {
 				t.Helper()
 				got, want := make([]byte, n*SectorSize), make([]byte, n*SectorSize)
-				var err error
-				if rng.Intn(2) == 0 {
-					err = c.ReadSectors(got, start)
-				} else {
-					err = c.ReadVector(split(got), start)
-				}
-				if err != nil {
+				if err := c.ReadSectors(got, start); err != nil {
 					t.Fatal(err)
 				}
 				ref.ReadSectors(want, start)
@@ -210,6 +196,7 @@ func TestClientDifferential(t *testing.T) {
 				}
 			}
 			pos := int64(0) // the sequential stream's cursor
+			writes := int64(0)
 			for op := 0; op < 800; op++ {
 				n := int64(1 + rng.Intn(96))
 				switch k := rng.Intn(10); {
@@ -230,19 +217,17 @@ func TestClientDifferential(t *testing.T) {
 					}
 					data := make([]byte, n*SectorSize)
 					rng.Read(data)
-					var err error
-					if rng.Intn(2) == 0 {
-						err = c.WriteSectors(data, start)
-					} else {
-						err = c.WriteVector(split(data), start)
-					}
-					if err != nil {
+					if err := c.WriteSectors(data, start); err != nil {
 						t.Fatal(err)
 					}
+					writes++
 					ref.WriteSectors(data, start)
 				}
 			}
 			check(0, sectors)
+			if got := c.NetWrites(); got != writes {
+				t.Fatalf("%d writes took %d round trips", writes, got)
+			}
 		})
 	}
 }

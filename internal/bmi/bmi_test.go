@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"bolted/internal/blockdev"
@@ -52,25 +54,74 @@ func TestImageLifecycle(t *testing.T) {
 	}
 }
 
+// TestOSImageBootInfo builds OS images whose parts end at and around
+// sector boundaries: every part must come back byte for byte with
+// len == cap, and the on-disk pad after its last byte must read as
+// zeros up to the sector boundary.
 func TestOSImageBootInfo(t *testing.T) {
-	s := newBMI(t)
-	spec := testSpec()
-	if _, err := s.CreateOSImage("fedora", spec); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
 	}
-	bi, err := s.ExtractBootInfo(context.Background(), "fedora")
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		name string
+		spec OSImageSpec
 	}
-	if bi.KernelID != spec.KernelID || bi.Cmdline != spec.Cmdline {
-		t.Fatalf("boot info = %+v", bi)
+	rows := []row{{"testSpec", testSpec()}}
+	for _, n := range []int{1, 511, 512, 513, 4097} {
+		rows = append(rows, row{fmt.Sprint(n), OSImageSpec{KernelID: "k", Kernel: bytesOf(n), Initrd: bytesOf(n), Cmdline: "c", RootFS: bytesOf(n)}})
 	}
-	if !bytes.Equal(bi.Kernel, spec.Kernel) || !bytes.Equal(bi.Initrd, spec.Initrd) {
-		t.Fatal("kernel/initrd bytes corrupted")
-	}
-	root, err := s.ReadRootFS("fedora")
-	if err != nil || !bytes.Equal(root, spec.RootFS) {
-		t.Fatalf("rootfs corrupted: %v", err)
+	rows = append(rows, row{"empty initrd", OSImageSpec{KernelID: "k", Kernel: bytesOf(513), Cmdline: "c", RootFS: bytesOf(4097)}})
+	for _, r := range rows {
+		spec := r.spec
+		t.Run(r.name, func(t *testing.T) {
+			s := newBMI(t)
+			if _, err := s.CreateOSImage("fedora", spec); err != nil {
+				t.Fatal(err)
+			}
+			bi, err := s.ExtractBootInfo(context.Background(), "fedora")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bi.KernelID != spec.KernelID || bi.Cmdline != spec.Cmdline {
+				t.Fatalf("boot info = %+v", bi)
+			}
+			root, err := s.ReadRootFS("fedora")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, _ := s.Device("fedora")
+			m, err := readManifest(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range []struct {
+				name      string
+				got, want []byte
+				off       int64
+			}{
+				{"kernel", bi.Kernel, spec.Kernel, m.KernelOff},
+				{"initrd", bi.Initrd, spec.Initrd, m.InitrdOff},
+				{"rootfs", root, spec.RootFS, m.RootOff},
+			} {
+				if !bytes.Equal(part.got, part.want) || len(part.got) != cap(part.got) {
+					t.Fatalf("%s: got %d bytes (cap %d), want %d bytes back exactly", part.name, len(part.got), cap(part.got), len(part.want))
+				}
+				end := part.off + int64(len(part.want))
+				if end%blockdev.SectorSize == 0 {
+					continue
+				}
+				last := make([]byte, blockdev.SectorSize)
+				if err := dev.ReadSectors(last, end/blockdev.SectorSize); err != nil {
+					t.Fatal(err)
+				}
+				if pad := last[end%blockdev.SectorSize:]; !bytes.Equal(pad, make([]byte, len(pad))) {
+					t.Fatalf("%s: the %d-byte pad after its last byte is not zero", part.name, len(pad))
+				}
+			}
+		})
 	}
 }
 

@@ -58,19 +58,23 @@ func alignUp(n int64) int64 {
 }
 
 // writePadded writes data at a byte offset (must be sector aligned),
-// padding the tail to a sector boundary. The payload and its padding go
-// down as a gather vector, so devices with a native scatter-gather path
-// (network clients, Ceph images) never see a full-size staging copy of
-// the kernel or root filesystem.
+// padding the tail to a sector boundary. The whole sectors go down
+// straight from data; only the last partial sector is staged, so no
+// device ever sees a full-size copy of the kernel or root filesystem.
 func writePadded(dev blockdev.Device, off int64, data []byte) error {
-	if len(data) == 0 {
-		return nil
+	const s = blockdev.SectorSize
+	start, whole := off/s, len(data)/s*s
+	if whole > 0 {
+		if err := dev.WriteSectors(data[:whole], start); err != nil {
+			return err
+		}
 	}
-	bufs := [][]byte{data}
-	if pad := alignUp(int64(len(data))) - int64(len(data)); pad > 0 {
-		bufs = append(bufs, make([]byte, pad))
+	if tail := data[whole:]; len(tail) > 0 {
+		last := make([]byte, s)
+		copy(last, tail)
+		return dev.WriteSectors(last, start+int64(whole/s))
 	}
-	return blockdev.WriteVector(dev, bufs, off/blockdev.SectorSize)
+	return nil
 }
 
 // CreateOSImage builds a bootable OS image from spec. The image is
@@ -148,23 +152,19 @@ func readManifest(dev blockdev.Device) (*manifest, error) {
 	return &m, nil
 }
 
-// readExtent reads a byte extent from sector-aligned storage. The
-// payload and the tail padding scatter into separate buffers, so the
-// returned slice is exactly length bytes with no over-allocation
-// pinned behind it.
+// readExtent reads a byte extent from sector-aligned storage in one
+// read of its whole sectors. The returned slice is exactly length bytes
+// long and capped there, so the tail padding behind it (less than one
+// sector) is never visible to the caller.
 func readExtent(dev blockdev.Device, off, length int64) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	buf := make([]byte, length)
-	bufs := [][]byte{buf}
-	if pad := alignUp(length) - length; pad > 0 {
-		bufs = append(bufs, make([]byte, pad))
-	}
-	if err := blockdev.ReadVector(dev, bufs, off/blockdev.SectorSize); err != nil {
+	buf := make([]byte, alignUp(length))
+	if err := dev.ReadSectors(buf, off/blockdev.SectorSize); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return buf[:length:length], nil
 }
 
 // ExtractBootInfo reads the kernel, initrd and command line out of an

@@ -122,14 +122,14 @@ func (c *Cluster) SetOSDDown(id int, down bool) error {
 // Put replaces an object on all its live replicas; the caller keeps
 // its buffer. It fails only when every replica placement is down.
 func (c *Cluster) Put(name string, data []byte) error {
-	return c.store(name, 0, [][]byte{data}, true)
+	return c.store(name, 0, data, true)
 }
 
-// WriteAt gathers bufs into the object at byte offset off, in place, on
+// WriteAt copies data into the object at byte offset off, in place, on
 // all its live replicas: the bytes around the write are neither read nor
 // moved, and an object grows only as far as the last byte written.
-func (c *Cluster) WriteAt(name string, off int64, bufs [][]byte) error {
-	return c.store(name, off, bufs, false)
+func (c *Cluster) WriteAt(name string, off int64, data []byte) error {
+	return c.store(name, off, data, false)
 }
 
 // store is the one object write path. It holds every replica's lock, in
@@ -141,11 +141,8 @@ func (c *Cluster) WriteAt(name string, off int64, bufs [][]byte) error {
 // earlier write) receives it with this write; a down replica loses its
 // copy, so that when it comes back it is missing the object — which
 // reads fall through — instead of serving it stale.
-func (c *Cluster) store(name string, off int64, bufs [][]byte, replace bool) error {
-	end := off
-	for _, b := range bufs {
-		end += int64(len(b))
-	}
+func (c *Cluster) store(name string, off int64, data []byte, replace bool) error {
+	end := off + int64(len(data))
 	if off < 0 || end > ObjectSize {
 		return fmt.Errorf("ceph: object %q write [%d,%d) exceeds %d", name, off, end, ObjectSize)
 	}
@@ -180,10 +177,7 @@ func (c *Cluster) store(name string, off int64, bufs [][]byte, replace bool) err
 		}
 		obj = obj[:end]
 	}
-	at := off
-	for _, b := range bufs {
-		at += int64(copy(obj[at:], b))
-	}
+	copy(obj[off:], data)
 	for _, o := range replicas {
 		if o.down {
 			delete(o.objects, name)
@@ -360,7 +354,7 @@ type ImageDevice struct {
 	sectors int64
 }
 
-var _ blockdev.VectorDevice = (*ImageDevice)(nil)
+var _ blockdev.Device = (*ImageDevice)(nil)
 
 // NewImageDevice opens a block view of size bytes over the objects named
 // prefix+".<n>".
@@ -378,83 +372,52 @@ func (d *ImageDevice) objName(idx int64) string {
 // NumSectors implements blockdev.Device.
 func (d *ImageDevice) NumSectors() int64 { return d.sectors }
 
-// ReadSectors implements blockdev.Device.
+// ReadSectors implements blockdev.Device: one pass over the object
+// stripe copies straight into dst via Cluster.ReadAt — no reference to
+// internal object slices, no staging allocation.
 func (d *ImageDevice) ReadSectors(dst []byte, start int64) error {
-	if len(dst) == 0 || len(dst)%blockdev.SectorSize != 0 {
-		return fmt.Errorf("ceph: buffer not sector aligned")
-	}
-	return d.ReadVector([][]byte{dst}, start)
-}
-
-// ReadVector implements blockdev.VectorDevice: one pass over the object
-// stripe copies straight into the caller's buffers via Cluster.ReadAt —
-// no reference to internal object slices, no staging allocation.
-func (d *ImageDevice) ReadVector(bufs [][]byte, start int64) error {
-	total, err := blockdev.VectorLen(bufs)
-	if err != nil {
+	if err := d.checkRange(dst, start); err != nil {
 		return err
 	}
-	if start < 0 || start+total/blockdev.SectorSize > d.sectors {
-		return blockdev.ErrOutOfRange
-	}
 	byteOff := start * blockdev.SectorSize
-	for _, b := range bufs {
-		for len(b) > 0 {
-			objIdx := byteOff / ObjectSize
-			inObj := byteOff % ObjectSize
-			n := int64(len(b))
-			if n > ObjectSize-inObj {
-				n = ObjectSize - inObj
-			}
-			seg := b[:n]
-			copied, _ := d.c.ReadAt(d.objName(objIdx), seg, inObj)
-			// Missing objects and short tails read as zeros.
-			clear(seg[copied:])
-			b = b[n:]
-			byteOff += n
-		}
+	for len(dst) > 0 {
+		inObj := byteOff % ObjectSize
+		seg := dst[:min(int64(len(dst)), ObjectSize-inObj)]
+		copied, _ := d.c.ReadAt(d.objName(byteOff/ObjectSize), seg, inObj)
+		// Missing objects and short tails read as zeros.
+		clear(seg[copied:])
+		dst = dst[len(seg):]
+		byteOff += int64(len(seg))
 	}
 	return nil
 }
 
-// WriteSectors implements blockdev.Device.
+// WriteSectors implements blockdev.Device: each touched object takes
+// its share of src in place through Cluster.WriteAt.
 func (d *ImageDevice) WriteSectors(src []byte, start int64) error {
-	if len(src) == 0 || len(src)%blockdev.SectorSize != 0 {
-		return fmt.Errorf("ceph: buffer not sector aligned")
-	}
-	return d.WriteVector([][]byte{src}, start)
-}
-
-// WriteVector implements blockdev.VectorDevice: each touched object
-// takes its share of the gather list in place through Cluster.WriteAt.
-func (d *ImageDevice) WriteVector(bufs [][]byte, start int64) error {
-	total, err := blockdev.VectorLen(bufs)
-	if err != nil {
+	if err := d.checkRange(src, start); err != nil {
 		return err
 	}
-	if start < 0 || start+total/blockdev.SectorSize > d.sectors {
-		return blockdev.ErrOutOfRange
-	}
 	byteOff := start * blockdev.SectorSize
-	var part [][]byte // the current object's share of bufs
-	bi, bo := 0, 0    // gather cursor into bufs
-	for remaining := total; remaining > 0; {
+	for len(src) > 0 {
 		inObj := byteOff % ObjectSize
-		n := min(remaining, ObjectSize-inObj)
-		part = part[:0]
-		for need := int(n); need > 0; {
-			take := min(need, len(bufs[bi])-bo)
-			part = append(part, bufs[bi][bo:bo+take])
-			need -= take
-			if bo += take; bo == len(bufs[bi]) {
-				bi, bo = bi+1, 0
-			}
-		}
-		if err := d.c.WriteAt(d.objName(byteOff/ObjectSize), inObj, part); err != nil {
+		seg := src[:min(int64(len(src)), ObjectSize-inObj)]
+		if err := d.c.WriteAt(d.objName(byteOff/ObjectSize), inObj, seg); err != nil {
 			return err
 		}
-		byteOff += n
-		remaining -= n
+		src = src[len(seg):]
+		byteOff += int64(len(seg))
+	}
+	return nil
+}
+
+// checkRange validates a sector-aligned access against the image.
+func (d *ImageDevice) checkRange(buf []byte, start int64) error {
+	if len(buf) == 0 || len(buf)%blockdev.SectorSize != 0 {
+		return fmt.Errorf("ceph: buffer not sector aligned")
+	}
+	if start < 0 || start+int64(len(buf))/blockdev.SectorSize > d.sectors {
+		return blockdev.ErrOutOfRange
 	}
 	return nil
 }

@@ -346,56 +346,3 @@ func TestReadAtFailsOver(t *testing.T) {
 		t.Fatalf("ReadAt did not fail over: %q ok=%v", dst[:n], ok)
 	}
 }
-
-// TestImageDeviceVectorEquivalence drives the native scatter-gather
-// paths across object boundaries and checks byte equivalence with the
-// contiguous path.
-func TestImageDeviceVectorEquivalence(t *testing.T) {
-	c := newCluster(t, 3, 2)
-	// Small image spanning two objects.
-	size := int64(ObjectSize + ObjectSize/2)
-	d, err := NewImageDevice(c, "img", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Straddle the object boundary with unevenly-split buffers.
-	span := 64 * blockdev.SectorSize
-	data := make([]byte, span)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	start := int64(ObjectSize/blockdev.SectorSize) - 32 // 32 sectors each side
-	parts := [][]byte{data[:1000], data[1000:5000], data[5000:]}
-	if err := d.WriteVector(parts, start); err != nil {
-		t.Fatal(err)
-	}
-	flat := make([]byte, span)
-	if err := d.ReadSectors(flat, start); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flat, data) {
-		t.Fatal("vector write across object boundary lost bytes")
-	}
-	got := make([]byte, span)
-	back := [][]byte{got[:3], got[3:30000], got[30000:]}
-	if err := d.ReadVector(back, start); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("vector read across object boundary lost bytes")
-	}
-	// Partial overwrite in the middle of an existing object must
-	// preserve surrounding bytes (the rebuild-once path).
-	patch := bytes.Repeat([]byte{0xEE}, blockdev.SectorSize)
-	if err := d.WriteSectors(patch, start+5); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadSectors(flat, start); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte(nil), data...)
-	copy(want[5*blockdev.SectorSize:], patch)
-	if !bytes.Equal(flat, want) {
-		t.Fatal("partial overwrite corrupted surrounding bytes")
-	}
-}

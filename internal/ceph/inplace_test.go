@@ -121,7 +121,7 @@ func TestConcurrentInPlaceWritersAndReaders(t *testing.T) {
 				n := 1 + rng.Intn(4)
 				data := bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, n*blockdev.SectorSize)
 				off := int64(rng.Intn(sectors-n)) * blockdev.SectorSize
-				if err := c.WriteAt("o", off, [][]byte{data[:100], data[100:]}); err != nil {
+				if err := c.WriteAt("o", off, data); err != nil {
 					t.Error(err)
 					return
 				}
@@ -179,7 +179,7 @@ func TestSmallWriteGrowsObjectExactly(t *testing.T) {
 	if n, _ := c.ObjectLen("img.00000000"); n != 1<<20+4096 {
 		t.Fatalf("ObjectLen = %d, want %d", n, 1<<20+4096)
 	}
-	if err := c.WriteAt("img.00000000", ObjectSize-1, [][]byte{{1, 2}}); err == nil {
+	if err := c.WriteAt("img.00000000", ObjectSize-1, []byte{1, 2}); err == nil {
 		t.Fatal("write past ObjectSize accepted")
 	}
 }
@@ -259,7 +259,7 @@ func TestPieceWritesMatchOneWrite(t *testing.T) {
 		if i == hole {
 			continue
 		}
-		if err := c.WriteAt("o", int64(i*piece), [][]byte{want[i*piece : (i+1)*piece]}); err != nil {
+		if err := c.WriteAt("o", int64(i*piece), want[i*piece:(i+1)*piece]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestPieceWritesMatchOneWrite(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 3*ObjectSize {
 		t.Errorf("writing %d pieces allocated %d bytes, want at most %d", pieces-1, grew, 3*ObjectSize)
 	}
-	if err := c.WriteAt("o", hole*piece, [][]byte{want[hole*piece : (hole+1)*piece]}); err != nil {
+	if err := c.WriteAt("o", hole*piece, want[hole*piece:(hole+1)*piece]); err != nil {
 		t.Fatal(err)
 	}
 	for _, cl := range []*Cluster{whole, c} {

@@ -20,11 +20,6 @@ func TenGbE(mtu int) LinkSpec {
 	return LinkSpec{BandwidthBps: 10e9, Latency: 50 * time.Microsecond, MTU: mtu}
 }
 
-// OneGbE returns a 1 Gbit management link (BMC/PXE traffic).
-func OneGbE(mtu int) LinkSpec {
-	return LinkSpec{BandwidthBps: 1e9, Latency: 100 * time.Microsecond, MTU: mtu}
-}
-
 // TransferCost models moving a payload across the link for the
 // discrete-event simulation. perPacketHdr is additional per-packet header
 // overhead (e.g. ESP encapsulation), and perPacketCPU is per-packet

@@ -37,17 +37,6 @@ type CompileSpec struct {
 	WorkFactor int
 }
 
-// DefaultCompileSpec mirrors a scaled-down kernel build.
-func DefaultCompileSpec(threads int, col *ima.Collector) CompileSpec {
-	return CompileSpec{
-		Files:      3000,
-		FileBytes:  8 << 10,
-		Threads:    threads,
-		IMA:        col,
-		WorkFactor: 40,
-	}
-}
-
 // sourceTree generates the deterministic synthetic source files.
 func sourceTree(spec CompileSpec) [][]byte {
 	rng := rand.New(rand.NewSource(416)) // kernel 4.16

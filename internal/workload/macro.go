@@ -16,10 +16,7 @@
 // calibrated to the paper's testbed.
 package workload
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // SecConfig is a Figure-7 security configuration.
 type SecConfig struct {
@@ -171,13 +168,4 @@ func (a App) Runtime(sec SecConfig) time.Duration {
 func (a App) Degradation(sec SecConfig) float64 {
 	base := a.Runtime(SecConfig{})
 	return float64(a.Runtime(sec)-base) / float64(base)
-}
-
-// Figure7Row formats one app's four bars as percentages.
-func Figure7Row(a App) string {
-	s := fmt.Sprintf("%-14s", a.Name)
-	for _, sec := range AllSecConfigs {
-		s += fmt.Sprintf("  %-10s %5.1f%%", sec, a.Degradation(sec)*100)
-	}
-	return s
 }
