@@ -36,9 +36,9 @@ func ctxErr(ctx context.Context) error {
 
 // Image is a named disk image.
 type Image struct {
-	Name     string
-	Size     int64
-	Snapshot bool // snapshots are immutable
+	Name     string `json:"name"`
+	Size     int64  `json:"size"`
+	Snapshot bool   `json:"snapshot"` // snapshots are immutable
 	prefix   string
 }
 

@@ -29,29 +29,16 @@ var sentinels = httpjson.Sentinels{
 
 // NewHandler exposes a Service over HTTP.
 func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
-
-	writeErr := sentinels.Write
-
-	mux.HandleFunc("GET /images", func(w http.ResponseWriter, r *http.Request) {
+	m := httpjson.NewMux(sentinels.Write)
+	m.Row("GET /images", func(*http.Request) (int, any, error) {
 		imgs, err := s.ListImages()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Reply(w, http.StatusOK, imgs)
+		return http.StatusOK, imgs, err
 	})
-	mux.HandleFunc("GET /images/{name}", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("GET /images/{name}", func(r *http.Request) (int, any, error) {
 		img, err := s.GetImage(r.PathValue("name"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Reply(w, http.StatusOK, map[string]interface{}{
-			"name": img.Name, "size": img.Size, "snapshot": img.Snapshot,
-		})
+		return http.StatusOK, img, err
 	})
-	mux.HandleFunc("PUT /images/{name}", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("PUT /images/{name}", func(r *http.Request) (int, any, error) {
 		var req struct {
 			Size int64
 			OS   *OSImageSpec
@@ -59,98 +46,63 @@ func NewHandler(s *Service) http.Handler {
 		// An OS spec carries a kernel, an initrd and a root file system:
 		// this body is not held to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, err)
 		}
-		var err error
 		if req.OS != nil {
-			_, err = s.CreateOSImage(r.PathValue("name"), *req.OS)
-		} else {
-			_, err = s.CreateImage(r.Context(), r.PathValue("name"), req.Size)
+			_, err := s.CreateOSImage(r.PathValue("name"), *req.OS)
+			return http.StatusCreated, nil, err
 		}
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
+		_, err := s.CreateImage(r.Context(), r.PathValue("name"), req.Size)
+		return http.StatusCreated, nil, err
 	})
-	mux.HandleFunc("DELETE /images/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DeleteImage(r.Context(), r.PathValue("name")); err != nil {
-			writeErr(w, err)
-		}
+	m.Row("DELETE /images/{name}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.DeleteImage(r.Context(), r.PathValue("name"))
 	})
-	mux.HandleFunc("POST /images/{name}/clone", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Target   string
-			Snapshot bool
-		}
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var err error
+	m.Row("POST /images/{name}/clone", httpjson.Body(func(r *http.Request, req struct {
+		Target   string
+		Snapshot bool
+	}) (int, any, error) {
+		clone := s.CloneImage
 		if req.Snapshot {
-			_, err = s.SnapshotImage(r.Context(), r.PathValue("name"), req.Target)
-		} else {
-			_, err = s.CloneImage(r.Context(), r.PathValue("name"), req.Target)
+			clone = s.SnapshotImage
 		}
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("GET /images/{name}/bootinfo", func(w http.ResponseWriter, r *http.Request) {
+		_, err := clone(r.Context(), r.PathValue("name"), req.Target)
+		return http.StatusCreated, nil, err
+	}))
+	m.Row("GET /images/{name}/bootinfo", func(r *http.Request) (int, any, error) {
 		bi, err := s.ExtractBootInfo(r.Context(), r.PathValue("name"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Reply(w, http.StatusOK, bi)
+		return http.StatusOK, bi, err
 	})
-	mux.HandleFunc("PUT /exports/{node}", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Image string
-			Cow   bool
-		}
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if _, err := s.ExportForBoot(r.Context(), r.PathValue("node"), req.Image, req.Cow); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
+	m.Row("PUT /exports/{node}", httpjson.Body(func(r *http.Request, req struct {
+		Image string
+		Cow   bool
+	}) (int, any, error) {
+		_, err := s.ExportForBoot(r.Context(), r.PathValue("node"), req.Image, req.Cow)
+		return http.StatusCreated, nil, err
+	}))
+	m.Row("DELETE /exports/{node}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.Unexport(r.Context(), r.PathValue("node"), r.URL.Query().Get("save-as"))
 	})
-	mux.HandleFunc("DELETE /exports/{node}", func(w http.ResponseWriter, r *http.Request) {
-		saveAs := r.URL.Query().Get("save-as")
-		if err := s.Unexport(r.Context(), r.PathValue("node"), saveAs); err != nil {
-			writeErr(w, err)
-		}
-	})
-	mux.HandleFunc("POST /exports/{node}/io", func(w http.ResponseWriter, r *http.Request) {
+	m.Raw("POST /exports/{node}/io", func(w http.ResponseWriter, r *http.Request) {
 		e, err := s.GetExport(r.PathValue("node"))
 		if err != nil {
-			writeErr(w, err)
+			sentinels.Write(w, err)
 			return
 		}
 		frame, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := e.Target.Handle(frame)
-		if err != nil {
+		if err == nil {
 			// Device-level failures travel in-band as protocol error
-			// frames; only a malformed frame lands here.
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			// frames; only a malformed frame fails Handle.
+			frame, err = e.Target.Handle(frame)
+		}
+		if err != nil {
+			sentinels.Write(w, httpjson.WithStatus(http.StatusBadRequest, err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(resp)
+		w.Write(frame)
 	})
-	return mux
+	return m
 }
 
 // Client is an HTTP client for a remote BMI service. Its methods mirror
@@ -182,15 +134,11 @@ func (c *Client) ListImages() ([]string, error) {
 
 // GetImage looks up an image.
 func (c *Client) GetImage(name string) (*Image, error) {
-	var out struct {
-		Name     string `json:"name"`
-		Size     int64  `json:"size"`
-		Snapshot bool   `json:"snapshot"`
-	}
+	var out Image
 	if err := c.do(context.Background(), "GET", "/images/"+url.PathEscape(name), nil, &out); err != nil {
 		return nil, err
 	}
-	return &Image{Name: out.Name, Size: out.Size, Snapshot: out.Snapshot}, nil
+	return &out, nil
 }
 
 // CreateImage allocates an empty image.

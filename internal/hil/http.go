@@ -2,6 +2,7 @@ package hil
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/url"
 
@@ -23,132 +24,77 @@ var sentinels = httpjson.Sentinels{
 
 // NewHandler exposes a Service over HTTP.
 func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
-
-	writeErr := sentinels.Write
-	// serve adapts a route that reads no body: it answers status with
-	// what h returns as JSON (nothing, for nil) or h's error, mapped.
-	serve := func(status int, h func(r *http.Request) (interface{}, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			body, err := h(r)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			httpjson.Reply(w, status, body)
-		}
-	}
-
-	mux.HandleFunc("PUT /projects/{project}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
-		return nil, s.CreateProject(r.PathValue("project"))
-	}))
-	mux.HandleFunc("DELETE /projects/{project}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return nil, s.DeleteProject(r.PathValue("project"))
-	}))
-	mux.HandleFunc("GET /nodes/free", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return s.FreeNodes()
-	}))
-	mux.HandleFunc("PUT /nodes/{node}", func(w http.ResponseWriter, r *http.Request) {
-		// Admin operation: register a node with its switch port and
-		// provider-published metadata. The BMC stays provider-side; a
-		// node registered over the wire gets power ops only if the
-		// service later learns its BMC by other means.
-		var req struct {
-			Port     string
-			Metadata map[string]string
-		}
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.RegisterNode(r.PathValue("node"), req.Port, nil, req.Metadata); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
+	m := httpjson.NewMux(sentinels.Write)
+	m.Row("PUT /projects/{project}", func(r *http.Request) (int, any, error) {
+		return http.StatusCreated, nil, s.CreateProject(r.PathValue("project"))
 	})
-	mux.HandleFunc("GET /nodes/{node}/metadata", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return s.NodeMetadata(r.PathValue("node"))
+	m.Row("DELETE /projects/{project}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.DeleteProject(r.PathValue("project"))
+	})
+	m.Row("GET /nodes/free", func(*http.Request) (int, any, error) {
+		free, err := s.FreeNodes()
+		return http.StatusOK, free, err
+	})
+	// Admin operation: register a node with its switch port and
+	// provider-published metadata. The BMC stays provider-side; a
+	// node registered over the wire gets power ops only if the
+	// service later learns its BMC by other means.
+	m.Row("PUT /nodes/{node}", httpjson.Body(func(r *http.Request, req struct {
+		Port     string
+		Metadata map[string]string
+	}) (int, any, error) {
+		return http.StatusCreated, nil, s.RegisterNode(r.PathValue("node"), req.Port, nil, req.Metadata)
 	}))
-	mux.HandleFunc("GET /nodes/{node}/owner", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+	m.Row("GET /nodes/{node}/metadata", func(r *http.Request) (int, any, error) {
+		md, err := s.NodeMetadata(r.PathValue("node"))
+		return http.StatusOK, md, err
+	})
+	m.Row("GET /nodes/{node}/owner", func(r *http.Request) (int, any, error) {
 		owner, err := s.NodeOwner(r.PathValue("node"))
-		return map[string]string{"owner": owner}, err
-	}))
-	mux.HandleFunc("GET /nodes/{node}/port", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
+		return http.StatusOK, map[string]string{"owner": owner}, err
+	})
+	m.Row("GET /nodes/{node}/port", func(r *http.Request) (int, any, error) {
 		port, err := s.NodePort(r.PathValue("node"))
-		return map[string]string{"port": port}, err
-	}))
-	mux.HandleFunc("POST /projects/{project}/nodes", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ Node string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var err error
-		node := req.Node
-		if node == "" {
-			node, err = s.AllocateAnyNode(r.Context(), r.PathValue("project"))
-		} else {
-			err = s.AllocateNode(r.Context(), r.PathValue("project"), node)
-		}
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Reply(w, http.StatusOK, map[string]string{"node": node})
+		return http.StatusOK, map[string]string{"port": port}, err
 	})
-	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return nil, s.FreeNode(r.Context(), r.PathValue("project"), r.PathValue("node"))
+	m.Row("POST /projects/{project}/nodes", httpjson.Body(func(r *http.Request, req struct{ Node string }) (int, any, error) {
+		if req.Node == "" {
+			node, err := s.AllocateAnyNode(r.Context(), r.PathValue("project"))
+			return http.StatusOK, map[string]string{"node": node}, err
+		}
+		return http.StatusOK, map[string]string{"node": req.Node}, s.AllocateNode(r.Context(), r.PathValue("project"), req.Node)
 	}))
-	mux.HandleFunc("POST /projects/{project}/nodes/{node}/transfer", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ To string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.TransferNode(r.Context(), r.PathValue("project"), r.PathValue("node"), req.To); err != nil {
-			writeErr(w, err)
-			return
-		}
+	m.Row("DELETE /projects/{project}/nodes/{node}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.FreeNode(r.Context(), r.PathValue("project"), r.PathValue("node"))
 	})
-	mux.HandleFunc("PUT /projects/{project}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
-		return nil, s.CreateNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
+	m.Row("POST /projects/{project}/nodes/{node}/transfer", httpjson.Body(func(r *http.Request, req struct{ To string }) (int, any, error) {
+		return http.StatusOK, nil, s.TransferNode(r.Context(), r.PathValue("project"), r.PathValue("node"), req.To)
 	}))
-	mux.HandleFunc("DELETE /projects/{project}/networks/{network}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return nil, s.DeleteNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
-	}))
-	mux.HandleFunc("PUT /projects/{project}/nodes/{node}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
-		return nil, s.ConnectNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
-	}))
-	mux.HandleFunc("DELETE /projects/{project}/nodes/{node}/networks/{network}", serve(http.StatusOK, func(r *http.Request) (interface{}, error) {
-		return nil, s.DetachNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
-	}))
-	mux.HandleFunc("PUT /service-ports/{port}/networks/{network}", serve(http.StatusCreated, func(r *http.Request) (interface{}, error) {
-		return nil, s.ConnectServicePort(r.PathValue("port"), r.PathValue("network"))
-	}))
-	mux.HandleFunc("POST /projects/{project}/nodes/{node}/power", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ Op string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var err error
-		switch req.Op {
-		case "on":
-			err = s.PowerOn(r.Context(), r.PathValue("project"), r.PathValue("node"))
-		case "off":
-			err = s.PowerOff(r.Context(), r.PathValue("project"), r.PathValue("node"))
-		case "cycle":
-			err = s.PowerCycle(r.Context(), r.PathValue("project"), r.PathValue("node"))
-		default:
-			http.Error(w, "unknown power op "+req.Op, http.StatusBadRequest)
-			return
-		}
-		if err != nil {
-			writeErr(w, err)
-		}
+	m.Row("PUT /projects/{project}/networks/{network}", func(r *http.Request) (int, any, error) {
+		return http.StatusCreated, nil, s.CreateNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
 	})
-	return mux
+	m.Row("DELETE /projects/{project}/networks/{network}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.DeleteNetwork(r.Context(), r.PathValue("project"), r.PathValue("network"))
+	})
+	m.Row("PUT /projects/{project}/nodes/{node}/networks/{network}", func(r *http.Request) (int, any, error) {
+		return http.StatusCreated, nil, s.ConnectNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
+	})
+	m.Row("DELETE /projects/{project}/nodes/{node}/networks/{network}", func(r *http.Request) (int, any, error) {
+		return http.StatusOK, nil, s.DetachNode(r.Context(), r.PathValue("project"), r.PathValue("node"), r.PathValue("network"))
+	})
+	m.Row("PUT /service-ports/{port}/networks/{network}", func(r *http.Request) (int, any, error) {
+		return http.StatusCreated, nil, s.ConnectServicePort(r.PathValue("port"), r.PathValue("network"))
+	})
+	m.Row("POST /projects/{project}/nodes/{node}/power", httpjson.Body(func(r *http.Request, req struct{ Op string }) (int, any, error) {
+		power := map[string]func(ctx context.Context, project, node string) error{
+			"on": s.PowerOn, "off": s.PowerOff, "cycle": s.PowerCycle,
+		}[req.Op]
+		if power == nil {
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, errors.New("unknown power op "+req.Op))
+		}
+		return http.StatusOK, nil, power(r.Context(), r.PathValue("project"), r.PathValue("node"))
+	}))
+	return m
 }
 
 // Client is an HTTP client for a remote HIL service. Its methods mirror

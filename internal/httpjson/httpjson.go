@@ -2,10 +2,12 @@
 // repository. The client half sends a request on the caller's
 // *http.Client, hands a status >= 400 and a bounded piece of its body to
 // the caller's own error mapper, and decodes or drains a 2xx; the server
-// half writes a JSON reply and reads a size-capped request body. Every
-// wire client (hil, bmi, keylime, remote) and every handler goes through
-// it, so what a peer on the other side of the tenant↔provider boundary
-// can make this side read is bounded here and nowhere else.
+// half is the route table of typed rows every handler is written as, with
+// its size-capped body adapter and the one place a row's reply is written.
+// Every wire client (hil, bmi, keylime, remote) and every server (the raw
+// planes, the agent API and /v1) goes through it, so what a peer on the
+// other side of the tenant↔provider boundary can make this side read is
+// bounded here and nowhere else.
 package httpjson
 
 import (
@@ -131,6 +133,106 @@ func Decode(r *http.Request, v any) error {
 	return json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxRequestBody)).Decode(v)
 }
 
+// Row is a typed row of a route table: it answers a request with a status
+// and a JSON body (nil for none), or with an error, and never sees the
+// ResponseWriter — Serve is the one place a row's reply, success or
+// error, is written.
+type Row func(r *http.Request) (status int, body any, err error)
+
+// located is a reply body that also says where the resource it shows
+// lives.
+type located struct {
+	at   string
+	body any
+}
+
+// At is a row's reply body that Serve sends with a Location header.
+func At(location string, body any) any { return located{location, body} }
+
+// Serve answers r with what h returns; onErr writes an error, in the
+// form of the table the row belongs to.
+func (h Row) Serve(w http.ResponseWriter, r *http.Request, onErr func(http.ResponseWriter, error)) {
+	status, body, err := h(r)
+	if err != nil {
+		onErr(w, err)
+		return
+	}
+	if l, ok := body.(located); ok {
+		w.Header().Set("Location", l.at)
+		body = l.body
+	}
+	Reply(w, status, body)
+}
+
+// Body adapts a row that takes a JSON request body: the body is read
+// through Decode, and one that is malformed or too large is the row's
+// error, with status 400.
+func Body[T any](h func(r *http.Request, req T) (int, any, error)) Row {
+	return func(r *http.Request) (int, any, error) {
+		var req T
+		if err := Decode(r, &req); err != nil {
+			return 0, nil, WithStatus(http.StatusBadRequest, err)
+		}
+		return h(r, req)
+	}
+}
+
+// Mux is a route table: a ServeMux of typed rows, whose errors one error
+// writer answers, and of raw rows.
+type Mux struct {
+	mux      http.ServeMux
+	onErr    func(http.ResponseWriter, error)
+	patterns []string
+}
+
+// NewMux starts a route table whose typed rows' errors onErr writes.
+func NewMux(onErr func(http.ResponseWriter, error)) *Mux { return &Mux{onErr: onErr} }
+
+// Row adds a typed row.
+func (m *Mux) Row(pattern string, h Row) {
+	m.Raw(pattern, func(w http.ResponseWriter, r *http.Request) { h.Serve(w, r, m.onErr) })
+}
+
+// Raw adds a row whose handler writes its own reply: one that streams,
+// proxies or answers with bytes that are not JSON.
+func (m *Mux) Raw(pattern string, h http.HandlerFunc) {
+	m.mux.HandleFunc(pattern, h)
+	m.patterns = append(m.patterns, pattern)
+}
+
+// Patterns lists the table's rows in the order they were added.
+func (m *Mux) Patterns() []string { return m.patterns }
+
+func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) { m.mux.ServeHTTP(w, r) }
+
+// statusError is an error that names the status it is answered with.
+type statusError struct {
+	error
+	status int
+}
+
+func (e statusError) Unwrap() error { return e.error }
+
+// WithStatus gives err the status WriteError answers it with; a nil err
+// stays nil.
+func WithStatus(status int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return statusError{err, status}
+}
+
+// StatusOf is the status WithStatus gave err, or 500.
+func StatusOf(err error) int {
+	se := statusError{status: http.StatusInternalServerError}
+	errors.As(err, &se)
+	return se.status
+}
+
+// WriteError answers err as plain text under StatusOf(err): the error
+// writer of a table whose errors have no sentinel classes.
+func WriteError(w http.ResponseWriter, err error) { http.Error(w, err.Error(), StatusOf(err)) }
+
 // Sentinels is how a raw plane's error classes keep their identity across
 // the wire: the server names the class in the X-Bolted-Error header beside
 // its status, and the client maps the header — or, from a server that
@@ -145,17 +247,17 @@ type Sentinels []struct {
 
 const sentinelHeader = "X-Bolted-Error"
 
-// Write answers err as plain text under the first row it wraps, or 500.
+// Write answers err as plain text under the first row it wraps, or as
+// WriteError does.
 func (ss Sentinels) Write(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
 	for _, s := range ss {
 		if errors.Is(err, s.Err) {
 			w.Header().Set(sentinelHeader, s.Tag)
-			status = s.Status
-			break
+			http.Error(w, err.Error(), s.Status)
+			return
 		}
 	}
-	http.Error(w, err.Error(), status)
+	WriteError(w, err)
 }
 
 // Error is the client's error for a status >= 400 and its bounded body:

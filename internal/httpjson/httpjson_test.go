@@ -152,3 +152,53 @@ func TestSentinels(t *testing.T) {
 		t.Errorf("Error(bare 409) = %v, want the first 409 row", got)
 	}
 }
+
+// TestMux: a route table answers a typed row's body, its Location, and
+// its error through the table's writer; a row that takes a body answers
+// a malformed one 400; a raw row writes its own reply; Patterns lists the
+// rows in order.
+func TestMux(t *testing.T) {
+	errGone := errors.New("t: gone")
+	m := NewMux(Sentinels{{Err: errGone, Tag: "gone", Status: http.StatusNotFound}}.Write)
+	m.Row("GET /items/{id}", func(r *http.Request) (int, any, error) {
+		if id := r.PathValue("id"); id != "1" {
+			return 0, nil, fmt.Errorf("%w: %s", errGone, id)
+		}
+		return http.StatusOK, At("/items/1", map[string]int{"id": 1}), nil
+	})
+	m.Row("PUT /items/{id}", Body(func(_ *http.Request, req struct{ N int }) (int, any, error) {
+		if req.N < 0 {
+			return 0, nil, WithStatus(http.StatusConflict, errors.New("negative"))
+		}
+		return http.StatusCreated, nil, nil
+	}))
+	m.Raw("GET /raw", func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("raw")) })
+	if got := strings.Join(m.Patterns(), ","); got != "GET /items/{id},PUT /items/{id},GET /raw" {
+		t.Fatalf("Patterns = %s", got)
+	}
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+		header, want       string
+	}{
+		{"GET", "/items/1", "", http.StatusOK, "Location=/items/1", "{\"id\":1}\n"},
+		{"GET", "/items/2", "", http.StatusNotFound, "X-Bolted-Error=gone", "t: gone: 2\n"},
+		{"PUT", "/items/1", "{", http.StatusBadRequest, "X-Bolted-Error=", "unexpected EOF\n"},
+		{"PUT", "/items/1", `{"N":-1}`, http.StatusConflict, "X-Bolted-Error=", "negative\n"},
+		{"PUT", "/items/1", `{"N":1}`, http.StatusCreated, "Content-Type=", ""},
+		{"GET", "/raw", "", http.StatusOK, "Location=", "raw"},
+	} {
+		w := httptest.NewRecorder()
+		m.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		name, value, _ := strings.Cut(c.header, "=")
+		if w.Code != c.status || w.Header().Get(name) != value || w.Body.String() != c.want {
+			t.Errorf("%s %s = %d %s=%q %q", c.method, c.path, w.Code, name, w.Header().Get(name), w.Body.String())
+		}
+	}
+	if StatusOf(nil) != http.StatusInternalServerError || WithStatus(http.StatusConflict, nil) != nil {
+		t.Fatal("a nil error must stay nil and take no status")
+	}
+	if err := WithStatus(http.StatusConflict, errGone); !errors.Is(err, errGone) || StatusOf(fmt.Errorf("x: %w", err)) != http.StatusConflict {
+		t.Fatalf("WithStatus(%v) loses the error or its status", err)
+	}
+}

@@ -129,66 +129,63 @@ func decodeECDSA(s string) (*ecdsa.PublicKey, error) {
 
 // --- agent HTTP server ---
 
+// badRequest is a malformed request: 400, saying what.
+func badRequest(what string) error {
+	return httpjson.WithStatus(http.StatusBadRequest, errors.New(what))
+}
+
 // NewAgentHandler serves an agent's REST API: quotes, IMA lists, and
 // key-share delivery — what the real keylime agent exposes on the node.
+// A quote the TPM or the network refuses is 503.
 func NewAgentHandler(a *Agent) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /quote", func(w http.ResponseWriter, r *http.Request) {
+	m := httpjson.NewMux(httpjson.WriteError)
+	m.Row("GET /quote", func(r *http.Request) (int, any, error) {
 		nonce, err := hex.DecodeString(r.URL.Query().Get("nonce"))
 		if err != nil || len(nonce) == 0 {
-			http.Error(w, "bad nonce", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad nonce")
 		}
 		var sel []int
 		for _, part := range strings.Split(r.URL.Query().Get("pcrs"), ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				http.Error(w, "bad pcr selection", http.StatusBadRequest)
-				return
+				return 0, nil, badRequest("bad pcr selection")
 			}
 			sel = append(sel, n)
 		}
 		q, err := a.Quote(nonce, sel, r.URL.Query().Get("from"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusServiceUnavailable, err)
 		}
-		httpjson.Reply(w, http.StatusOK, quoteToWire(q))
+		return http.StatusOK, quoteToWire(q), nil
 	})
-	mux.HandleFunc("GET /ima", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("GET /ima", func(*http.Request) (int, any, error) {
 		list, _ := a.IMAList() // in process it cannot fail
-		httpjson.Reply(w, http.StatusOK, imaToWire(list))
+		return http.StatusOK, imaToWire(list), nil
 	})
-	mux.HandleFunc("POST /keys/u", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ U string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	m.Row("POST /keys/u", httpjson.Body(func(_ *http.Request, req struct{ U string }) (int, any, error) {
 		u, err := hex.DecodeString(req.U)
 		if err != nil {
-			http.Error(w, "bad key share", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad key share")
 		}
 		a.ReceiveU(u)
-	})
-	mux.HandleFunc("POST /keys/v", func(w http.ResponseWriter, r *http.Request) {
+		return http.StatusOK, nil, nil
+	}))
+	m.Row("POST /keys/v", func(r *http.Request) (int, any, error) {
 		var req struct{ V, Payload string }
 		// The sealed payload carries a kernel and an initrd: this body is
 		// not held to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, err)
 		}
 		v, err1 := hex.DecodeString(req.V)
 		payload, err2 := hex.DecodeString(req.Payload)
 		if err1 != nil || err2 != nil {
-			http.Error(w, "bad key share or payload", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad key share or payload")
 		}
 		a.ReceiveV(v, payload)
+		return http.StatusOK, nil, nil
 	})
-	return mux
+	return m
 }
 
 // call is one JSON round trip to an agent or a registrar; what names it
@@ -260,75 +257,57 @@ func (ra *RemoteAgent) ReceiveV(v, sealedPayload []byte) {
 
 // --- registrar HTTP server ---
 
-// NewRegistrarHandler serves the registrar's enrolment REST API.
+// NewRegistrarHandler serves the registrar's enrolment REST API. Each
+// row's failures take one status: a refused registration is 400, a
+// refused activation 403, the keys of an agent not enrolled 404.
 func NewRegistrarHandler(reg *Registrar) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /agents/{uuid}/register", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ EK, AIK string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	m := httpjson.NewMux(httpjson.WriteError)
+	m.Row("POST /agents/{uuid}/register", httpjson.Body(func(r *http.Request, req struct{ EK, AIK string }) (int, any, error) {
 		ekRaw, err := hex.DecodeString(req.EK)
 		if err != nil {
-			http.Error(w, "bad EK", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad EK")
 		}
 		ek, err := ecdh.P256().NewPublicKey(ekRaw)
 		if err != nil {
-			http.Error(w, "bad EK point", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad EK point")
 		}
 		aik, err := decodeECDSA(req.AIK)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, err)
 		}
 		blob, err := reg.Register(r.PathValue("uuid"), ek, aik)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, err)
 		}
-		httpjson.Reply(w, http.StatusOK, map[string]string{
+		return http.StatusOK, map[string]string{
 			"ephemeral":   hex.EncodeToString(blob.EphemeralPub),
 			"nonce":       hex.EncodeToString(blob.Nonce),
 			"ciphertext":  hex.EncodeToString(blob.Ciphertext),
 			"aik_binding": hex.EncodeToString(blob.AIKBinding[:]),
-		})
-	})
-	mux.HandleFunc("POST /agents/{uuid}/activate", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ Proof string }
-		if err := httpjson.Decode(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+		}, nil
+	}))
+	m.Row("POST /agents/{uuid}/activate", httpjson.Body(func(r *http.Request, req struct{ Proof string }) (int, any, error) {
 		proof, err := hex.DecodeString(req.Proof)
 		if err != nil {
-			http.Error(w, "bad proof", http.StatusBadRequest)
-			return
+			return 0, nil, badRequest("bad proof")
 		}
-		if err := reg.Activate(r.PathValue("uuid"), proof); err != nil {
-			http.Error(w, err.Error(), http.StatusForbidden)
-			return
-		}
-	})
-	mux.HandleFunc("GET /agents/{uuid}/aik", func(w http.ResponseWriter, r *http.Request) {
+		return http.StatusOK, nil, httpjson.WithStatus(http.StatusForbidden, reg.Activate(r.PathValue("uuid"), proof))
+	}))
+	m.Row("GET /agents/{uuid}/aik", func(r *http.Request) (int, any, error) {
 		aik, err := reg.AIK(r.PathValue("uuid"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusNotFound, err)
 		}
-		httpjson.Reply(w, http.StatusOK, map[string]string{"aik": encodeECDSA(aik)})
+		return http.StatusOK, map[string]string{"aik": encodeECDSA(aik)}, nil
 	})
-	mux.HandleFunc("GET /agents/{uuid}/ek", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("GET /agents/{uuid}/ek", func(r *http.Request) (int, any, error) {
 		ek, err := reg.EK(r.PathValue("uuid"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusNotFound, err)
 		}
-		httpjson.Reply(w, http.StatusOK, map[string]string{"ek": hex.EncodeToString(ek.Bytes())})
+		return http.StatusOK, map[string]string{"ek": hex.EncodeToString(ek.Bytes())}, nil
 	})
-	return mux
+	return m
 }
 
 // RegistrarClient drives a registrar's REST API; it satisfies

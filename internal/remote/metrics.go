@@ -49,7 +49,7 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 // is bounded by the API surface, not by tenant-chosen names. A nil
 // registry returns the mux untouched — the uninstrumented path pays
 // nothing.
-func instrumentMux(reg *obs.Registry, mux *http.ServeMux) http.Handler {
+func instrumentMux(reg *obs.Registry, mux http.Handler) http.Handler {
 	if reg == nil {
 		return mux
 	}

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -9,6 +10,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bolted/internal/bmi"
+	"bolted/internal/hil"
+	"bolted/internal/httpjson"
+	"bolted/internal/keylime"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/rawplane.golden from this run")
@@ -228,5 +234,42 @@ func TestRawPlaneWireGolden(t *testing.T) {
 		if g != w {
 			t.Errorf("reply %d differs from %s:\ngot:\n%s\nwant:\n%s", i, path, g, w)
 		}
+	}
+}
+
+// TestRawPlaneGoldenCoversEveryRow ranges over the raw planes' route
+// tables: a row without an entry in testdata/rawplane.golden fails here,
+// as a /v1 row without a README entry fails TestV1RouteTable.
+func TestRawPlaneGoldenCoversEveryRow(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "rawplane.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, _ := startServer(t, 1)
+	root, err := NewHandler(cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for plane, h := range map[string]http.Handler{
+		"root":      root,
+		"hil":       hil.NewHandler(nil),
+		"bmi":       bmi.NewHandler(nil),
+		"registrar": keylime.NewRegistrarHandler(nil),
+		"agent":     keylime.NewAgentHandler(nil),
+		"plane":     (&nodePlane{}).routes(),
+	} {
+		for _, pattern := range h.(*httpjson.Mux).Patterns() {
+			if plane == "root" && !strings.Contains(pattern, " ") {
+				continue // a mount: its plane's rows are checked on their own
+			}
+			rows++
+			if !bytes.Contains(golden, []byte("### "+plane+" "+pattern+"\n")) {
+				t.Errorf("%s %s has no entry in the wire golden", plane, pattern)
+			}
+		}
+	}
+	if rows != 42 {
+		t.Errorf("the raw route tables have %d rows, want 42", rows)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -47,10 +48,8 @@ type serverInfo struct {
 // delegating to the cloud's in-process driver, and fronts each booted
 // node's Keylime agent under /nodes/{node}/agent/.
 type nodePlane struct {
-	cloud *core.Cloud
-
-	mu     sync.Mutex
-	agents map[string]http.Handler
+	cloud  *core.Cloud
+	agents sync.Map // node -> the http.Handler of its running agent
 }
 
 // kexecRequest is the wire form of a kexec. Attested kexecs carry no
@@ -62,41 +61,37 @@ type kexecRequest struct {
 	Attested bool
 }
 
-func (np *nodePlane) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /nodes/{node}/boot", func(w http.ResponseWriter, r *http.Request) {
+// routes is the node plane's REST surface. A driver failure is 409
+// (the node is not in a state for the step), an unknown node's PCRs 404.
+func (np *nodePlane) routes() *httpjson.Mux {
+	conflict := func(err error) error { return httpjson.WithStatus(http.StatusConflict, err) }
+	m := httpjson.NewMux(httpjson.WriteError)
+	m.Row("POST /nodes/{node}/boot", func(r *http.Request) (int, any, error) {
 		node := r.PathValue("node")
 		conn, err := np.cloud.Driver.Boot(r.Context(), node)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+			return 0, nil, conflict(err)
 		}
 		agent, ok := conn.(*keylime.Agent)
 		if !ok {
-			http.Error(w, "boltedd: driver returned a non-local agent", http.StatusInternalServerError)
-			return
+			return 0, nil, errors.New("boltedd: driver returned a non-local agent")
 		}
-		np.mu.Lock()
-		np.agents[node] = keylime.NewAgentHandler(agent)
-		np.mu.Unlock()
-		httpjson.Reply(w, http.StatusOK, map[string]string{"uuid": conn.UUID()})
+		np.agents.Store(node, keylime.NewAgentHandler(agent))
+		return http.StatusOK, map[string]string{"uuid": conn.UUID()}, nil
 	})
-	mux.HandleFunc("/nodes/{node}/agent/", func(w http.ResponseWriter, r *http.Request) {
+	m.Raw("/nodes/{node}/agent/", func(w http.ResponseWriter, r *http.Request) {
 		node := r.PathValue("node")
-		np.mu.Lock()
-		h := np.agents[node]
-		np.mu.Unlock()
-		if h == nil {
-			http.Error(w, fmt.Sprintf("boltedd: node %q has no running agent", node), http.StatusNotFound)
+		h, ok := np.agents.Load(node)
+		if !ok {
+			httpjson.WriteError(w, httpjson.WithStatus(http.StatusNotFound, fmt.Errorf("boltedd: node %q has no running agent", node)))
 			return
 		}
-		http.StripPrefix("/nodes/"+node+"/agent", h).ServeHTTP(w, r)
+		http.StripPrefix("/nodes/"+node+"/agent", h.(http.Handler)).ServeHTTP(w, r)
 	})
-	mux.HandleFunc("GET /nodes/{node}/pcrs", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("GET /nodes/{node}/pcrs", func(r *http.Request) (int, any, error) {
 		pcrs, err := np.cloud.Driver.ExpectedBootPCRs(r.Context(), r.PathValue("node"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusNotFound, err)
 		}
 		wire := make(map[string][]string, len(pcrs))
 		for pcr, ds := range pcrs {
@@ -105,61 +100,42 @@ func (np *nodePlane) handler() http.Handler {
 				wire[key] = append(wire[key], hex.EncodeToString(d[:]))
 			}
 		}
-		httpjson.Reply(w, http.StatusOK, wire)
+		return http.StatusOK, wire, nil
 	})
-	mux.HandleFunc("POST /nodes/{node}/kexec", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("POST /nodes/{node}/kexec", func(r *http.Request) (int, any, error) {
 		var req kexecRequest
 		// A kexec carries a kernel and an initrd: this body is not held
 		// to httpjson.Decode's policy-sized cap.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return 0, nil, httpjson.WithStatus(http.StatusBadRequest, err)
 		}
-		node := r.PathValue("node")
-		var err error
 		if req.Attested {
-			err = np.cloud.Driver.KexecAttested(r.Context(), node, req.KernelID)
-		} else {
-			err = np.cloud.Driver.Kexec(r.Context(), node, req.KernelID, req.Kernel, req.Initrd)
+			return http.StatusOK, nil, conflict(np.cloud.Driver.KexecAttested(r.Context(), r.PathValue("node"), req.KernelID))
 		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
+		return http.StatusOK, nil, conflict(np.cloud.Driver.Kexec(r.Context(), r.PathValue("node"), req.KernelID, req.Kernel, req.Initrd))
 	})
-	mux.HandleFunc("POST /nodes/{node}/stop", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("POST /nodes/{node}/stop", func(r *http.Request) (int, any, error) {
 		node := r.PathValue("node")
 		if err := np.cloud.Driver.StopAgent(r.Context(), node); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+			return 0, nil, conflict(err)
 		}
-		np.mu.Lock()
-		delete(np.agents, node)
-		np.mu.Unlock()
+		np.agents.Delete(node)
+		return http.StatusOK, nil, nil
 	})
-	mux.HandleFunc("POST /nodes/{node}/ima", func(w http.ResponseWriter, r *http.Request) {
-		// The collector stays attached to the node's agent server-side;
-		// the tenant's verifier reads it through the agent's IMA list.
-		if _, err := np.cloud.Driver.StartIMA(r.Context(), r.PathValue("node")); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
+	// The collector stays attached to the node's agent server-side;
+	// the tenant's verifier reads it through the agent's IMA list.
+	m.Row("POST /nodes/{node}/ima", func(r *http.Request) (int, any, error) {
+		_, err := np.cloud.Driver.StartIMA(r.Context(), r.PathValue("node"))
+		return http.StatusOK, nil, conflict(err)
 	})
-	mux.HandleFunc("PUT /ports/{port}", func(w http.ResponseWriter, r *http.Request) {
-		if err := np.cloud.Driver.AddServicePort(r.Context(), r.PathValue("port")); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
+	m.Row("PUT /ports/{port}", func(r *http.Request) (int, any, error) {
+		return http.StatusCreated, nil, conflict(np.cloud.Driver.AddServicePort(r.Context(), r.PathValue("port")))
 	})
-	mux.HandleFunc("GET /reachable", func(w http.ResponseWriter, r *http.Request) {
+	m.Row("GET /reachable", func(r *http.Request) (int, any, error) {
 		from, to := r.URL.Query().Get("from"), r.URL.Query().Get("to")
-		if err := np.cloud.Driver.Reachable(r.Context(), from, to); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
+		return http.StatusOK, nil, conflict(np.cloud.Driver.Reachable(r.Context(), from, to))
 	})
-	return mux
+	return m
 }
 
 // NewHandler exposes a fully in-process cloud's complete service plane
@@ -181,21 +157,16 @@ func NewHandlerWithManager(cloud *core.Cloud, mgr *core.Manager) (http.Handler, 
 	if h == nil || b == nil || reg == nil {
 		return nil, fmt.Errorf("remote: handler needs an in-process cloud (got a remote one?)")
 	}
-	np := &nodePlane{cloud: cloud, agents: make(map[string]http.Handler)}
-	mux := http.NewServeMux()
-	mux.Handle(prefixBMI+"/", http.StripPrefix(prefixBMI, bmi.NewHandler(b)))
-	mux.Handle(prefixRegistrar+"/", http.StripPrefix(prefixRegistrar, keylime.NewRegistrarHandler(reg)))
-	mux.Handle(prefixPlane+"/", http.StripPrefix(prefixPlane, np.handler()))
-	mux.Handle(prefixV1+"/", http.StripPrefix(prefixV1, NewV1Handler(mgr)))
-	mux.HandleFunc("GET /info", func(w http.ResponseWriter, r *http.Request) {
-		httpjson.Reply(w, http.StatusOK, serverInfo{
-			Nodes:       cloud.Config.Nodes,
-			Firmware:    string(cloud.Config.Firmware),
-			PlatformGen: cloud.Config.PlatformGen,
-		})
-	})
-	mux.Handle("/", hil.NewHandler(h))
-	return mux, nil
+	np := &nodePlane{cloud: cloud}
+	info := serverInfo{Nodes: cloud.Config.Nodes, Firmware: string(cloud.Config.Firmware), PlatformGen: cloud.Config.PlatformGen}
+	m := httpjson.NewMux(httpjson.WriteError)
+	m.Raw(prefixBMI+"/", http.StripPrefix(prefixBMI, bmi.NewHandler(b)).ServeHTTP)
+	m.Raw(prefixRegistrar+"/", http.StripPrefix(prefixRegistrar, keylime.NewRegistrarHandler(reg)).ServeHTTP)
+	m.Raw(prefixPlane+"/", http.StripPrefix(prefixPlane, np.routes()).ServeHTTP)
+	m.Raw(prefixV1+"/", http.StripPrefix(prefixV1, NewV1Handler(mgr)).ServeHTTP)
+	m.Row("GET /info", func(*http.Request) (int, any, error) { return http.StatusOK, info, nil })
+	m.Raw("/", hil.NewHandler(h).ServeHTTP)
+	return m, nil
 }
 
 // nodeDriver implements core.NodeDriver against boltedd's node-plane

@@ -353,6 +353,9 @@ func (ws *opWires) list(ops []*core.Operation) ([][]byte, error) {
 // keep their identity across the wire (the client maps codes back), and
 // everything else is an internal error.
 func writeV1Error(w http.ResponseWriter, err error) {
+	if httpjson.StatusOf(err) == http.StatusBadRequest { // a request body that did not decode
+		err = fmt.Errorf("%w: %v", errInvalid, err)
+	}
 	code, status := codeInternal, http.StatusInternalServerError
 	switch {
 	case errors.Is(err, core.ErrNotFound), errors.Is(err, hil.ErrNotFound), errors.Is(err, bmi.ErrNotFound):
@@ -503,45 +506,6 @@ type v1 struct {
 	wires opWires
 }
 
-// handlerFunc is a typed row of the route table: it answers a request
-// with a status and a JSON body (nil for none), or with an error, and
-// never sees the ResponseWriter — ServeHTTP below is the one place a
-// typed row's reply, success or envelope, is written.
-type handlerFunc func(r *http.Request) (status int, body any, err error)
-
-// located is a reply body that also says where the resource it shows
-// lives: ServeHTTP sends Location beside it.
-type located struct {
-	at   string
-	body any
-}
-
-func (h handlerFunc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	status, body, err := h(r)
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	if l, ok := body.(located); ok {
-		w.Header().Set("Location", l.at)
-		body = l.body
-	}
-	httpjson.Reply(w, status, body)
-}
-
-// withBody adapts a row that takes a JSON request body: the body is read
-// under httpjson's size cap, and one that is malformed or too large is
-// the typed invalid_argument envelope.
-func withBody[T any](h func(r *http.Request, req T) (int, any, error)) handlerFunc {
-	return func(r *http.Request) (int, any, error) {
-		var req T
-		if err := httpjson.Decode(r, &req); err != nil {
-			return 0, nil, fmt.Errorf("%w: %v", errInvalid, err)
-		}
-		return h(r, req)
-	}
-}
-
 // verb splits a custom-verb segment ("op-0001:cancel"): the ServeMux
 // wildcard spans the whole segment, so the verb is cut off by hand. noun
 // names the resource in the error for any verb but want.
@@ -561,71 +525,59 @@ func createdOr200(created bool) int {
 	return http.StatusOK
 }
 
-// route is one row of the /v1 route table: a ServeMux pattern and its
-// handler — a typed handlerFunc, or a raw http.HandlerFunc for the rows
-// that send kept bytes, stream, or hold the connection for a long poll.
-type route struct {
-	pattern string
-	h       http.Handler
-}
-
 // routes is the whole /v1 surface. Adding a route is one row here and
 // one row in a README route table (TestV1RouteTable checks both).
-func (s *v1) routes() []route {
-	return []route{
-		{"POST /enclaves", withBody(s.createEnclave)},
-		{"GET /enclaves", handlerFunc(s.listEnclaves)},
-		{"GET /enclaves/{name}", handlerFunc(s.getEnclave)},
-		{"DELETE /enclaves/{name}", handlerFunc(s.deleteEnclave)},
-		{"POST /enclaves/{name}/nodes:acquire", withBody(s.acquire)},
-		{"DELETE /enclaves/{name}/nodes/{node}", handlerFunc(s.releaseNode)},
-		{"POST /enclaves/{name}/nodes/{nodeverb}", handlerFunc(s.reclaimNode)},
+func (s *v1) routes() *httpjson.Mux {
+	m := httpjson.NewMux(writeV1Error)
+	m.Row("POST /enclaves", httpjson.Body(s.createEnclave))
+	m.Row("GET /enclaves", s.listEnclaves)
+	m.Row("GET /enclaves/{name}", s.getEnclave)
+	m.Row("DELETE /enclaves/{name}", s.deleteEnclave)
+	m.Row("POST /enclaves/{name}/nodes:acquire", httpjson.Body(s.acquire))
+	m.Row("DELETE /enclaves/{name}/nodes/{node}", s.releaseNode)
+	m.Row("POST /enclaves/{name}/nodes/{nodeverb}", s.reclaimNode)
 
-		{"GET /operations", http.HandlerFunc(s.listOperations)},
-		{"GET /operations/{id}", http.HandlerFunc(s.getOperation)},
-		{"POST /operations/{idverb}", handlerFunc(s.cancelOperation)},
-		{"GET /operations/{id}/events", http.HandlerFunc(s.operationEvents)},
-		{"GET /operations/{id}/trace", http.HandlerFunc(s.operationTrace)},
+	m.Raw("GET /operations", s.listOperations)
+	m.Raw("GET /operations/{id}", s.getOperation)
+	m.Row("POST /operations/{idverb}", s.cancelOperation)
+	m.Raw("GET /operations/{id}/events", s.operationEvents)
+	m.Raw("GET /operations/{id}/trace", s.operationTrace)
 
-		{"PUT /pools/{enclave}", withBody(s.putPool)},
-		{"GET /pools", handlerFunc(s.listPools)},
-		{"GET /pools/{enclave}", handlerFunc(s.getPool)},
-		{"POST /pools/{enclaveverb}", handlerFunc(s.drainPool)},
-		{"DELETE /pools/{enclave}", handlerFunc(s.deletePool)},
+	m.Row("PUT /pools/{enclave}", httpjson.Body(s.putPool))
+	m.Row("GET /pools", s.listPools)
+	m.Row("GET /pools/{enclave}", s.getPool)
+	m.Row("POST /pools/{enclaveverb}", s.drainPool)
+	m.Row("DELETE /pools/{enclave}", s.deletePool)
 
-		{"PUT /quotas/{tenant}", withBody(s.putQuota)},
-		{"GET /quotas", handlerFunc(s.listQuotas)},
-		{"GET /quotas/{tenant}", handlerFunc(s.getQuota)},
-		{"DELETE /quotas/{tenant}", handlerFunc(s.deleteQuota)},
-		{"GET /sched", handlerFunc(s.sched)},
+	m.Row("PUT /quotas/{tenant}", httpjson.Body(s.putQuota))
+	m.Row("GET /quotas", s.listQuotas)
+	m.Row("GET /quotas/{tenant}", s.getQuota)
+	m.Row("DELETE /quotas/{tenant}", s.deleteQuota)
+	m.Row("GET /sched", s.sched)
 
-		{"GET /health", handlerFunc(s.health)},
-		{"GET /resilience", handlerFunc(s.getResilience)},
-		{"PUT /resilience", withBody(s.putResilience)},
-		{"GET /enclaves/{name}/resilience", handlerFunc(s.getResilience)},
-		{"PUT /enclaves/{name}/resilience", withBody(s.putResilience)},
+	m.Row("GET /health", s.health)
+	m.Row("GET /resilience", s.getResilience)
+	m.Row("PUT /resilience", httpjson.Body(s.putResilience))
+	m.Row("GET /enclaves/{name}/resilience", s.getResilience)
+	m.Row("PUT /enclaves/{name}/resilience", httpjson.Body(s.putResilience))
 
-		{"PUT /enclaves/{name}/guard", withBody(s.putGuard)},
-		{"GET /enclaves/{name}/guard", handlerFunc(s.getGuard)},
-		{"DELETE /enclaves/{name}/guard", handlerFunc(s.deleteGuard)},
-		{"GET /enclaves/{name}/revocations", http.HandlerFunc(s.revocations)},
-		{"GET /enclaves/{name}/events", http.HandlerFunc(s.enclaveEvents)},
-		{"GET /incidents", http.HandlerFunc(s.incidents)},
-		{"GET /incidents/{id}", http.HandlerFunc(s.getIncident)},
-	}
+	m.Row("PUT /enclaves/{name}/guard", httpjson.Body(s.putGuard))
+	m.Row("GET /enclaves/{name}/guard", s.getGuard)
+	m.Row("DELETE /enclaves/{name}/guard", s.deleteGuard)
+	m.Raw("GET /enclaves/{name}/revocations", s.revocations)
+	m.Raw("GET /enclaves/{name}/events", s.enclaveEvents)
+	m.Raw("GET /incidents", s.incidents)
+	m.Raw("GET /incidents/{id}", s.getIncident)
+	return m
 }
 
 // NewV1Handler serves the tenant control plane for one Manager. Mount
 // it under /v1 (NewHandler does this for a full-surface boltedd).
 func NewV1Handler(mgr *core.Manager) http.Handler {
 	s := &v1{mgr: mgr, vm: newV1Metrics(mgr.Metrics())}
-	mux := http.NewServeMux()
-	for _, rt := range s.routes() {
-		mux.Handle(rt.pattern, rt.h)
-	}
 	// Per-route request latency/status wraps the whole surface; with no
 	// registry attached this returns the mux untouched.
-	return instrumentMux(mgr.Metrics(), mux)
+	return instrumentMux(mgr.Metrics(), s.routes())
 }
 
 // --- enclaves and acquisitions ---
@@ -685,7 +637,7 @@ func (s *v1) acquire(r *http.Request, req acquireRequest) (int, any, error) {
 	if replayed {
 		status = http.StatusOK
 	}
-	return status, located{at: prefixV1 + "/operations/" + op.ID, body: operationInfo(op, op.Status())}, nil
+	return status, httpjson.At(prefixV1+"/operations/"+op.ID, operationInfo(op, op.Status())), nil
 }
 
 func (s *v1) releaseNode(r *http.Request) (int, any, error) {
@@ -958,7 +910,7 @@ func (s *v1) deleteGuard(r *http.Request) (int, any, error) {
 // ?watch=1 — an NDJSON stream that replays and then follows live.
 func (s *v1) revocations(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("watch") == "" {
-		handlerFunc(s.listRevocations).ServeHTTP(w, r)
+		httpjson.Row(s.listRevocations).Serve(w, r, writeV1Error)
 		return
 	}
 	name := r.PathValue("name")
@@ -1039,7 +991,7 @@ func (s *v1) enclaveEvents(w http.ResponseWriter, r *http.Request) {
 // it stays meaningful with and without a filter.
 func (s *v1) incidents(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("watch") == "" {
-		handlerFunc(s.listIncidents).ServeHTTP(w, r)
+		httpjson.Row(s.listIncidents).Serve(w, r, writeV1Error)
 		return
 	}
 	cursor, err := cursorParam(r)

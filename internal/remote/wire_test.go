@@ -258,28 +258,28 @@ func TestV1RouteTable(t *testing.T) {
 	}
 	// A quota may be set before its tenant exists, so that row succeeds.
 	succeeds := map[string]bool{"PUT /quotas/{tenant}": true}
-	rows := (&v1{mgr: mgr}).routes()
+	rows := (&v1{mgr: mgr}).routes().Patterns()
 	if len(rows) < 34 {
 		t.Fatalf("route table has %d rows", len(rows))
 	}
-	for i, rt := range rows {
-		method, path, _ := strings.Cut(verbSegments.Replace(rt.pattern), " ")
+	for i, pattern := range rows {
+		method, path, _ := strings.Cut(verbSegments.Replace(pattern), " ")
 		doc := "| `" + method + " " + prefixV1 + path
 		if !bytes.Contains(readme, []byte(doc+"`")) && !bytes.Contains(readme, []byte(doc+"[")) {
-			t.Errorf("%s: no README route table has a row starting %q", rt.pattern, doc)
+			t.Errorf("%s: no README route table has a row starting %q", pattern, doc)
 		}
-		if !strings.Contains(rt.pattern, "{") {
+		if !strings.Contains(pattern, "{") {
 			continue
 		}
-		status, ct, env := probe(t, cli.base, rt.pattern, fmt.Sprint("ghost", i), "{}") // what one row creates, the next must not find
-		if succeeds[rt.pattern] {
+		status, ct, env := probe(t, cli.base, pattern, fmt.Sprint("ghost", i), "{}") // what one row creates, the next must not find
+		if succeeds[pattern] {
 			if status >= 300 {
-				t.Errorf("%s on an unknown name = %d, listed as succeeding", rt.pattern, status)
+				t.Errorf("%s on an unknown name = %d, listed as succeeding", pattern, status)
 			}
 			continue
 		}
 		if status < 400 || ct != "application/json" || env.Error.Code == "" || env.Error.Message == "" {
-			t.Errorf("%s on an unknown name = %d %q %+v, want a typed error envelope", rt.pattern, status, ct, env)
+			t.Errorf("%s on an unknown name = %d %q %+v, want a typed error envelope", pattern, status, ct, env)
 		}
 	}
 }
@@ -300,23 +300,23 @@ func TestV1RequestBodies(t *testing.T) {
 	}
 	oversized := `{"pad":"` + strings.Repeat("a", httpjson.MaxRequestBody) + `"}`
 	seen := 0
-	for _, rt := range (&v1{mgr: mgr}).routes() {
-		if !strings.HasPrefix(rt.pattern, "POST ") && !strings.HasPrefix(rt.pattern, "PUT ") {
+	for _, pattern := range (&v1{mgr: mgr}).routes().Patterns() {
+		if !strings.HasPrefix(pattern, "POST ") && !strings.HasPrefix(pattern, "PUT ") {
 			continue
 		}
-		status, ct, env := probe(t, cli.base, rt.pattern, "ghost", "{")
+		status, ct, env := probe(t, cli.base, pattern, "ghost", "{")
 		refused := status == http.StatusBadRequest && ct == "application/json" && env.Error.Code == codeInvalid
-		if refused != takesBody[rt.pattern] {
-			t.Errorf("%s with a malformed body = %d %+v; takes a body: %v", rt.pattern, status, env, takesBody[rt.pattern])
+		if refused != takesBody[pattern] {
+			t.Errorf("%s with a malformed body = %d %+v; takes a body: %v", pattern, status, env, takesBody[pattern])
 		}
-		if !takesBody[rt.pattern] {
+		if !takesBody[pattern] {
 			continue
 		}
 		seen++
-		status, ct, env = probe(t, cli.base, rt.pattern, "ghost", oversized)
+		status, ct, env = probe(t, cli.base, pattern, "ghost", oversized)
 		if status != http.StatusBadRequest || ct != "application/json" || env.Error.Code != codeInvalid ||
 			!strings.Contains(env.Error.Message, "request body too large") {
-			t.Errorf("%s with a body past the cap = %d %q %+v", rt.pattern, status, ct, env)
+			t.Errorf("%s with a body past the cap = %d %q %+v", pattern, status, ct, env)
 		}
 	}
 	if seen != len(takesBody) {
