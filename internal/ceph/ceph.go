@@ -42,13 +42,6 @@ type OSD struct {
 	down    bool
 }
 
-// Down reports whether the OSD is marked failed.
-func (o *OSD) Down() bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.down
-}
-
 // NewCluster creates a cluster of numOSDs daemons with the given
 // replication factor.
 func NewCluster(numOSDs, replication int) (*Cluster, error) {

@@ -535,22 +535,6 @@ func (s *Service) NodeOwner(node string) (string, error) {
 	return n.project, nil
 }
 
-// NodeNetworks lists the networks an owned node is attached to, sorted.
-func (s *Service) NodeNetworks(project, node string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, _, err := s.ownedLocked(project, node)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for name := range n.networks {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // ProjectNodes lists a project's nodes, sorted.
 func (s *Service) ProjectNodes(project string) ([]string, error) {
 	s.mu.Lock()

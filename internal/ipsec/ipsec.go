@@ -293,13 +293,6 @@ func (sa *SA) Revoke() {
 	sa.revoked = true
 }
 
-// Revoked reports whether the SA has been revoked.
-func (sa *SA) Revoked() bool {
-	sa.mu.Lock()
-	defer sa.mu.Unlock()
-	return sa.revoked
-}
-
 // Endpoint is one end of a host-to-host tunnel, holding an outbound and
 // an inbound SA.
 type Endpoint struct {

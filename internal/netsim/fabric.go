@@ -129,14 +129,6 @@ func (f *Fabric) AttachPromiscuous(port string, v VLANID) error {
 	return nil
 }
 
-// VLANOwner reports the owner label of an allocated VLAN.
-func (f *Fabric) VLANOwner(v VLANID) (string, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	o, ok := f.allocated[v]
-	return o, ok
-}
-
 // Attach adds a port to a VLAN (switchport trunk allowed vlan add).
 func (f *Fabric) Attach(port string, v VLANID) error {
 	f.mu.Lock()
