@@ -429,13 +429,13 @@ func stateOf(m *Manager, rp *replay) foldState {
 		s.Incidents = append(s.Incidents, incident(inc.Status()))
 	}
 	s.IncSeq = m.incSeq
-	for _, st := range m.incFeed {
+	for _, st := range m.incFeed.items {
 		s.Feed = append(s.Feed, incident(st))
 	}
-	s.FeedBase = m.incFeedBase
+	s.FeedBase = m.incFeed.base
 	for name, f := range m.revFeeds {
 		feed := []string{fmt.Sprint(f.base)}
-		for _, ev := range f.events {
+		for _, ev := range f.items {
 			feed = append(feed, fmt.Sprintf("%s %q %s", ev.UUID, ev.Reason, at(ev.At)))
 		}
 		s.RevFeeds[name] = feed

@@ -196,13 +196,43 @@ const MaxRetainedIncidents = 256
 // events fall off the front and the replay base advances.
 const maxRevFeed = 1024
 
-// revFeed is one enclave's replayable revocation-event feed. base is
-// the absolute index of events[0], so cursors stay stable across
-// pruning.
-type revFeed struct {
-	events []keylime.RevocationEvent
+// feed is a bounded, replayable feed — the incident updates, and each
+// enclave's revocation events. base is the absolute index of items[0], so
+// cursors stay stable as add prunes the oldest items past limit. The
+// manager's mu guards it.
+type feed[T any] struct {
+	items  []T
 	base   int
-	notify chan struct{}
+	limit  int
+	notify chan struct{} // closes on the next add
+}
+
+func newFeed[T any](limit int, items []T, base int) *feed[T] {
+	return &feed[T]{items: items, base: base, limit: limit, notify: make(chan struct{})}
+}
+
+// add appends v, keeps the newest limit items, and wakes the feed's
+// streamers.
+func (f *feed[T]) add(v T) {
+	f.items = append(f.items, v)
+	if over := len(f.items) - f.limit; over > 0 {
+		f.items = append([]T(nil), f.items[over:]...)
+		f.base += over
+	}
+	close(f.notify)
+	f.notify = make(chan struct{})
+}
+
+// since returns a copy of the items past the absolute cursor, a channel
+// that closes when the next one arrives, and the cursor to resume from. A
+// cursor older than the pruned feed resumes at its base.
+func (f *feed[T]) since(cursor int) ([]T, <-chan struct{}, int) {
+	cursor = max(cursor, f.base)
+	var out []T
+	if idx := cursor - f.base; idx < len(f.items) {
+		out = append([]T(nil), f.items[idx:]...)
+	}
+	return out, f.notify, cursor + len(out)
 }
 
 // AttachGuard registers a guard for an enclave; subsequent revocations
@@ -364,13 +394,7 @@ func (m *Manager) applyIncidentUpdate(st IncidentStatus) *Incident {
 		m.incOrder = keep
 	}
 	inc.set(st)
-	m.incFeed = append(m.incFeed, st)
-	if over := len(m.incFeed) - maxIncidentFeed; over > 0 {
-		m.incFeed = append([]IncidentStatus(nil), m.incFeed[over:]...)
-		m.incFeedBase += over
-	}
-	close(m.incNotify)
-	m.incNotify = make(chan struct{})
+	m.incFeed.add(st)
 	return inc
 }
 
@@ -422,14 +446,7 @@ func (m *Manager) OpenIncidentIDs(enclave string) []string {
 func (m *Manager) IncidentUpdatesSince(cursor int) ([]IncidentStatus, <-chan struct{}, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cursor < m.incFeedBase {
-		cursor = m.incFeedBase
-	}
-	var out []IncidentStatus
-	if idx := cursor - m.incFeedBase; idx < len(m.incFeed) {
-		out = append([]IncidentStatus(nil), m.incFeed[idx:]...)
-	}
-	return out, m.incNotify, cursor + len(out)
+	return m.incFeed.since(cursor)
 }
 
 // noteRevocation is the manager's subscription to an enclave verifier's
@@ -460,22 +477,15 @@ func (m *Manager) noteRevocation(enclave string, ev keylime.RevocationEvent) {
 // replayable feed, which keeps its newest maxRevFeed events, and wakes the
 // feed's streamers. Callers hold m.mu.
 func (m *Manager) applyRevocation(enclave string, ev keylime.RevocationEvent) {
-	f := m.revFeed(enclave)
-	f.events = append(f.events, ev)
-	if over := len(f.events) - maxRevFeed; over > 0 {
-		f.events = append([]keylime.RevocationEvent(nil), f.events[over:]...)
-		f.base += over
-	}
-	close(f.notify)
-	f.notify = make(chan struct{})
+	m.revFeed(enclave).add(ev)
 }
 
 // revFeed returns an enclave's revocation feed, creating it empty.
 // Callers hold m.mu.
-func (m *Manager) revFeed(enclave string) *revFeed {
+func (m *Manager) revFeed(enclave string) *feed[keylime.RevocationEvent] {
 	f := m.revFeeds[enclave]
 	if f == nil {
-		f = &revFeed{notify: make(chan struct{})}
+		f = newFeed[keylime.RevocationEvent](maxRevFeed, nil, 0)
 		m.revFeeds[enclave] = f
 	}
 	return f
@@ -492,13 +502,6 @@ func (m *Manager) RevocationsSince(enclave string, cursor int) ([]keylime.Revoca
 	if _, ok := m.enclaves[enclave]; !ok || m.deleting[enclave] {
 		return nil, nil, 0, fmt.Errorf("%w: enclave %q", ErrNotFound, enclave)
 	}
-	f := m.revFeed(enclave)
-	if cursor < f.base {
-		cursor = f.base
-	}
-	var out []keylime.RevocationEvent
-	if idx := cursor - f.base; idx < len(f.events) {
-		out = append([]keylime.RevocationEvent(nil), f.events[idx:]...)
-	}
-	return out, f.notify, cursor + len(out), nil
+	evs, notify, next := m.revFeed(enclave).since(cursor)
+	return evs, notify, next, nil
 }

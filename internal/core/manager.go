@@ -100,15 +100,13 @@ type Manager struct {
 	// Runtime-guard state (incident.go): attached guards, tracked
 	// incidents with their replayable update feed, per-enclave verifier
 	// revocation feeds, and the verifier unsubscribe hooks.
-	guards      map[string]GuardController
-	incidents   map[string]*Incident
-	incOrder    []*Incident // creation order, for retention pruning
-	incSeq      int
-	incFeed     []IncidentStatus
-	incFeedBase int
-	incNotify   chan struct{}
-	revFeeds    map[string]*revFeed
-	revUnsubs   map[string]func()
+	guards    map[string]GuardController
+	incidents map[string]*Incident
+	incOrder  []*Incident // creation order, for retention pruning
+	incSeq    int
+	incFeed   *feed[IncidentStatus]
+	revFeeds  map[string]*feed[keylime.RevocationEvent]
+	revUnsubs map[string]func()
 }
 
 // NewManager builds an empty control plane over a cloud.
@@ -128,8 +126,8 @@ func NewManager(c *Cloud) *Manager {
 		maxSchedQueue: DefaultMaxSchedQueue,
 		guards:        make(map[string]GuardController),
 		incidents:     make(map[string]*Incident),
-		incNotify:     make(chan struct{}),
-		revFeeds:      make(map[string]*revFeed),
+		incFeed:       newFeed[IncidentStatus](maxIncidentFeed, nil, 0),
+		revFeeds:      make(map[string]*feed[keylime.RevocationEvent]),
 		revUnsubs:     make(map[string]func()),
 	}
 }

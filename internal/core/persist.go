@@ -463,9 +463,9 @@ func (rp *replay) loadSnapshot(snap *managerSnapshot) error {
 	m.incSeq = max(m.incSeq, snap.IncSeq)
 	// The feeds are state of their own: the incidents' applies rebuilt
 	// the registry, and the feed comes back as it was checkpointed.
-	m.incFeed, m.incFeedBase = snap.IncFeed, snap.IncFeedBase
+	m.incFeed.items, m.incFeed.base = snap.IncFeed, snap.IncFeedBase
 	for name, f := range snap.RevFeeds {
-		m.revFeeds[name] = &revFeed{events: f.Events, base: f.Base, notify: make(chan struct{})}
+		m.revFeeds[name] = newFeed(maxRevFeed, f.Events, f.Base)
 	}
 	return nil
 }
@@ -913,8 +913,8 @@ func (m *Manager) Checkpoint() error {
 		OpSeq:       m.opSeq,
 		Idem:        m.idem,
 		IncSeq:      m.incSeq,
-		IncFeed:     m.incFeed,
-		IncFeedBase: m.incFeedBase,
+		IncFeed:     m.incFeed.items,
+		IncFeedBase: m.incFeed.base,
 		RevFeeds:    make(map[string]revFeedSnapshot, len(m.revFeeds)),
 	}
 	names := slices.Sorted(maps.Keys(m.enclaves))
@@ -950,7 +950,7 @@ func (m *Manager) Checkpoint() error {
 		snap.Incidents = append(snap.Incidents, inc.Status())
 	}
 	for name, f := range m.revFeeds {
-		snap.RevFeeds[name] = revFeedSnapshot{Base: f.base, Events: f.events}
+		snap.RevFeeds[name] = revFeedSnapshot{Base: f.base, Events: f.items}
 	}
 	raw, err := json.Marshal(snap)
 	m.mu.Unlock()
